@@ -138,16 +138,19 @@ def _load_sample_dir(sample_dir):
 
 
 def _cmd_summarize(args) -> int:
-    _, _, sample = _load_sample_dir(args.sample_dir)
     indicators = args.indicator or ["srb", "tfr", "e0_female", "e0_male"]
-    unknown = [n for n in indicators if n not in INDICATOR_NAMES]
-    if unknown:
-        raise _Invalid(f"unknown indicators {unknown}; choose from {list(INDICATOR_NAMES)}")
     probs = args.prob or [0.025, 0.5, 0.975]
     thresholds = [_parse_threshold(t) for t in (args.threshold or [])]
+    trends = args.trend or []
     joints = [_parse_joint(j) for j in (args.joint or [])]
+    named = indicators + [t[0] for t in thresholds] + trends \
+        + [pred[0] for _, preds in joints for pred in preds]
+    unknown = [n for n in dict.fromkeys(named) if n not in INDICATOR_NAMES]
+    if unknown:
+        raise _Invalid(f"unknown indicators {unknown}; choose from {list(INDICATOR_NAMES)}")
+    _, _, sample = _load_sample_dir(args.sample_dir)
     rows = summary_rows(sample, indicators, probs=probs, thresholds=thresholds,
-                        trends=args.trend or [], joints=joints)
+                        trends=trends, joints=joints)
     out = Path(args.out_dir or args.sample_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "summary.csv"

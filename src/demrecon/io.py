@@ -318,6 +318,9 @@ def read_samples(path, grid: ModelGrid, config: SamplerConfig = None) -> Posteri
     names = parameter_names(grid)
     pos = {n: i for i, n in enumerate(names)}
     data = {}
+    # rows of one draw are normally adjacent: look its row up again only
+    # when the (chain, draw) text changes
+    c_text = k_text = row = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -327,12 +330,19 @@ def read_samples(path, grid: ModelGrid, config: SamplerConfig = None) -> Posteri
             if not rec:
                 continue
             try:
-                c, k, name, v = int(rec[0]), int(rec[1]), rec[2], float(rec[3])
+                name, v = rec[2], float(rec[3])
+                if rec[0] != c_text or rec[1] != k_text:
+                    key = (int(rec[0]), int(rec[1]))
+                    row = data.get(key)
+                    if row is None:
+                        row = data[key] = np.full(len(names), np.nan)
+                    c_text, k_text = rec[0], rec[1]
             except (ValueError, IndexError):
                 _fail(path, lineno, f"bad row {rec!r}")
-            if name not in pos:
+            j = pos.get(name)
+            if j is None:
                 _fail(path, lineno, f"unknown parameter {name!r} for this grid")
-            data.setdefault((c, k), np.full(len(names), np.nan))[pos[name]] = v
+            row[j] = v
     if not data:
         raise ParseError(f"{path}: no sample rows")
     keys = sorted(data)

@@ -93,7 +93,7 @@ def build_leslie(survival_col: np.ndarray) -> np.ndarray:
 
 
 def total_births(counts_female: np.ndarray, survival_female: np.ndarray,
-                 fertility: np.ndarray, fertile_index: np.ndarray) -> float:
+                 fertility: np.ndarray, fertile_index: np.ndarray):
     """Births over one 5-year period given the female side of the state.
 
     Approximates person-years lived in fertile group a by women already
@@ -101,36 +101,49 @@ def total_births(counts_female: np.ndarray, survival_female: np.ndarray,
     When the first fertile group is [0,5) there is no younger group and
     that term is zero. Only female counts enter; the projection is
     female dominant.
+
+    counts_female (..., K), survival_female (..., K+1) and fertility
+    (..., F) may carry leading batch axes; the result has shape (...).
+    fertile_index must be consecutive age groups, as
+    ``ModelGrid.fertile_index`` is, so the fertile span is read as a
+    slice rather than gathered.
     """
-    ia = np.asarray(fertile_index)
-    n_a = counts_female[ia]
-    n_prev = np.where(ia > 0, counts_female[ia - 1], 0.0)
-    s_a = survival_female[ia]
-    return 5.0 * float(np.sum(fertility * (n_a + n_prev * s_a) * 0.5))
+    lo, hi = fertile_index[0], fertile_index[-1] + 1
+    n_a = counts_female[..., lo:hi]
+    if lo > 0:
+        n_prev = counts_female[..., lo - 1:hi - 1]
+    else:
+        n_prev = np.zeros(n_a.shape)
+        n_prev[..., 1:] = counts_female[..., :hi - 1]
+    s_a = survival_female[..., lo:hi]
+    return 5.0 * (fertility * (n_a + n_prev * s_a) * 0.5).sum(axis=-1)
 
 
 def _step_counts(counts: np.ndarray, fertility: np.ndarray, survival: np.ndarray,
-                 migration: np.ndarray, srb: float, fertile_index: np.ndarray) -> np.ndarray:
+                 migration: np.ndarray, srb, fertile_index: np.ndarray) -> np.ndarray:
     """One projection step on raw arrays; the hot path used by the sampler.
 
-    counts (K, 2), survival (K+1, 2), migration (K, 2). Returns (K, 2).
+    counts (..., K, 2), fertility (..., F), survival (..., K+1, 2),
+    migration (..., K, 2) and srb (...), where the leading axes, if any,
+    are the same on every argument (stacked draws). Returns (..., K, 2);
+    each draw's slice equals the step of that draw alone, bit for bit.
     """
     half_g = 0.5 * migration
     base = counts * (1.0 + half_g)
-    out = np.empty_like(counts)
+    out = np.empty_like(base)
     # survivors age one group; the open group also retains its members
-    out[1:] = base[:-1] * survival[1:-1]
-    out[-1] += base[-1] * survival[-1]
+    out[..., 1:, :] = base[..., :-1, :] * survival[..., 1:-1, :]
+    out[..., -1, :] += base[..., -1, :] * survival[..., -1, :]
     # second-half migrants arrive already aged into the destination group
     mig_in = counts * half_g
-    out[1:] += mig_in[:-1]
-    out[-1] += mig_in[-1]
+    out[..., 1:, :] += mig_in[..., :-1, :]
+    out[..., -1, :] += mig_in[..., -1, :]
 
-    b = total_births(counts[:, FEMALE], survival[:, FEMALE], fertility, fertile_index)
-    g0 = half_g[0]
-    factor = survival[0] * (1.0 + g0) + g0
-    out[0, FEMALE] = b * (1.0 / (1.0 + srb)) * factor[FEMALE]
-    out[0, MALE] = b * (srb / (1.0 + srb)) * factor[MALE]
+    b = total_births(counts[..., FEMALE], survival[..., FEMALE], fertility, fertile_index)
+    g0 = half_g[..., 0, :]
+    factor = survival[..., 0, :] * (1.0 + g0) + g0
+    out[..., 0, FEMALE] = b * (1.0 / (1.0 + srb)) * factor[..., FEMALE]
+    out[..., 0, MALE] = b * (srb / (1.0 + srb)) * factor[..., MALE]
     return out
 
 
@@ -143,7 +156,9 @@ def project_step(state: PopulationState, rates: PeriodRates, grid: ModelGrid) ->
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Projected counts at every grid year. counts is (P+1, K, 2)."""
+    """Projected counts at every grid year. counts is (..., P+1, K, 2):
+    one (P+1, K, 2) trajectory per draw when the projection was run on
+    stacked draws."""
 
     counts: np.ndarray
     years: tuple
@@ -155,14 +170,18 @@ class Trajectory:
         object.__setattr__(self, "years", tuple(int(y) for y in self.years))
 
     def at(self, year: int) -> np.ndarray:
-        return self.counts[self.years.index(year)]
+        return self.counts[..., self.years.index(year), :, :]
 
     def first_negative(self):
-        """(year, age, sex label) of the first negative count, or None."""
+        """(year, age, sex label) of the first negative count, or None.
+
+        On stacked draws this is the first offence of the first draw
+        that has one.
+        """
         bad = np.argwhere(self.counts < 0)
         if bad.size == 0:
             return None
-        t, a, l = bad[0]
+        t, a, l = bad[0][-3:]
         return (self.years[t], int(a) * STEP, SEX_LABELS[l])
 
 
@@ -171,15 +190,22 @@ def project_full(baseline: np.ndarray, theta: ThetaVector, grid: ModelGrid) -> T
 
     baseline is the (K, 2) count array for the start year (normally
     theta.baseline). Returns all intermediate states, baseline included.
+
+    Stacked draws project in one call: give baseline shape (..., K, 2)
+    and theta arrays the same leading axes (fertility (..., F, P),
+    survival (..., K+1, P, 2), migration (..., K, P, 2), srb (..., P)),
+    for example ``PosteriorSample.theta_at(slice(None))``. The counts
+    are then (..., P+1, K, 2), and each draw's trajectory is bitwise
+    equal to projecting that draw alone.
     """
     P = grid.n_periods
     fi = grid.fertile_index
-    traj = np.empty((P + 1, grid.n_ages, 2))
-    traj[0] = baseline
+    traj = np.empty(np.shape(baseline)[:-2] + (P + 1, grid.n_ages, 2))
+    traj[..., 0, :, :] = baseline
     for p in range(P):
-        traj[p + 1] = _step_counts(
-            traj[p], theta.fertility[:, p], theta.survival[:, p, :],
-            theta.migration[:, p, :], float(theta.srb[p]), fi,
+        traj[..., p + 1, :, :] = _step_counts(
+            traj[..., p, :, :], theta.fertility[..., p], theta.survival[..., p, :],
+            theta.migration[..., p, :], theta.srb[..., p], fi,
         )
     return Trajectory(counts=traj, years=tuple(grid.stock_years))
 

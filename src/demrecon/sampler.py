@@ -34,10 +34,8 @@ import numpy as np
 from .grid import (PARAM_CLASSES, SEX_LABELS,
                    CensusData, ModelGrid, ThetaVector, VarianceParams)
 from .priors import (HyperParams, InitialEstimates, log_invgamma,
-                     log_likelihood_census, log_prior_theta, transform, untransform)
+                     log_likelihood_census, log_prior_theta, transform)
 from .projection import Trajectory, _step_counts, positivity_indicator, project_full
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class ConfigError(ValueError):
@@ -103,7 +101,9 @@ class PosteriorSample:
     def n_draws(self) -> int:
         return self.sigma2.shape[0]
 
-    def theta_at(self, i: int) -> ThetaVector:
+    def theta_at(self, i) -> ThetaVector:
+        """Parameters of draw i. A slice or index array gives the stacked
+        draws, each array with a leading draw axis."""
         return ThetaVector(
             baseline=self.draws["counts"][i],
             fertility=self.draws["fertility"][i],

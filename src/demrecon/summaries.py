@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FEMALE, MALE, ModelGrid
-from .indicators import life_expectancy
+from .grid import FEMALE, MALE
 from .projection import project_full
 from .sampler import PosteriorSample
 
@@ -135,8 +134,9 @@ def indicator_trajectories(sample: PosteriorSample, name: str) -> TrajectoryMatr
 
     Rate-based indicators read the parameter draws directly; the
     population-based ones (srtp, sru5, net migrant counts) re-project
-    each draw. srtp and sru5 are stock series over all grid years,
-    everything else is a period series.
+    all draws in one stacked ``project_full`` call. srtp and sru5 are
+    stock series over all grid years, everything else is a period
+    series.
     """
     grid = sample.grid
     d = sample.draws
@@ -161,22 +161,17 @@ def indicator_trajectories(sample: PosteriorSample, name: str) -> TrajectoryMatr
         return TrajectoryMatrix(name, vals, pyears)
 
     if name in POPULATION_INDICATORS:
-        n = sample.n_draws
-        stock_years = tuple(int(y) for y in grid.stock_years)
-        per_period = name.startswith("net_migrants")
-        width = len(pyears) if per_period else len(stock_years)
-        out = np.empty((n, width))
-        for i in range(n):
-            theta = sample.theta_at(i)
-            traj = project_full(theta.baseline, theta, grid).counts
-            if name == "srtp":
-                out[i] = traj[:, :, MALE].sum(axis=1) / traj[:, :, FEMALE].sum(axis=1)
-            elif name == "sru5":
-                out[i] = traj[:, 0, MALE] / traj[:, 0, FEMALE]
-            else:
-                sex = FEMALE if name.endswith("female") else MALE
-                out[i] = np.sum(traj[:-1, :, sex] * theta.migration[:, :, sex].T, axis=1) / 5.0
-        return TrajectoryMatrix(name, out, pyears if per_period else stock_years)
+        theta = sample.theta_at(slice(None))
+        traj = project_full(theta.baseline, theta, grid).counts
+        if name == "srtp":
+            vals = traj[..., MALE].sum(axis=-1) / traj[..., FEMALE].sum(axis=-1)
+        elif name == "sru5":
+            vals = traj[..., 0, MALE] / traj[..., 0, FEMALE]
+        else:
+            sex = FEMALE if name.endswith("female") else MALE
+            flows = traj[:, :-1, :, sex] * theta.migration[..., sex].transpose(0, 2, 1)
+            return TrajectoryMatrix(name, flows.sum(axis=-1) / 5.0, pyears)
+        return TrajectoryMatrix(name, vals, tuple(int(y) for y in grid.stock_years))
 
     raise KeyError(f"unknown indicator {name!r}")
 

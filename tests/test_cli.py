@@ -258,3 +258,15 @@ def test_summarize_rejects_unknown_indicator(tmp_path):
                  "--threshold", "srb==1"]) == 2
     assert main(["diagnose", "--sample-dir", str(run),
                  "--parameter", "tempo[0]"]) == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--trend", "bogus"],
+    ["--threshold", "bogus>1"],
+    ["--joint", "up=srb:1960:1970:>;bogus:1960:1970:<"],
+])
+def test_summarize_rejects_unknown_name_before_reading(tmp_path, capsys, flags):
+    # the sample directory does not exist: the name check must come first
+    code = main(["summarize", "--sample-dir", str(tmp_path / "missing")] + flags)
+    assert code == 2
+    assert "unknown indicators ['bogus']" in capsys.readouterr().err

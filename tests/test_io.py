@@ -1,9 +1,12 @@
 """CSV and YAML round trips, parse diagnostics, and the run manifest."""
 
+import csv
+from io import StringIO
+
 import numpy as np
 import pytest
 
-from demrecon import (CensusData, ModelGrid, ParseError, SamplerConfig,
+from demrecon import (CensusData, ParseError, PosteriorSample, SamplerConfig,
                       beta_from_elicitation, load_census, load_elicitation,
                       load_grid, load_sampler_settings, load_theta,
                       make_manifest, project_full, read_samples, run_chain,
@@ -168,6 +171,53 @@ def test_read_samples_rejects_incomplete_draw(tmp_path, desk_grid):
     p = tmp_path / "samples.csv"
     p.write_text("chain,draw,parameter,value\n0,0,srb[1960],1.05\n")
     with pytest.raises(ParseError, match="missing"):
+        read_samples(p, desk_grid)
+
+
+def _two_chain_samples(tmp_path, grid):
+    """A random 2-chain sample written with write_samples, plus its lines."""
+    rng = np.random.default_rng(8)
+    n, K, P, F = 7, grid.n_ages, grid.n_periods, grid.n_fertile
+    shapes = {"counts": (K, 2), "fertility": (F, P), "survival": (K + 1, P, 2),
+              "migration": (K, P, 2), "srb": (P,)}
+    draws = {c: rng.uniform(0.1, 0.9, (n,) + shape) for c, shape in shapes.items()}
+    sample = PosteriorSample(grid=grid, draws=draws, sigma2=rng.uniform(0.1, 1.0, (n, 5)),
+                             chain=np.array([0, 0, 0, 0, 1, 1, 1]), acceptance={},
+                             config=SamplerConfig(iterations=n, burn_in=0))
+    p = tmp_path / "samples.csv"
+    write_samples(p, sample)
+    return sample, p, p.read_text().splitlines()
+
+
+@pytest.mark.parametrize("order", ["shuffled", "interleaved_chains"])
+def test_read_samples_ignores_row_order(tmp_path, desk_grid, order):
+    sample, p, lines = _two_chain_samples(tmp_path, desk_grid)
+    header, rows = lines[0], lines[1:]
+    if order == "shuffled":
+        rows = [rows[i] for i in np.random.default_rng(2).permutation(len(rows))]
+    else:  # chain 0 draw k, then chain 1 draw k, ...
+        rows = sorted(rows, key=lambda r: (int(r.split(",")[1]), int(r.split(",")[0])))
+    p.write_text("\n".join([header] + rows) + "\n")
+    back = read_samples(p, desk_grid)
+    assert np.array_equal(back.flat(), sample.flat())
+    assert np.array_equal(back.chain, sample.chain)
+
+
+@pytest.mark.parametrize("field,bad,message", [
+    (3, "1.0e", "bad row"),
+    (1, "x", "bad row"),
+    (2, "tempo[0]", "unknown parameter"),
+])
+def test_read_samples_reports_line_of_late_bad_row(tmp_path, desk_grid, field, bad, message):
+    _, p, lines = _two_chain_samples(tmp_path, desk_grid)
+    lineno = len(lines) - 3  # inside the last draw's block
+    rec = next(csv.reader([lines[lineno - 1]]))
+    rec[field] = bad
+    buf = StringIO()
+    csv.writer(buf, lineterminator="").writerow(rec)
+    lines[lineno - 1] = buf.getvalue()
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=rf"samples\.csv:{lineno}: {message}"):
         read_samples(p, desk_grid)
 
 

@@ -1,5 +1,7 @@
 """Projection engine against scalar-loop oracles and exact cohort identities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,6 +171,16 @@ def test_project_full_matches_composed_oracle(full_grid):
     assert np.allclose(traj.counts, expected, rtol=1e-12, atol=0.0)
 
 
+def test_project_full_with_first_group_fertile_matches_oracle(full_grid):
+    """Fertile ages from [0,5): the first group has no younger group."""
+    grid = dataclasses.replace(full_grid, fert_min_age=0)
+    theta = make_theta(grid, seed=29, mig_width=0.05)
+    traj = project_full(theta.baseline, theta, grid)
+    expected = project_oracle(theta.baseline, theta.fertility, theta.survival,
+                              theta.migration, theta.srb, grid.fertile_index.tolist())
+    assert np.allclose(traj.counts, expected, rtol=1e-12, atol=0.0)
+
+
 def test_trajectory_years_and_at(desk_grid, desk_theta):
     traj = project_full(desk_theta.baseline, desk_theta, desk_grid)
     assert traj.years == (1960, 1965, 1970, 1975)
@@ -269,3 +281,52 @@ def test_zero_migration_base_is_bitwise_identity(seed):
     theta = _no_migration_theta(grid, seed)
     traj = project_full(theta.baseline, theta, grid).counts
     assert traj[1][2][0] == theta.baseline[1][0] * theta.survival[2, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# stacked draws
+
+
+STACK_GRIDS = {
+    "demo": ModelGrid(start_year=1960, end_year=1980, open_age=80,
+                      fert_min_age=15, fert_max_age=45),
+    # the first fertile group is [0,5): no younger group enters the births
+    "fertile_from_0": ModelGrid(start_year=1960, end_year=1980, open_age=80,
+                                fert_min_age=0, fert_max_age=45),
+}
+
+
+def _stacked(thetas, lead):
+    arrays = {}
+    for attr in ("baseline", "fertility", "survival", "migration", "srb"):
+        a = np.stack([getattr(t, attr) for t in thetas])
+        arrays[attr] = a.reshape(lead + a.shape[1:])
+    return ThetaVector(**arrays)
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid_name=st.sampled_from(sorted(STACK_GRIDS)),
+       lead=st.one_of(st.tuples(st.integers(1, 6)),
+                      st.tuples(st.integers(1, 3), st.integers(1, 4))),
+       seed=st.integers(min_value=0, max_value=10 ** 6))
+def test_stacked_projection_equals_per_draw_bitwise(grid_name, lead, seed):
+    grid = STACK_GRIDS[grid_name]
+    n = int(np.prod(lead))
+    thetas = [make_theta(grid, seed=seed + i, mig_width=0.2) for i in range(n)]
+    theta = _stacked(thetas, lead)
+    counts = project_full(theta.baseline, theta, grid).counts
+    assert counts.shape == lead + (grid.n_periods + 1, grid.n_ages, 2)
+    per_draw = counts.reshape((n,) + counts.shape[len(lead):])
+    for i, th in enumerate(thetas):
+        assert np.array_equal(per_draw[i], project_full(th.baseline, th, grid).counts)
+
+
+def test_stacked_trajectory_at_and_first_negative(desk_grid, desk_theta):
+    mig = desk_theta.migration.copy()
+    mig[1, 0, MALE] = -3.0
+    bad = desk_theta.replace(migration=mig)
+    theta = _stacked([desk_theta, bad], (2,))
+    traj = project_full(theta.baseline, theta, desk_grid)
+    alone = project_full(bad.baseline, bad, desk_grid)
+    assert np.array_equal(traj.at(1965)[1], alone.at(1965))
+    assert traj.first_negative() == (1965, 10, "male")

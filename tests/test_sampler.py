@@ -2,6 +2,7 @@
 Gibbs block, single-component updates and full runs."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +11,15 @@ from scipy import stats
 from demrecon import (CensusData, ConfigError, PARAM_CLASSES,
                       SamplerConfig, SamplingError, ThetaVector,
                       VarianceParams, beta_from_elicitation, gelman_rubin,
-                      gibbs_update_variances, log_posterior, parameter_names,
+                      gibbs_update_variances, load_elicitation, load_grid,
+                      load_theta, log_posterior, parameter_names,
                       project_full, residual_squares, run_chain,
                       simulate_dataset, transform, variance_posterior)
 from demrecon.sampler import ChainState, mh_update_component
 from conftest import make_theta, flat_elicitation
 from oracles import invgamma_cdf_oracle, log_posterior_oracle
+
+DEMO = Path(__file__).resolve().parent.parent / "data" / "demo"
 
 
 def _variances():
@@ -351,3 +355,15 @@ def test_theta_at_and_variances_at_round_trip(desk_grid, desk_hyper):
     v = sample.variances_at(3)
     assert v.counts == sample.sigma2[3, 0]
     assert v.srb == sample.sigma2[3, 4]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "load_theta returns fertility Fortran-ordered; ChainState keeps that layout,"
+    " so nat.reshape(-1) in update_component is a copy and the proposal is lost"))
+def test_fertility_draws_move_from_loaded_initial_estimates():
+    grid = load_grid(DEMO / "grid.yaml")
+    initial = load_theta(DEMO / "initial", grid)
+    hyper = beta_from_elicitation(load_elicitation(DEMO / "elicitation.yaml"), initial)
+    config = SamplerConfig(iterations=6, burn_in=2, chains=1, seed=0)
+    sample = run_chain(config, grid, initial, None, hyper)
+    assert not np.all(sample.draws["fertility"] == initial.fertility)
