@@ -14,19 +14,13 @@ __version__ = "0.1.0"
 from .grid import (FEMALE, MALE, PARAM_CLASSES, SEX_LABELS,
                    CensusData, Elicitation, ModelGrid, ThetaVector,
                    ValidationReport, VarianceParams, validate)
-from .projection import (PeriodRates, PopulationState, Trajectory, build_leslie,
-                         period_rates, positivity_indicator, project_full,
-                         project_step, total_births)
-from .indicators import (IndicatorSeries, avg_annual_net_migrants, indicator_series,
-                         life_expectancy, sex_diff_e0, sex_ratio_u5mr, sru5, srtp,
-                         tfr, u5mr)
+from .projection import Trajectory, positivity_indicator, project_full, total_births
 from .priors import (ElicitationError, HyperParams, InitialEstimates,
                      beta_from_elicitation, log_invgamma, log_likelihood_census,
                      log_prior_theta, t_quantile_95, transform, untransform)
 from .sampler import (ChainState, ConfigError, PosteriorSample, SamplerConfig,
-                      SamplingError, gibbs_update_variances, log_posterior,
-                      mh_update_component, parameter_names, residual_squares,
-                      run_chain, variance_posterior)
+                      SamplingError, log_posterior, parameter_names, run_chain,
+                      variance_posterior)
 from .diagnostics import RunLengthReport, gelman_rubin, raftery_lewis
 from .summaries import (INDICATOR_NAMES, TrajectoryMatrix, endpoint_diff,
                         exceedance_prob, indicator_trajectories, joint_event_prob,

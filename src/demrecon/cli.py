@@ -28,7 +28,7 @@ from .priors import ElicitationError, beta_from_elicitation
 from .projection import project_full
 from .sampler import (ConfigError, SamplerConfig, SamplingError, parameter_names,
                       run_chain)
-from .summaries import INDICATOR_NAMES, summary_rows
+from .summaries import INDICATOR_NAMES, indicator_years, summary_rows
 
 VALIDATION_EXIT = 2
 RUNTIME_EXIT = 3
@@ -110,7 +110,10 @@ def _parse_threshold(expr: str):
     for op in (">=", "<=", ">", "<"):
         if op in expr:
             name, value = expr.split(op, 1)
-            return name.strip(), op, float(value)
+            try:
+                return name.strip(), op, float(value)
+            except ValueError:
+                break
     raise _Invalid(f"threshold {expr!r} must look like 'srb>1.06'")
 
 
@@ -121,20 +124,19 @@ def _parse_joint(expr: str):
     preds = []
     for part in body.split(";"):
         bits = part.strip().split(":")
-        if len(bits) != 4 or bits[3] not in (">", "<"):
-            raise _Invalid(
-                f"joint predicate {part!r} must be indicator:yearA:yearB:> or :<"
-            )
-        preds.append((bits[0], int(bits[1]), int(bits[2]), bits[3]))
+        try:
+            if len(bits) == 4 and bits[3] in (">", "<"):
+                preds.append((bits[0], int(bits[1]), int(bits[2]), bits[3]))
+                continue
+        except ValueError:  # a year that is not an integer
+            pass
+        raise _Invalid(f"joint predicate {part!r} must be indicator:yearA:yearB:> or :<")
     return label, preds
 
 
-def _load_sample_dir(sample_dir):
-    d = Path(sample_dir)
-    manifest = io.RunManifest.read(d / "manifest.json")
-    grid = manifest.to_grid()
-    sample = io.read_samples(d / "samples.csv", grid)
-    return manifest, grid, sample
+def _sample_grid(sample_dir):
+    """Grid of a sample directory, from its manifest."""
+    return io.RunManifest.read(Path(sample_dir) / "manifest.json").to_grid()
 
 
 def _cmd_summarize(args) -> int:
@@ -148,9 +150,22 @@ def _cmd_summarize(args) -> int:
     unknown = [n for n in dict.fromkeys(named) if n not in INDICATOR_NAMES]
     if unknown:
         raise _Invalid(f"unknown indicators {unknown}; choose from {list(INDICATOR_NAMES)}")
-    _, _, sample = _load_sample_dir(args.sample_dir)
-    rows = summary_rows(sample, indicators, probs=probs, thresholds=thresholds,
-                        trends=trends, joints=joints)
+    if not all(0.0 <= p <= 1.0 for p in probs):
+        raise _Invalid(f"probabilities {probs} must lie in [0, 1]")
+    grid = _sample_grid(args.sample_dir)
+    for label, preds in joints:
+        for name, year_a, year_b, _ in preds:
+            years = indicator_years(grid, name)
+            for year in (year_a, year_b):
+                if year not in years:
+                    raise _Invalid(f"joint {label!r}: {name} has no year {year};"
+                                   f" its years are {list(years)}")
+    sample = io.read_samples(Path(args.sample_dir) / "samples.csv", grid)
+    try:
+        rows = summary_rows(sample, indicators, probs=probs, thresholds=thresholds,
+                            trends=trends, joints=joints)
+    except ValueError as e:  # draws outside an indicator's domain
+        raise RuntimeError(f"cannot summarize {args.sample_dir}: {e}") from e
     out = Path(args.out_dir or args.sample_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "summary.csv"
@@ -160,7 +175,8 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    _, grid, sample = _load_sample_dir(args.sample_dir)
+    grid = _sample_grid(args.sample_dir)
+    sample = io.read_samples(Path(args.sample_dir) / "samples.csv", grid)
     names = parameter_names(grid)
     wanted = args.parameter or names
     unknown = [n for n in wanted if n not in names]

@@ -14,6 +14,7 @@ once instead of failing on the first problem.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -134,6 +135,12 @@ class ModelGrid:
         """
         return tuple(y for y in self.census_years if self.start_year < y <= self.end_year)
 
+    def class_shapes(self) -> dict:
+        """Shape of each ``ThetaVector`` array, keyed by class in PARAM_CLASSES order."""
+        K, P = self.n_ages, self.n_periods
+        return {"counts": (K, 2), "fertility": (self.n_fertile, P),
+                "survival": (K + 1, P, 2), "migration": (K, P, 2), "srb": (P,)}
+
 
 @dataclass(frozen=True)
 class ThetaVector:
@@ -154,6 +161,9 @@ class ThetaVector:
         Net migration proportions over each period.
     srb : (P,)
         Sex ratio at birth, male births per female birth, per period.
+
+    Fields follow PARAM_CLASSES order (``baseline`` holds the counts class);
+    ``by_class`` and ``from_classes`` convert to and from class-keyed dicts.
     """
 
     baseline: np.ndarray
@@ -163,20 +173,22 @@ class ThetaVector:
     srb: np.ndarray
 
     def __post_init__(self):
-        for name in ("baseline", "fertility", "survival", "migration", "srb"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        for f in dataclasses.fields(self):
+            object.__setattr__(self, f.name, _freeze(getattr(self, f.name)))
+
+    def by_class(self) -> dict:
+        """The arrays keyed by parameter class, in PARAM_CLASSES order."""
+        return {c: getattr(self, f.name)
+                for c, f in zip(PARAM_CLASSES, dataclasses.fields(self))}
+
+    @classmethod
+    def from_classes(cls, arrays: Mapping) -> "ThetaVector":
+        """Inverse of ``by_class``: build from arrays keyed by class."""
+        return cls(*(arrays[c] for c in PARAM_CLASSES))
 
     def replace(self, **arrays) -> "ThetaVector":
-        """Copy with some arrays swapped out."""
-        current = {
-            "baseline": self.baseline,
-            "fertility": self.fertility,
-            "survival": self.survival,
-            "migration": self.migration,
-            "srb": self.srb,
-        }
-        current.update(arrays)
-        return ThetaVector(**current)
+        """Copy with some arrays swapped out, named by field."""
+        return dataclasses.replace(self, **arrays)
 
 
 @dataclass(frozen=True)
@@ -325,7 +337,6 @@ def validate(grid: ModelGrid, theta: ThetaVector = None, census: CensusData = No
     _check_grid(grid, out, require_census=census is not None)
 
     K = grid.n_ages
-    P = grid.n_periods
     ages = grid.ages
     sages = grid.survival_ages
     years = grid.period_years
@@ -333,18 +344,19 @@ def validate(grid: ModelGrid, theta: ThetaVector = None, census: CensusData = No
 
     if theta is not None:
         t = theta
-        if _check_shape("baseline", t.baseline, (K, 2), out):
+        want = grid.class_shapes()
+        if _check_shape("baseline", t.baseline, want["counts"], out):
             _cell_lines("baseline", t.baseline, t.baseline < 0, (ages, sexes), "is negative", out)
-        if _check_shape("fertility", t.fertility, (grid.n_fertile, P), out):
+        if _check_shape("fertility", t.fertility, want["fertility"], out):
             _cell_lines(
                 "fertility", t.fertility, t.fertility <= 0,
                 (grid.fertile_ages, years), "must be positive", out,
             )
-        if _check_shape("survival", t.survival, (K + 1, P, 2), out):
+        if _check_shape("survival", t.survival, want["survival"], out):
             bad = (t.survival <= 0) | (t.survival >= 1)
             _cell_lines("survival", t.survival, bad, (sages, years, sexes), "outside (0, 1)", out)
-        _check_shape("migration", t.migration, (K, P, 2), out)
-        if _check_shape("srb", t.srb, (P,), out):
+        _check_shape("migration", t.migration, want["migration"], out)
+        if _check_shape("srb", t.srb, want["srb"], out):
             _cell_lines("srb", t.srb, t.srb <= 0, (years,), "must be positive", out)
 
     if census is not None:

@@ -351,15 +351,12 @@ def read_samples(path, grid: ModelGrid, config: SamplerConfig = None) -> Posteri
         raise ParseError(f"{path}: some draws are missing parameters")
     chain = np.array([c for c, _ in keys], dtype=np.int64)
 
-    K, P, F = grid.n_ages, grid.n_periods, grid.n_fertile
-    shapes = {"counts": (K, 2), "fertility": (F, P), "survival": (K + 1, P, 2),
-              "migration": (K, P, 2), "srb": (P,)}
     draws = {}
     at = 0
     n = flat.shape[0]
-    for cls in PARAM_CLASSES:
-        size = int(np.prod(shapes[cls]))
-        draws[cls] = flat[:, at:at + size].reshape((n,) + shapes[cls])
+    for cls, shape in grid.class_shapes().items():
+        size = int(np.prod(shape))
+        draws[cls] = flat[:, at:at + size].reshape((n,) + shape)
         at += size
     sigma2 = flat[:, at:at + len(PARAM_CLASSES)]
     if config is None:

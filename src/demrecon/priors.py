@@ -68,16 +68,6 @@ def _gauss_block(x: np.ndarray, center: np.ndarray, sigma2: float) -> float:
     return -0.5 * quad / sigma2 - 0.5 * m * (_LOG_2PI + np.log(sigma2))
 
 
-def _class_arrays(theta: ThetaVector):
-    return {
-        "counts": theta.baseline,
-        "fertility": theta.fertility,
-        "survival": theta.survival,
-        "migration": theta.migration,
-        "srb": theta.srb,
-    }
-
-
 def log_prior_theta(theta: ThetaVector, initial: InitialEstimates,
                     variances: VarianceParams) -> float:
     """Joint log prior of all projection parameters given the variances.
@@ -86,8 +76,8 @@ def log_prior_theta(theta: ThetaVector, initial: InitialEstimates,
     theta equal to the initial estimates every quadratic term is zero
     and the value is the sum of the normalizing constants.
     """
-    vals = _class_arrays(theta)
-    cents = _class_arrays(initial)
+    vals = theta.by_class()
+    cents = initial.by_class()
     total = 0.0
     for cls in PARAM_CLASSES:
         x, c = vals[cls], cents[cls]

@@ -37,61 +37,6 @@ import numpy as np
 from .grid import FEMALE, MALE, SEX_LABELS, STEP, ModelGrid, ThetaVector
 
 
-@dataclass(frozen=True)
-class PopulationState:
-    """Counts by age group and sex at one calendar year. counts is (K, 2)."""
-
-    counts: np.ndarray
-    year: int
-
-    def __post_init__(self):
-        c = np.array(self.counts, dtype=np.float64)
-        c.setflags(write=False)
-        object.__setattr__(self, "counts", c)
-
-
-@dataclass(frozen=True)
-class PeriodRates:
-    """The vital-rate slice for one period.
-
-    fertility (n_fertile,), survival (K+1, 2), migration (K, 2), srb scalar.
-    """
-
-    fertility: np.ndarray
-    survival: np.ndarray
-    migration: np.ndarray
-    srb: float
-
-
-def period_rates(theta: ThetaVector, period: int) -> PeriodRates:
-    """Extract the rates of one period (by index) from a ThetaVector."""
-    return PeriodRates(
-        fertility=theta.fertility[:, period],
-        survival=theta.survival[:, period, :],
-        migration=theta.migration[:, period, :],
-        srb=float(theta.srb[period]),
-    )
-
-
-def build_leslie(survival_col: np.ndarray) -> np.ndarray:
-    """Survival part of the projection matrix for one sex and period.
-
-    survival_col has K+1 entries indexed by destination age. Returns the
-    (K-1) x K matrix whose row i moves age group i into i+1 with
-    survival_col[i+1]; the bottom row also keeps the open group with
-    survival_col[K].
-    """
-    s = np.asarray(survival_col, dtype=np.float64)
-    if s.ndim != 1 or s.size < 3:
-        raise ValueError(f"survival column must be 1-d with K+1 >= 3 entries, got shape {s.shape}")
-    K = s.size - 1
-    L = np.zeros((K - 1, K))
-    idx = np.arange(K - 1)
-    L[idx, idx] = s[1:K]
-    L[K - 2, K - 1] = s[K]
-    return L
-
-
 def total_births(counts_female: np.ndarray, survival_female: np.ndarray,
                  fertility: np.ndarray, fertile_index: np.ndarray):
     """Births over one 5-year period given the female side of the state.
@@ -145,13 +90,6 @@ def _step_counts(counts: np.ndarray, fertility: np.ndarray, survival: np.ndarray
     out[..., 0, FEMALE] = b * (1.0 / (1.0 + srb)) * factor[..., FEMALE]
     out[..., 0, MALE] = b * (srb / (1.0 + srb)) * factor[..., MALE]
     return out
-
-
-def project_step(state: PopulationState, rates: PeriodRates, grid: ModelGrid) -> PopulationState:
-    """Advance the population one period."""
-    new = _step_counts(state.counts, rates.fertility, rates.survival,
-                       rates.migration, rates.srb, grid.fertile_index)
-    return PopulationState(counts=new, year=state.year + STEP)
 
 
 @dataclass(frozen=True)

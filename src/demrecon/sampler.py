@@ -37,6 +37,9 @@ from .priors import (HyperParams, InitialEstimates, log_invgamma,
                      log_likelihood_census, log_prior_theta, transform)
 from .projection import Trajectory, _step_counts, positivity_indicator, project_full
 
+# acceptance rate the burn-in adaptation steers each proposal scale toward
+TARGET_ACCEPT = 0.44
+
 
 class ConfigError(ValueError):
     """Sampler configuration that cannot produce a valid run."""
@@ -54,11 +57,6 @@ class SamplerConfig:
     thin: int = 1
     chains: int = 1
     seed: int = 0
-    target_accept: float = 0.44
-    adapt: bool = True
-    # starting proposal scale per class; None means sqrt(beta/alpha),
-    # the scale of the marginal t prior
-    initial_scales: Optional[Mapping] = None
     # which parameter classes move; the rest stay at their start values
     sample_classes: tuple = PARAM_CLASSES
     update_variances: bool = True
@@ -73,8 +71,6 @@ class SamplerConfig:
             )
         if (self.iterations - self.burn_in) % self.thin != 0:
             raise ConfigError("iterations - burn_in must be a multiple of thin")
-        if not 0.0 < self.target_accept < 1.0:
-            raise ConfigError("target_accept must be in (0, 1)")
         unknown = set(self.sample_classes) - set(PARAM_CLASSES)
         if unknown:
             raise ConfigError(f"unknown parameter classes: {sorted(unknown)}")
@@ -104,13 +100,7 @@ class PosteriorSample:
     def theta_at(self, i) -> ThetaVector:
         """Parameters of draw i. A slice or index array gives the stacked
         draws, each array with a leading draw axis."""
-        return ThetaVector(
-            baseline=self.draws["counts"][i],
-            fertility=self.draws["fertility"][i],
-            survival=self.draws["survival"][i],
-            migration=self.draws["migration"][i],
-            srb=self.draws["srb"][i],
-        )
+        return ThetaVector.from_classes({c: a[i] for c, a in self.draws.items()})
 
     def variances_at(self, i: int) -> VarianceParams:
         return VarianceParams(*self.sigma2[i])
@@ -185,54 +175,6 @@ def _draw_invgamma(rng: np.random.Generator, shape: float, scale: float) -> floa
     return 1.0 / rng.gamma(shape, 1.0 / scale)
 
 
-def residual_squares(theta: ThetaVector, initial: InitialEstimates,
-                     grid: Optional[ModelGrid] = None,
-                     census: Optional[CensusData] = None,
-                     trajectory: Optional[Trajectory] = None) -> dict:
-    """Per class: (number of transformed residuals, their sum of squares).
-
-    The counts class pools the baseline residuals with the census
-    log-residuals at the likelihood years, because one variance governs
-    both; pass grid, census and trajectory to include them.
-    """
-    vals = {
-        "counts": (theta.baseline, initial.baseline),
-        "fertility": (theta.fertility, initial.fertility),
-        "survival": (theta.survival, initial.survival),
-        "migration": (theta.migration, initial.migration),
-        "srb": (theta.srb, initial.srb),
-    }
-    out = {}
-    for cls, (x, c) in vals.items():
-        r = transform(cls, x) - transform(cls, c)
-        out[cls] = (r.size, float(np.sum(r * r)))
-    if census is not None and trajectory is not None and grid is not None:
-        m, ss = out["counts"]
-        for year in grid.likelihood_years:
-            if year not in census.years:
-                continue
-            r = np.log(census.at(year)) - np.log(trajectory.at(year))
-            m += r.size
-            ss += float(np.sum(r * r))
-        out["counts"] = (m, ss)
-    return out
-
-
-def gibbs_update_variances(theta: ThetaVector, initial: InitialEstimates,
-                           hyper: HyperParams, rng: np.random.Generator,
-                           census: Optional[CensusData] = None,
-                           trajectory: Optional[Trajectory] = None,
-                           grid: Optional[ModelGrid] = None) -> VarianceParams:
-    """Draw all five variances from their full conditionals at fixed theta."""
-    res = residual_squares(theta, initial, grid=grid, census=census, trajectory=trajectory)
-    draws = {}
-    for cls in PARAM_CLASSES:
-        m, ss = res[cls]
-        a, b = variance_posterior(hyper.alpha[cls], hyper.beta[cls], m, ss)
-        draws[cls] = _draw_invgamma(rng, a, b)
-    return VarianceParams(**draws)
-
-
 # ---------------------------------------------------------------------------
 # chain machinery
 
@@ -268,18 +210,13 @@ class ChainState:
         K, P = grid.n_ages, grid.n_periods
         self.fertile_index = grid.fertile_index
 
-        cents = {
-            "counts": initial.baseline, "fertility": initial.fertility,
-            "survival": initial.survival, "migration": initial.migration,
-            "srb": initial.srb,
-        }
+        cents = initial.by_class()
         self.mu = {c: transform(c, v).ravel() for c, v in cents.items()}
         for c in PARAM_CLASSES:
             if not np.all(np.isfinite(self.mu[c])):
                 raise SamplingError(f"initial estimates are not finite on the {c} transformed scale")
         self.x = {c: self.mu[c].copy() for c in PARAM_CLASSES}
         self.nat = {c: np.array(v, dtype=np.float64) for c, v in cents.items()}
-        self.shapes = {c: cents[c].shape for c in PARAM_CLASSES}
 
         # start the variances at their prior modes (deterministic)
         self.sigma2 = np.array([hyper.beta[c] / (hyper.alpha[c] + 1.0) for c in PARAM_CLASSES])
@@ -315,10 +252,11 @@ class ChainState:
                 self.components.append((cls, j, self._first_affected(cls, j)))
         self.n_components = len(self.components)
 
-        scales0 = dict(config.initial_scales or {})
+        # proposal scales start at sqrt(beta/alpha), the scale of the
+        # marginal t prior
         self.log_scale = {}
         for cls in PARAM_CLASSES:
-            s0 = float(scales0.get(cls, math.sqrt(hyper.beta[cls] / hyper.alpha[cls])))
+            s0 = math.sqrt(hyper.beta[cls] / hyper.alpha[cls])
             self.log_scale[cls] = np.full(self.x[cls].size, math.log(s0))
 
     def _first_affected(self, cls: str, j: int) -> int:
@@ -407,7 +345,9 @@ class ChainState:
         return False, min(1.0, math.exp(log_alpha)) if log_alpha > -math.inf else 0.0
 
     def update_variances(self, rng: np.random.Generator):
-        """Gibbs draw of all five variances given the current parameters."""
+        """Gibbs draw of all five variances given the current parameters.
+        The counts class pools the baseline residuals with the census log
+        residuals at the likelihood years: one variance governs both."""
         for i, cls in enumerate(PARAM_CLASSES):
             r = self.x[cls] - self.mu[cls]
             m, ss = r.size, float(r @ r)
@@ -418,24 +358,7 @@ class ChainState:
             self.sigma2[i] = _draw_invgamma(rng, a, b)
 
     def theta(self) -> ThetaVector:
-        return ThetaVector(
-            baseline=self.nat["counts"], fertility=self.nat["fertility"],
-            survival=self.nat["survival"], migration=self.nat["migration"],
-            srb=self.nat["srb"],
-        )
-
-
-def mh_update_component(state: ChainState, comp: int, scale: float,
-                        rng: np.random.Generator) -> bool:
-    """One random-walk update of a single component, with an explicit scale."""
-    z = rng.standard_normal()
-    logu = math.log(rng.random()) if scale != 0.0 else -math.inf
-    if scale == 0.0:
-        # proposal equals the current point: accepted by construction
-        accepted, _ = state.update_component(comp, 0.0, z, -math.inf)
-        return accepted
-    accepted, _ = state.update_component(comp, scale, z, logu)
-    return accepted
+        return ThetaVector.from_classes(self.nat)
 
 
 def run_chain(config: SamplerConfig, grid: ModelGrid, initial: InitialEstimates,
@@ -451,15 +374,11 @@ def run_chain(config: SamplerConfig, grid: ModelGrid, initial: InitialEstimates,
     per_chain = (config.iterations - config.burn_in) // config.thin
     total = per_chain * config.chains
 
-    shapes = {
-        "counts": initial.baseline.shape, "fertility": initial.fertility.shape,
-        "survival": initial.survival.shape, "migration": initial.migration.shape,
-        "srb": initial.srb.shape,
-    }
-    draws = {c: np.empty((total,) + shapes[c]) for c in PARAM_CLASSES}
+    shapes = grid.class_shapes()
+    draws = {c: np.empty((total,) + shape) for c, shape in shapes.items()}
     sig = np.empty((total, len(PARAM_CLASSES)))
     chain_lab = np.empty(total, dtype=np.int64)
-    acc = {c: np.zeros((config.chains,) + (int(np.prod(shapes[c])),)) for c in PARAM_CLASSES}
+    acc = {c: np.zeros((config.chains, math.prod(shape))) for c, shape in shapes.items()}
 
     streams = np.random.SeedSequence(config.seed).spawn(config.chains)
     pos = 0
@@ -469,7 +388,7 @@ def run_chain(config: SamplerConfig, grid: ModelGrid, initial: InitialEstimates,
         ncomp = state.n_components
         acc_counts = {cls: np.zeros(state.x[cls].size) for cls in PARAM_CLASSES}
         for it in range(config.iterations):
-            adapting = config.adapt and it < config.burn_in
+            adapting = it < config.burn_in
             if ncomp:
                 zs = rng.standard_normal(ncomp)
                 us = rng.random(ncomp)
@@ -480,8 +399,8 @@ def run_chain(config: SamplerConfig, grid: ModelGrid, initial: InitialEstimates,
                     accepted, aprob = state.update_component(
                         k, scale, zs[k], math.log(us[k]) if us[k] > 0.0 else -math.inf)
                     if adapting:
-                        state.log_scale[cls][j] += gamma * (aprob - config.target_accept)
-                    elif it >= config.burn_in and accepted:
+                        state.log_scale[cls][j] += gamma * (aprob - TARGET_ACCEPT)
+                    elif accepted:
                         acc_counts[cls][j] += 1.0
             if config.update_variances:
                 state.update_variances(rng)

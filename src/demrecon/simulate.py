@@ -46,19 +46,13 @@ def draw_theta(initial: InitialEstimates, variances: VarianceParams,
     until its projection has no negative count, which is the prior's
     positivity restriction.
     """
-    cents = {
-        "counts": initial.baseline, "fertility": initial.fertility,
-        "survival": initial.survival, "migration": initial.migration,
-        "srb": initial.srb,
-    }
-    mus = {c: transform(c, v) for c, v in cents.items()}
+    mus = {c: transform(c, v) for c, v in initial.by_class().items()}
     sds = {c: np.sqrt(getattr(variances, c)) for c in PARAM_CLASSES}
     for _ in range(max_tries):
-        arrs = {c: untransform(c, mus[c] + sds[c] * rng.standard_normal(mus[c].shape))
-                for c in PARAM_CLASSES}
-        theta = ThetaVector(baseline=arrs["counts"], fertility=arrs["fertility"],
-                            survival=arrs["survival"], migration=arrs["migration"],
-                            srb=arrs["srb"])
+        # one standard-normal block per class, in PARAM_CLASSES order
+        theta = ThetaVector.from_classes({
+            c: untransform(c, mus[c] + sds[c] * rng.standard_normal(mus[c].shape))
+            for c in PARAM_CLASSES})
         if not require_positive:
             return theta
         if positivity_indicator(project_full(theta.baseline, theta, grid)):
@@ -87,20 +81,12 @@ def prior_sample(initial: InitialEstimates, hyper: HyperParams, grid: ModelGrid,
                  n_draws: int, seed: int = 0) -> PosteriorSample:
     """Direct Monte Carlo sample from the prior, packaged like an MCMC run."""
     rng = np.random.default_rng(seed)
-    shapes = {
-        "counts": initial.baseline.shape, "fertility": initial.fertility.shape,
-        "survival": initial.survival.shape, "migration": initial.migration.shape,
-        "srb": initial.srb.shape,
-    }
-    draws = {c: np.empty((n_draws,) + shapes[c]) for c in PARAM_CLASSES}
+    draws = {c: np.empty((n_draws,) + shape) for c, shape in grid.class_shapes().items()}
     sig = np.empty((n_draws, len(PARAM_CLASSES)))
     for i in range(n_draws):
         v, theta = draw_joint(initial, hyper, grid, rng)
-        draws["counts"][i] = theta.baseline
-        draws["fertility"][i] = theta.fertility
-        draws["survival"][i] = theta.survival
-        draws["migration"][i] = theta.migration
-        draws["srb"][i] = theta.srb
+        for c, a in theta.by_class().items():
+            draws[c][i] = a
         sig[i] = [getattr(v, c) for c in PARAM_CLASSES]
     config = SamplerConfig(iterations=n_draws, burn_in=0, thin=1, chains=1, seed=seed)
     return PosteriorSample(grid=grid, draws=draws, sigma2=sig,

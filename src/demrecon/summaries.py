@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FEMALE, MALE
+from .grid import FEMALE, MALE, ModelGrid
 from .projection import project_full
 from .sampler import PosteriorSample
 
@@ -21,6 +21,13 @@ RATE_INDICATORS = ("tfr", "srb", "e0_female", "e0_male", "u5mr_female",
                    "u5mr_male", "sex_ratio_u5mr", "sex_diff_e0")
 POPULATION_INDICATORS = ("srtp", "sru5", "net_migrants_female", "net_migrants_male")
 INDICATOR_NAMES = RATE_INDICATORS + POPULATION_INDICATORS
+
+
+def indicator_years(grid: ModelGrid, name: str) -> tuple:
+    """Years of an indicator's series: every grid year for the stock
+    series srtp and sru5, the period start years for everything else."""
+    years = grid.stock_years if name in ("srtp", "sru5") else grid.period_years
+    return tuple(int(y) for y in years)
 
 
 @dataclass(frozen=True)
@@ -140,25 +147,25 @@ def indicator_trajectories(sample: PosteriorSample, name: str) -> TrajectoryMatr
     """
     grid = sample.grid
     d = sample.draws
-    pyears = tuple(int(y) for y in grid.period_years)
+    years = indicator_years(grid, name)
 
     if name == "tfr":
-        return TrajectoryMatrix(name, 5.0 * d["fertility"].sum(axis=1), pyears)
+        return TrajectoryMatrix(name, 5.0 * d["fertility"].sum(axis=1), years)
     if name == "srb":
-        return TrajectoryMatrix(name, d["srb"], pyears)
+        return TrajectoryMatrix(name, d["srb"], years)
     if name in ("e0_female", "e0_male"):
         sex = FEMALE if name.endswith("female") else MALE
-        return TrajectoryMatrix(name, _e0_matrix(d["survival"], sex), pyears)
+        return TrajectoryMatrix(name, _e0_matrix(d["survival"], sex), years)
     if name in ("u5mr_female", "u5mr_male"):
         sex = FEMALE if name.endswith("female") else MALE
-        return TrajectoryMatrix(name, 1000.0 * (1.0 - d["survival"][:, 0, :, sex]), pyears)
+        return TrajectoryMatrix(name, 1000.0 * (1.0 - d["survival"][:, 0, :, sex]), years)
     if name == "sex_ratio_u5mr":
         m = 1000.0 * (1.0 - d["survival"][:, 0, :, MALE])
         f = 1000.0 * (1.0 - d["survival"][:, 0, :, FEMALE])
-        return TrajectoryMatrix(name, m / f, pyears)
+        return TrajectoryMatrix(name, m / f, years)
     if name == "sex_diff_e0":
         vals = _e0_matrix(d["survival"], FEMALE) - _e0_matrix(d["survival"], MALE)
-        return TrajectoryMatrix(name, vals, pyears)
+        return TrajectoryMatrix(name, vals, years)
 
     if name in POPULATION_INDICATORS:
         theta = sample.theta_at(slice(None))
@@ -170,8 +177,8 @@ def indicator_trajectories(sample: PosteriorSample, name: str) -> TrajectoryMatr
         else:
             sex = FEMALE if name.endswith("female") else MALE
             flows = traj[:, :-1, :, sex] * theta.migration[..., sex].transpose(0, 2, 1)
-            return TrajectoryMatrix(name, flows.sum(axis=-1) / 5.0, pyears)
-        return TrajectoryMatrix(name, vals, tuple(int(y) for y in grid.stock_years))
+            vals = flows.sum(axis=-1) / 5.0
+        return TrajectoryMatrix(name, vals, years)
 
     raise KeyError(f"unknown indicator {name!r}")
 
@@ -185,8 +192,8 @@ def summary_rows(sample: PosteriorSample, indicators, probs=(0.025, 0.5, 0.975),
     first change and of the OLS slope on start years.
     joints: (label, predicates) pairs where predicates is a list of
     (indicator, year_a, year_b, direction) meaning the draw counts when
-    value(year_a) - value(year_b) is > 0 ("decrease" if a precedes b) or
-    < 0, matching the direction sign.
+    value(year_b) - value(year_a) is > 0 (a rise from year_a to year_b)
+    or < 0, matching the direction sign.
     """
     rows = []
     probs = tuple(float(p) for p in probs)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from demrecon import Elicitation, ModelGrid, ThetaVector, beta_from_elicitation
+from demrecon import (PARAM_CLASSES, Elicitation, ModelGrid, PosteriorSample,
+                      SamplerConfig, ThetaVector, beta_from_elicitation)
 
 
 @pytest.fixture
@@ -31,6 +32,16 @@ def make_theta(grid, seed=0, mig_width=0.02):
         migration=rng.uniform(-mig_width, mig_width, (K, P, 2)),
         srb=rng.uniform(1.0, 1.1, P),
     )
+
+
+def sample_from_thetas(grid, thetas):
+    """A one-chain PosteriorSample whose draws are the given parameter sets."""
+    draws = {c: np.stack([t.by_class()[c] for t in thetas]) for c in PARAM_CLASSES}
+    n = len(thetas)
+    return PosteriorSample(
+        grid=grid, draws=draws, sigma2=np.full((n, 5), 1e-4),
+        chain=np.zeros(n, dtype=int), acceptance={},
+        config=SamplerConfig(iterations=n, burn_in=0))
 
 
 def flat_elicitation(eta=0.1):

@@ -10,17 +10,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from demrecon import (CensusData, Elicitation, ModelGrid, PopulationState,
+from demrecon import (CensusData, ChainState, Elicitation, ModelGrid,
                       SamplerConfig, ThetaVector, TrajectoryMatrix,
-                      beta_from_elicitation,
-                      endpoint_diff, exceedance_prob, gibbs_update_variances,
-                      joint_event_prob, life_expectancy, ols_slope,
-                      period_rates, project_full, project_step, raftery_lewis,
-                      run_chain, simulate_dataset, summary_rows, tfr,
-                      total_births, transform, variance_posterior,
+                      beta_from_elicitation, endpoint_diff, exceedance_prob,
+                      indicator_trajectories, joint_event_prob, ols_slope,
+                      project_full, raftery_lewis, run_chain, simulate_dataset,
+                      summary_rows, total_births, transform, variance_posterior,
                       variance_draws)
-from demrecon.priors import HyperParams
-from conftest import make_theta, flat_elicitation
+from conftest import make_theta, flat_elicitation, sample_from_thetas
 from oracles import (FEMALE, MALE, invgamma_cdf_oracle, project_oracle,
                      t_quantile_oracle)
 
@@ -64,8 +61,7 @@ def test_criterion_02_no_migration_cohort_identities_bitwise():
         s = theta.survival[:, 0, :]
         f = theta.fertility[:, 0]
         srb = theta.srb[0]
-        state = PopulationState(counts=n, year=grid.start_year)
-        out = project_step(state, period_rates(theta, 0), grid).counts
+        out = project_full(n, theta, grid).counts[1]
         for sex in (FEMALE, MALE):
             for a in range(K - 2):
                 assert out[a + 1, sex] == n[a, sex] * s[a + 1, sex]
@@ -79,12 +75,19 @@ def test_criterion_02_no_migration_cohort_identities_bitwise():
 def test_criterion_03_closed_form_indicators():
     """Telescoping life expectancies are exact; the constant-fertility TFR
     matches to 1e-12 relative."""
-    ones = np.ones(18)
+    grid = _full_grid()
+    K, P = grid.n_ages, grid.n_periods
+    ones = np.ones((K + 1, P, 2))
     ones[-1] = 0.0
-    assert life_expectancy(ones) == 85.0
-    halves = np.full(18, 0.5)
-    assert life_expectancy(halves) == 5.0
-    assert tfr(np.full(7, 0.03)) == pytest.approx(1.05, rel=1e-12)
+    halves = np.full((K + 1, P, 2), 0.5)
+    theta = make_theta(grid)
+    sample = sample_from_thetas(grid, [
+        theta.replace(survival=ones, fertility=np.full((7, P), 0.03)),
+        theta.replace(survival=halves)])
+    e0 = indicator_trajectories(sample, "e0_female").values
+    assert np.all(e0[0] == 85.0)
+    assert np.all(e0[1] == 5.0)
+    assert indicator_trajectories(sample, "tfr").values[0] == pytest.approx(1.05, rel=1e-12)
 
 
 def test_criterion_04_elicitation_beta_pinned_value():
@@ -124,11 +127,14 @@ def test_criterion_06_gibbs_conjugacy():
     initial = make_theta(grid, seed=1)
     theta = make_theta(grid, seed=2)
     hyper = beta_from_elicitation(flat_elicitation(0.10), initial)
+    state = ChainState(grid, initial, None, hyper, SamplerConfig(iterations=1, burn_in=0))
+    state.x = {c: transform(c, v).ravel() for c, v in theta.by_class().items()}
     rng = np.random.default_rng(0)
     n = 100000
     draws = np.empty(n)
     for i in range(n):
-        draws[i] = gibbs_update_variances(theta, initial, hyper, rng).fertility
+        state.update_variances(rng)
+        draws[i] = state.sigma2[1]  # fertility
 
     r = transform("fertility", theta.fertility) - transform("fertility",
                                                             initial.fertility)

@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from demrecon import CensusData, load_census, write_census, write_theta
+from demrecon import (FEMALE, CensusData, load_census, make_manifest, write_census,
+                      write_samples, write_theta)
 from demrecon.cli import main
-from conftest import make_theta
+from conftest import make_theta, sample_from_thetas
 
 DEMO = Path(__file__).resolve().parent.parent / "data" / "demo"
 
@@ -270,3 +271,48 @@ def test_summarize_rejects_unknown_name_before_reading(tmp_path, capsys, flags):
     code = main(["summarize", "--sample-dir", str(tmp_path / "missing")] + flags)
     assert code == 2
     assert "unknown indicators ['bogus']" in capsys.readouterr().err
+
+
+def _sample_dir(path, grid, thetas):
+    """A sample directory laid out as ``demrecon sample`` writes it, holding
+    the given parameter sets as draws."""
+    path.mkdir()
+    write_samples(path / "samples.csv", sample_from_thetas(grid, thetas))
+    make_manifest(0, {}, grid, None, None, [], 0.0).write(path / "manifest.json")
+    return path
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--threshold", "srb>abc"], "must look like 'srb>1.06'"),
+    (["--threshold", "srb>=1.0x"], "must look like 'srb>1.06'"),
+    (["--joint", "up=srb:19x0:1970:>"], "must be indicator:yearA:yearB"),
+    (["--joint", "up=srb:1960:1975:>"], "srb has no year 1975"),
+    (["--joint", "up=srtp:1960:1980:<"], "srtp has no year 1980"),
+    (["--prob", "1.5"], "must lie in [0, 1]"),
+])
+def test_summarize_bad_arguments_exit_2(tmp_path, capsys, desk_grid, flags, message):
+    run = _sample_dir(tmp_path / "run", desk_grid, [make_theta(desk_grid, seed=s)
+                                                     for s in range(3)])
+    code = main(["summarize", "--sample-dir", str(run), "--out-dir", str(tmp_path)] + flags)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "summary.csv").exists()
+
+
+def test_summarize_joint_on_stock_years(tmp_path, desk_grid):
+    """srtp is a stock series, so its years run to the end year."""
+    run = _sample_dir(tmp_path / "run", desk_grid, [make_theta(desk_grid, seed=s)
+                                                     for s in range(3)])
+    assert main(["summarize", "--sample-dir", str(run),
+                 "--joint", "up=srtp:1960:1975:>"]) == 0
+
+
+def test_summarize_divergent_life_expectancy_exit_3(tmp_path, capsys, desk_grid):
+    theta = make_theta(desk_grid, seed=1)
+    surv = theta.survival.copy()
+    surv[-1, 1, FEMALE] = 1.0  # open group never dies: e0 diverges
+    run = _sample_dir(tmp_path / "run", desk_grid, [theta, theta.replace(survival=surv)])
+    assert main(["summarize", "--sample-dir", str(run), "--indicator", "srb"]) == 0
+    assert main(["summarize", "--sample-dir", str(run),
+                 "--indicator", "e0_female"]) == 3
+    assert "life expectancy diverges" in capsys.readouterr().err

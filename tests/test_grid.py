@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from demrecon import (CensusData, Elicitation, ModelGrid, ThetaVector,
-                      VarianceParams, validate)
+from demrecon import (PARAM_CLASSES, CensusData, Elicitation, ModelGrid, ThetaVector,
+                      VarianceParams, parameter_names, validate)
 from conftest import make_theta
 
 
@@ -43,6 +43,35 @@ def test_theta_vector_is_read_only(desk_grid):
     assert replaced.baseline is not th.baseline or np.array_equal(replaced.baseline, th.baseline)
     # the original is untouched
     assert not np.all(th.srb == 1.05)
+
+
+@pytest.mark.parametrize("fert_min_age", [15, 0])
+def test_class_shapes_cover_every_parameter(fert_min_age):
+    """Demo grid and a grid whose first fertile group is [0,5)."""
+    grid = ModelGrid(start_year=1960, end_year=1980, open_age=80,
+                     fert_min_age=fert_min_age, fert_max_age=45,
+                     census_years=(1960, 1980))
+    shapes = grid.class_shapes()
+    assert tuple(shapes) == PARAM_CLASSES
+    assert shapes["fertility"] == (grid.n_fertile, grid.n_periods)
+    # every class's cells, then the five variances
+    sizes = sum(int(np.prod(s)) for s in shapes.values())
+    assert sizes + 5 == len(parameter_names(grid))
+    rng = np.random.default_rng(0)
+    arrays = {c: rng.uniform(0.2, 0.8, s) for c, s in shapes.items()}
+    report = validate(grid, ThetaVector.from_classes(arrays))
+    assert report.ok, str(report)
+
+
+def test_by_class_round_trip(desk_grid):
+    th = make_theta(desk_grid, seed=5)
+    arrays = th.by_class()
+    assert tuple(arrays) == PARAM_CLASSES
+    assert arrays["counts"] is th.baseline
+    back = ThetaVector.from_classes(arrays)
+    for cls in PARAM_CLASSES:
+        assert back.by_class()[cls].tobytes() == arrays[cls].tobytes()
+        assert back.by_class()[cls].shape == arrays[cls].shape
 
 
 def test_variance_params_round_trip_dict():

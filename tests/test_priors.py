@@ -53,12 +53,9 @@ def test_log_prior_at_center_is_normalizing_constants(desk_grid):
     v = _variances()
     got = log_prior_theta(theta, theta, v)
     expected = 0.0
-    sizes = {"counts": theta.baseline.size, "fertility": theta.fertility.size,
-             "survival": theta.survival.size, "migration": theta.migration.size,
-             "srb": theta.srb.size}
-    for cls in PARAM_CLASSES:
+    for cls, arr in theta.by_class().items():
         var = getattr(v, cls)
-        expected += -0.5 * sizes[cls] * math.log(2.0 * math.pi * var)
+        expected += -0.5 * arr.size * math.log(2.0 * math.pi * var)
     assert got == pytest.approx(expected, rel=1e-12)
 
 

@@ -7,43 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demrecon import (FEMALE, MALE, ModelGrid, PeriodRates, PopulationState,
-                      ThetaVector, build_leslie, period_rates,
-                      positivity_indicator, project_full, project_step,
-                      total_births)
+from demrecon import (FEMALE, MALE, ModelGrid, ThetaVector, positivity_indicator,
+                      project_full, total_births)
 from conftest import make_theta
 from oracles import project_oracle, step_oracle, births_oracle
-
-
-def test_build_leslie_small_example():
-    L = build_leslie([0.99, 0.9, 0.8, 0.5])
-    assert L.shape == (2, 3)
-    assert np.array_equal(L, [[0.9, 0.0, 0.0], [0.0, 0.8, 0.5]])
-
-
-def test_build_leslie_unit_survival():
-    L = build_leslie(np.ones(5))
-    expected = np.zeros((3, 4))
-    expected[[0, 1, 2], [0, 1, 2]] = 1.0
-    expected[2, 3] = 1.0
-    assert np.array_equal(L, expected)
-
-
-def test_build_leslie_structure_count():
-    rng = np.random.default_rng(3)
-    s = rng.uniform(0.05, 0.95, 18)
-    L = build_leslie(s)
-    assert L.shape == (16, 17)
-    # one subdiagonal entry per row plus the open-group retention
-    assert np.count_nonzero(L) == 17
-    assert np.count_nonzero(L[-1]) == 2
-    assert np.array_equal(np.diagonal(L), s[1:17])
-    assert L[-1, -1] == s[17]
-
-
-def test_build_leslie_rejects_short_input():
-    with pytest.raises(ValueError):
-        build_leslie([0.9, 0.8])
 
 
 def test_total_births_hand_case():
@@ -81,52 +48,54 @@ def test_total_births_first_group_fertile():
     assert b == pytest.approx(5.0 * 0.1 * 100.0 / 2.0)
 
 
+ONE_PERIOD = ModelGrid(start_year=2000, end_year=2005, open_age=10,
+                       fert_min_age=5, fert_max_age=5)
+
+
+def _one_step(counts, fertility):
+    """Counts after one period on ONE_PERIOD with unit survival and no
+    migration."""
+    theta = ThetaVector(baseline=counts, fertility=[[fertility]],
+                        survival=np.ones((4, 1, 2)), migration=np.zeros((3, 1, 2)),
+                        srb=[1.05])
+    traj = project_full(theta.baseline, theta, ONE_PERIOD)
+    assert traj.years == (2000, 2005)
+    return traj.counts[1]
+
+
 def test_project_step_pure_age_shift():
     """No migration, no fertility, survival one: counts shift one group."""
-    grid = ModelGrid(start_year=2000, end_year=2005, open_age=10,
-                     fert_min_age=5, fert_max_age=5)
     counts = np.array([[10.0, 10.0], [20.0, 20.0], [30.0, 30.0]])
-    rates = PeriodRates(fertility=np.zeros(1),
-                        survival=np.ones((4, 2)),
-                        migration=np.zeros((3, 2)),
-                        srb=1.05)
-    new = project_step(PopulationState(counts=counts, year=2000), rates, grid)
-    assert new.year == 2005
+    new = _one_step(counts, 0.0)
     for sex in (FEMALE, MALE):
-        assert list(new.counts[:, sex]) == [0.0, 10.0, 50.0]
+        assert list(new[:, sex]) == [0.0, 10.0, 50.0]
 
 
 def test_project_step_birth_split_shares():
     """1000 births at srb 1.05 with unit age-0 survival and no migration."""
-    grid = ModelGrid(start_year=2000, end_year=2005, open_age=10,
-                     fert_min_age=5, fert_max_age=5)
     # f * (n + n_below * s) * 5 / 2 = 1000 with f=1, n=360, n_below=40, s=1
     counts = np.array([[40.0, 40.0], [360.0, 360.0], [30.0, 30.0]])
-    rates = PeriodRates(fertility=np.array([1.0]),
-                        survival=np.ones((4, 2)),
-                        migration=np.zeros((3, 2)),
-                        srb=1.05)
-    new = project_step(PopulationState(counts=counts, year=2000), rates, grid)
-    assert new.counts[0, FEMALE] == pytest.approx(1000.0 / 2.05)
-    assert new.counts[0, MALE] == pytest.approx(1000.0 * 1.05 / 2.05)
-    assert new.counts[0, FEMALE] == pytest.approx(487.80487804878)
-    assert new.counts[0, MALE] == pytest.approx(512.19512195122)
+    new = _one_step(counts, 1.0)
+    assert new[0, FEMALE] == pytest.approx(1000.0 / 2.05)
+    assert new[0, MALE] == pytest.approx(1000.0 * 1.05 / 2.05)
+    assert new[0, FEMALE] == pytest.approx(487.80487804878)
+    assert new[0, MALE] == pytest.approx(512.19512195122)
 
 
 def test_step_matches_scalar_oracle_full_size(full_grid):
     theta = make_theta(full_grid, seed=11, mig_width=0.05)
-    state = PopulationState(counts=theta.baseline, year=full_grid.start_year)
-    new = project_step(state, period_rates(theta, 0), full_grid)
+    new = project_full(theta.baseline, theta, full_grid).counts[1]
     expected = step_oracle(theta.baseline.tolist(),
                            theta.fertility[:, 0].tolist(),
                            theta.survival[:, 0, :].tolist(),
                            theta.migration[:, 0, :].tolist(),
                            float(theta.srb[0]),
                            full_grid.fertile_index.tolist())
-    assert np.allclose(new.counts, expected, rtol=1e-12, atol=0.0)
+    assert np.allclose(new, expected, rtol=1e-12, atol=0.0)
 
 
 def test_project_full_one_period_equals_step(desk_grid, desk_theta):
+    """A one-period grid gives bitwise the first step of the longer grid."""
     grid1 = ModelGrid(start_year=desk_grid.start_year,
                       end_year=desk_grid.start_year + 5,
                       open_age=desk_grid.open_age,
@@ -138,9 +107,9 @@ def test_project_full_one_period_equals_step(desk_grid, desk_theta):
                          migration=desk_theta.migration[:, :1, :],
                          srb=desk_theta.srb[:1])
     traj = project_full(theta1.baseline, theta1, grid1)
-    step = project_step(PopulationState(counts=theta1.baseline, year=grid1.start_year),
-                        period_rates(theta1, 0), grid1)
-    assert np.array_equal(traj.counts[1], step.counts)
+    full = project_full(desk_theta.baseline, desk_theta, desk_grid)
+    assert traj.years == full.years[:2]
+    assert np.array_equal(traj.counts, full.counts[:2])
 
 
 def test_project_full_double_shift():

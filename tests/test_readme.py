@@ -1,9 +1,13 @@
-"""The Python examples in README.md run as written, with fewer iterations."""
+"""The Python examples in README.md run as written, with fewer iterations,
+and the names its API list mentions exist in the package."""
 
 import re
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
+
+import demrecon
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,3 +28,12 @@ def test_readme_python_blocks_run(monkeypatch):
     assert ns["traj"].counts.shape == (sample.n_draws, grid.n_periods + 1, grid.n_ages, 2)
     first = ns["project_full"](sample.draws["counts"][0], sample.theta_at(0), grid)
     assert np.array_equal(ns["traj"].counts[0], first.counts)
+
+
+def test_readme_api_list_names_exported_functions():
+    text = (ROOT / "README.md").read_text()
+    para = re.search(r"Lower-level entry points.*?\n\n", text, flags=re.S).group(0)
+    names = re.findall(r"`([^`]+)`", para)
+    assert len(names) >= 10
+    for name in names:
+        assert reduce(getattr, name.split("."), demrecon), name

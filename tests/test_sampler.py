@@ -11,11 +11,10 @@ from scipy import stats
 from demrecon import (CensusData, ConfigError, PARAM_CLASSES,
                       SamplerConfig, SamplingError, ThetaVector,
                       VarianceParams, beta_from_elicitation, gelman_rubin,
-                      gibbs_update_variances, load_elicitation, load_grid,
-                      load_theta, log_posterior, parameter_names,
-                      project_full, residual_squares, run_chain,
+                      load_elicitation, load_grid, load_theta, log_posterior,
+                      parameter_names, project_full, run_chain,
                       simulate_dataset, transform, variance_posterior)
-from demrecon.sampler import ChainState, mh_update_component
+from demrecon.sampler import ChainState
 from conftest import make_theta, flat_elicitation
 from oracles import invgamma_cdf_oracle, log_posterior_oracle
 
@@ -49,8 +48,6 @@ def test_config_check_rejects_bad_values():
         SamplerConfig(iterations=101, burn_in=1, thin=3).check()
     with pytest.raises(ConfigError):
         SamplerConfig(iterations=100, burn_in=10, chains=0).check()
-    with pytest.raises(ConfigError):
-        SamplerConfig(iterations=100, burn_in=10, target_accept=1.0).check()
     with pytest.raises(ConfigError):
         SamplerConfig(iterations=100, burn_in=10,
                       sample_classes=("srb", "tempo")).check()
@@ -116,34 +113,45 @@ def test_variance_posterior_no_data_is_prior():
     assert variance_posterior(0.5, 1e-4, 0, 0.0) == (0.5, 1e-4)
 
 
-def test_residual_squares_pools_census_into_counts(desk_grid):
+def test_residual_squares_pools_census_into_counts(desk_grid, desk_hyper):
+    """The counts variance pools the baseline residuals with the census
+    log residuals at the likelihood years."""
     initial = make_theta(desk_grid, seed=1)
     theta = make_theta(desk_grid, seed=2)
     census = _census_from(initial, desk_grid)
     traj = project_full(theta.baseline, theta, desk_grid)
-    plain = residual_squares(theta, initial)
-    pooled = residual_squares(theta, initial, grid=desk_grid, census=census,
-                              trajectory=traj)
-    for cls in ("fertility", "survival", "migration", "srb"):
-        assert pooled[cls] == plain[cls]
-    m0, ss0 = plain["counts"]
-    m1, ss1 = pooled["counts"]
-    extra = sum(census.at(y).size for y in desk_grid.likelihood_years)
-    assert m1 == m0 + extra
-    hand = ss0
+    state = ChainState(desk_grid, theta, census, desk_hyper,
+                       SamplerConfig(iterations=1, burn_in=0))
+    assert state.n_cen_cells == sum(census.at(y).size for y in desk_grid.likelihood_years)
+    hand = 0.0
     for y in desk_grid.likelihood_years:
         r = np.log(census.at(y)) - np.log(traj.at(y))
         hand += float(np.sum(r * r))
-    assert ss1 == pytest.approx(hand, rel=1e-12)
+    assert float(np.sum(state.quad)) == pytest.approx(hand, rel=1e-12)
+
+    # the pooled residuals set the counts conditional: same gamma draw
+    state.x = {c: transform(c, v).ravel() for c, v in initial.by_class().items()}
+    state.update_variances(np.random.default_rng(4))
+    r = transform("counts", initial.baseline) - transform("counts", theta.baseline)
+    a, b = variance_posterior(desk_hyper.alpha["counts"], desk_hyper.beta["counts"],
+                              r.size + state.n_cen_cells, float(np.sum(r * r)) + hand)
+    want = 1.0 / np.random.default_rng(4).gamma(a, 1.0 / b)
+    assert state.sigma2[0] == pytest.approx(want, rel=1e-12)
 
 
-def test_residual_squares_at_center_is_zero(desk_grid):
+def test_residual_squares_at_center_is_zero(desk_grid, desk_hyper):
     theta = make_theta(desk_grid, seed=3)
-    res = residual_squares(theta, theta)
-    for cls in PARAM_CLASSES:
-        m, ss = res[cls]
-        assert m == getattr(theta, {"counts": "baseline"}.get(cls, cls)).size
-        assert ss == 0.0
+    traj = project_full(theta.baseline, theta, desk_grid)
+    years = desk_grid.likelihood_years
+    census = CensusData(years=years, counts=np.stack([traj.at(y) for y in years]))
+    state = ChainState(desk_grid, theta, census, desk_hyper,
+                       SamplerConfig(iterations=1, burn_in=0))
+    for cls, arr in theta.by_class().items():
+        r = state.x[cls] - state.mu[cls]
+        assert r.size == arr.size
+        assert not np.any(r)
+    assert state.n_cen_cells == census.counts.size
+    assert np.all(state.quad == 0.0)
 
 
 def test_gibbs_draws_follow_conjugate_distribution(desk_grid, desk_hyper):
@@ -151,10 +159,15 @@ def test_gibbs_draws_follow_conjugate_distribution(desk_grid, desk_hyper):
     the analytic inverse-gamma full conditional (KS check)."""
     initial = make_theta(desk_grid, seed=1)
     theta = make_theta(desk_grid, seed=2)
+    state = ChainState(desk_grid, initial, None, desk_hyper,
+                       SamplerConfig(iterations=1, burn_in=0))
+    state.x = {c: transform(c, v).ravel() for c, v in theta.by_class().items()}
     rng = np.random.default_rng(123)
     n = 4000
-    draws = np.array([gibbs_update_variances(theta, initial, desk_hyper, rng).srb
-                      for _ in range(n)])
+    draws = np.empty(n)
+    for i in range(n):
+        state.update_variances(rng)
+        draws[i] = state.sigma2[4]  # srb
     r = transform("srb", theta.srb) - transform("srb", initial.srb)
     a, b = variance_posterior(desk_hyper.alpha["srb"], desk_hyper.beta["srb"],
                               r.size, float(r @ r))
@@ -165,6 +178,15 @@ def test_gibbs_draws_follow_conjugate_distribution(desk_grid, desk_hyper):
 
 # ---------------------------------------------------------------------------
 # chain state and single-component updates
+
+
+def _mh_update_component(state, comp, scale, rng):
+    """One random-walk update of a single component with an explicit scale;
+    a zero scale proposes the current point, accepted by construction."""
+    z = rng.standard_normal()
+    if scale == 0.0:
+        return state.update_component(comp, 0.0, z, -math.inf)[0]
+    return state.update_component(comp, scale, z, math.log(rng.random()))[0]
 
 
 def _state(grid, hyper, with_census=True, seed=1):
@@ -189,7 +211,7 @@ def test_update_preserves_trajectory_cache(desk_grid, desk_hyper):
     rng = np.random.default_rng(7)
     for comp in range(state.n_components):
         cls = state.components[comp][0]
-        mh_update_component(state, comp, 0.3 * math.exp(state.log_scale[cls][0]), rng)
+        _mh_update_component(state, comp, 0.3 * math.exp(state.log_scale[cls][0]), rng)
     fresh = project_full(state.theta().baseline, state.theta(), desk_grid)
     assert np.array_equal(state.traj, fresh.counts)
     for ci in range(len(state.cen_pos)):
@@ -234,7 +256,7 @@ def test_zero_scale_always_accepts(desk_grid, desk_hyper):
     state, _, _ = _state(desk_grid, desk_hyper)
     rng = np.random.default_rng(0)
     for comp in range(state.n_components):
-        assert mh_update_component(state, comp, 0.0, rng)
+        assert _mh_update_component(state, comp, 0.0, rng)
 
 
 def test_positivity_violating_proposal_rejected(desk_grid, desk_hyper):
@@ -320,11 +342,11 @@ def test_restricted_classes_stay_at_start(desk_grid, desk_hyper):
                            sample_classes=("srb",), update_variances=False)
     sample = run_chain(config, desk_grid, initial, census, desk_hyper)
     assert not np.allclose(sample.draws["srb"], initial.srb)
-    for cls, attr in (("counts", "baseline"), ("fertility", "fertility"),
-                      ("survival", "survival"), ("migration", "migration")):
+    for cls, start in initial.by_class().items():
+        if cls == "srb":
+            continue
         got = sample.draws[cls]
-        want = np.broadcast_to(getattr(initial, attr), got.shape)
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, np.broadcast_to(start, got.shape))
     # variances frozen at the prior modes
     modes = [desk_hyper.beta[c] / (desk_hyper.alpha[c] + 1.0) for c in PARAM_CLASSES]
     assert np.allclose(sample.sigma2, np.array(modes)[None, :])

@@ -3,32 +3,18 @@
 import numpy as np
 import pytest
 
-from demrecon import (INDICATOR_NAMES, PARAM_CLASSES, SamplerConfig,
-                      TrajectoryMatrix, endpoint_diff, exceedance_prob,
-                      indicator_trajectories, joint_event_prob,
+from demrecon import (INDICATOR_NAMES, TrajectoryMatrix, endpoint_diff,
+                      exceedance_prob, indicator_trajectories, joint_event_prob,
                       marginal_quantiles, mean_half_width, ols_slope,
                       project_full, summary_rows)
-from demrecon.sampler import PosteriorSample
-from conftest import make_theta
+from conftest import make_theta, sample_from_thetas
 from oracles import (FEMALE, MALE, e0_oracle, ols_slope_oracle,
                      quantile_type7_oracle, tfr_oracle)
 
 
-def _sample_from_thetas(grid, thetas):
-    attr = {"counts": "baseline", "fertility": "fertility",
-            "survival": "survival", "migration": "migration", "srb": "srb"}
-    draws = {c: np.stack([getattr(t, attr[c]) for t in thetas])
-             for c in PARAM_CLASSES}
-    n = len(thetas)
-    return PosteriorSample(
-        grid=grid, draws=draws, sigma2=np.full((n, 5), 1e-4),
-        chain=np.zeros(n, dtype=int), acceptance={},
-        config=SamplerConfig(iterations=n, burn_in=0))
-
-
 @pytest.fixture
 def desk_sample(desk_grid):
-    return _sample_from_thetas(desk_grid,
+    return sample_from_thetas(desk_grid,
                                [make_theta(desk_grid, seed=s) for s in range(5)])
 
 
@@ -183,7 +169,7 @@ def test_symmetric_survival_ratios(desk_grid):
     theta = make_theta(desk_grid, seed=0)
     s = theta.survival.copy()
     s[:, :, MALE] = s[:, :, FEMALE]
-    sample = _sample_from_thetas(desk_grid, [theta.replace(survival=s)])
+    sample = sample_from_thetas(desk_grid, [theta.replace(survival=s)])
     assert np.allclose(indicator_trajectories(sample, "sex_ratio_u5mr").values, 1.0)
     assert np.allclose(indicator_trajectories(sample, "sex_diff_e0").values, 0.0)
 
@@ -213,7 +199,7 @@ def test_net_migrants_formula(desk_grid, desk_sample):
 
 def test_zero_migration_means_zero_net_migrants(desk_grid):
     theta = make_theta(desk_grid, seed=0, mig_width=0.0)
-    sample = _sample_from_thetas(desk_grid, [theta])
+    sample = sample_from_thetas(desk_grid, [theta])
     for name in ("net_migrants_female", "net_migrants_male"):
         assert np.array_equal(indicator_trajectories(sample, name).values,
                               np.zeros((1, desk_grid.n_periods)))
