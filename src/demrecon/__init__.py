@@ -9,7 +9,7 @@ draws into credible intervals, indicator trajectories and trend
 probabilities.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .grid import (FEMALE, MALE, PARAM_CLASSES, SEX_LABELS,
                    CensusData, Elicitation, ModelGrid, ThetaVector,

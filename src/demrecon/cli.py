@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .diagnostics import gelman_rubin, raftery_lewis
+from .diagnostics import check_run_length_settings, gelman_rubin, raftery_lewis
 from .grid import validate
 from .priors import ElicitationError, beta_from_elicitation
 from .projection import project_full
@@ -175,17 +175,21 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    try:
+        check_run_length_settings(args.q, args.r, args.s)
+    except ValueError as e:
+        raise _Invalid(f"--q {args.q:g} --r {args.r:g} --s {args.s:g}: {e}") from None
     grid = _sample_grid(args.sample_dir)
-    sample = io.read_samples(Path(args.sample_dir) / "samples.csv", grid)
     names = parameter_names(grid)
     wanted = args.parameter or names
     unknown = [n for n in wanted if n not in names]
     if unknown:
         raise _Invalid(f"unknown parameters {unknown[:5]}")
+    sample = io.read_samples(Path(args.sample_dir) / "samples.csv", grid)
     flat = sample.flat()
     cols = {n: flat[:, i] for i, n in enumerate(names)}
-    ids = sample.chain_ids()
-    per_chain = {c: sample.chain == c for c in ids}
+    per_chain = [sample.chain == c for c in sample.chain_ids()]
+    n = min(int(np.sum(m)) for m in per_chain)
 
     rows = []
     for name in wanted:
@@ -193,15 +197,14 @@ def _cmd_diagnose(args) -> int:
         row = {"parameter": name, "nmin": "", "burn_in": "", "n_required": "",
                "thin": "", "dependence": "", "gelman_rubin": "", "note": ""}
         try:
-            rep = raftery_lewis(series[per_chain[ids[0]]], q=args.q, r=args.r, s=args.s)
+            rep = raftery_lewis(series[per_chain[0]], q=args.q, r=args.r, s=args.s)
             row.update(nmin=rep.nmin, burn_in=rep.burn_in, n_required=rep.n_required,
                        thin=rep.thin, dependence=f"{rep.dependence:.4g}")
         except ValueError as e:
             row["note"] = str(e)
-        if len(ids) >= 2:
-            n = min(int(np.sum(m)) for m in per_chain.values())
+        if len(per_chain) >= 2:
             try:
-                row["gelman_rubin"] = f"{gelman_rubin([series[per_chain[c]][:n] for c in ids]):.4g}"
+                row["gelman_rubin"] = f"{gelman_rubin([series[m][:n] for m in per_chain]):.4g}"
             except ValueError as e:
                 row["note"] = (row["note"] + "; " if row["note"] else "") + str(e)
         rows.append(row)

@@ -57,6 +57,12 @@ def _g2_second_vs_first(z: np.ndarray) -> float:
     return g2
 
 
+def check_run_length_settings(q: float, r: float, s: float):
+    """Raise ValueError unless 0 < q < 1, 0 < s < 1 and r > 0."""
+    if not (0.0 < q < 1.0 and 0.0 < s < 1.0 and r > 0.0):
+        raise ValueError("need 0 < q < 1, 0 < s < 1 and r > 0")
+
+
 def raftery_lewis(chain, q: float = 0.025, r: float = 0.005, s: float = 0.95,
                   eps: float = 0.001) -> RunLengthReport:
     """Run-length diagnostic for estimating one posterior quantile.
@@ -66,8 +72,7 @@ def raftery_lewis(chain, q: float = 0.025, r: float = 0.005, s: float = 0.95,
     matrix to mean anything) or when the binarized chain never leaves
     one of its states.
     """
-    if not (0.0 < q < 1.0 and 0.0 < s < 1.0 and r > 0.0):
-        raise ValueError("need 0 < q < 1, 0 < s < 1 and r > 0")
+    check_run_length_settings(q, r, s)
     x = np.asarray(chain, dtype=np.float64).ravel()
     z_alpha = float(norm.ppf(0.5 * (1.0 + s)))
     nmin = int(math.ceil(q * (1.0 - q) * (z_alpha / r) ** 2))

@@ -1,5 +1,5 @@
 """File formats: CSV matrices for parameter blocks, YAML configuration,
-flat sample tables and the run manifest.
+the sample draw matrix and the run manifest.
 
 Parameter block CSVs have age lower bounds in the first column and
 period start years as the remaining headers, one file per sex where the
@@ -12,11 +12,14 @@ block is sex specific:
   srb.csv                          two columns: year, srb
 
 Census directories hold census_female.csv / census_male.csv shaped like
-the blocks, with census years as columns. Posterior samples are one
-flat table (chain, draw, parameter, value); floats are written with
-repr so a reload is bit exact. The manifest JSON records everything
-needed to reproduce a run: seed, settings, hyperparameters, input file
-digests, package version and the parsed grid.
+the blocks, with census years as columns. Posterior samples are the
+draw matrix: a chain,draw header followed by ``parameter_names(grid)``,
+then one row per retained draw, floats written with repr so a reload is
+bit exact. The long format of version 0.1.0 (one chain,draw,parameter,
+value row per scalar) fails the header check and is not read. The
+manifest JSON records everything needed to reproduce a run: seed,
+settings, hyperparameters, input file digests, package version and the
+parsed grid.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, asdict
+from itertools import zip_longest
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -62,27 +66,28 @@ def _load_section(path, section):
     return sub if isinstance(sub, dict) else doc
 
 
+def _int(path, what, value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{path}: {what} must be an integer, got {value!r}") from None
+
+
 def load_grid(path) -> ModelGrid:
     """Read a grid from YAML (either top-level keys or under ``grid:``)."""
     d = _load_section(path, "grid")
-    required = ("start_year", "end_year")
-    for key in required:
+    for key in ("start_year", "end_year"):
         if key not in d:
             raise ParseError(f"{path}: grid is missing required key {key!r}")
-    kwargs = {}
-    for key in ("start_year", "end_year", "open_age", "fert_min_age",
-                "fert_max_age", "step"):
-        if key in d:
-            try:
-                kwargs[key] = int(d[key])
-            except (TypeError, ValueError):
-                raise ParseError(f"{path}: grid key {key!r} must be an integer, got {d[key]!r}")
+    kwargs = {key: _int(path, f"grid key {key!r}", d[key])
+              for key in ("start_year", "end_year", "open_age", "fert_min_age",
+                          "fert_max_age", "step") if key in d}
     years = d.get("census_years", ())
     if years is None:
         years = ()
     if not isinstance(years, (list, tuple)):
         raise ParseError(f"{path}: census_years must be a list of years")
-    kwargs["census_years"] = tuple(int(y) for y in years)
+    kwargs["census_years"] = tuple(_int(path, "a census year", y) for y in years)
     return ModelGrid(**kwargs)
 
 
@@ -97,14 +102,17 @@ def load_elicitation(path) -> Elicitation:
     alpha = d.get("alpha", {})
     if not isinstance(alpha, dict):
         raise ParseError(f"{path}: alpha must be a mapping if present")
-    return Elicitation(eta=d["eta"], alpha=alpha)
+    try:
+        return Elicitation(eta=d["eta"], alpha=alpha)
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"{path}: eta and alpha values must be numbers ({e})") from None
 
 
 def load_sampler_settings(path) -> dict:
     """Optional ``sampler:`` section of a config file; {} when absent."""
     d = _load_section(path, "sampler")
     known = {"iterations", "burn_in", "thin", "chains", "seed"}
-    return {k: int(v) for k, v in d.items() if k in known}
+    return {k: _int(path, f"sampler key {k!r}", v) for k, v in d.items() if k in known}
 
 
 # ---------------------------------------------------------------------------
@@ -297,71 +305,59 @@ def write_trajectory(path, trajectory: Trajectory):
 
 
 def write_samples(path, sample: PosteriorSample):
-    """Flat sample table: chain, draw, parameter, value."""
-    names = sample.parameter_names()
-    flat = sample.flat()
+    """Draw matrix: chain, draw, then one column per parameter."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["chain", "draw", "parameter", "value"])
+        w.writerow(["chain", "draw"] + parameter_names(sample.grid))
         draw_no = {}
-        for i in range(sample.n_draws):
-            c = int(sample.chain[i])
-            k = draw_no.get(c, 0)
-            draw_no[c] = k + 1
-            row = flat[i]
-            for name, v in zip(names, row):
-                w.writerow([c, k, name, repr(float(v))])
+        for c, row in zip(sample.chain.tolist(), sample.flat()):
+            k = draw_no[c] = draw_no.get(c, -1) + 1
+            w.writerow([c, k] + [repr(v) for v in row.tolist()])
 
 
-def read_samples(path, grid: ModelGrid, config: SamplerConfig = None) -> PosteriorSample:
-    """Rebuild a PosteriorSample from a flat sample table."""
-    names = parameter_names(grid)
-    pos = {n: i for i, n in enumerate(names)}
-    data = {}
-    # rows of one draw are normally adjacent: look its row up again only
-    # when the (chain, draw) text changes
-    c_text = k_text = row = None
+def read_samples(path, grid: ModelGrid) -> PosteriorSample:
+    """Rebuild a PosteriorSample from a draw-matrix sample table; rows
+    may come in any order."""
+    columns = ["chain", "draw"] + parameter_names(grid)
+    lines = {}  # (chain, draw) -> line number
     with open(path, newline="") as fh:
+        # rows are parsed into one matrix sized by the line count: keeping
+        # per-row arrays and then stacking them would hold the sample twice
+        flat = np.empty((sum(1 for _ in fh), len(columns) - 2))
+        fh.seek(0)
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["chain", "draw", "parameter", "value"]:
-            raise ParseError(f"{path}: header must be chain,draw,parameter,value")
+        header = next(reader, [])
+        if header != columns:
+            i = next(i for i, (a, b) in enumerate(zip_longest(header, columns)) if a != b)
+            got = repr(header[i]) if i < len(header) else "missing"
+            if i < len(header) and header[i] not in columns:
+                got = "unknown parameter " + got
+            want = repr(columns[i]) if i < len(columns) else "no more columns"
+            _fail(path, 1, f"column {i + 1} is {got}, expected {want}")
         for lineno, rec in enumerate(reader, start=2):
             if not rec:
                 continue
+            if len(rec) != len(columns):
+                _fail(path, lineno, f"expected {len(columns)} fields, got {len(rec)}")
             try:
-                name, v = rec[2], float(rec[3])
-                if rec[0] != c_text or rec[1] != k_text:
-                    key = (int(rec[0]), int(rec[1]))
-                    row = data.get(key)
-                    if row is None:
-                        row = data[key] = np.full(len(names), np.nan)
-                    c_text, k_text = rec[0], rec[1]
-            except (ValueError, IndexError):
-                _fail(path, lineno, f"bad row {rec!r}")
-            j = pos.get(name)
-            if j is None:
-                _fail(path, lineno, f"unknown parameter {name!r} for this grid")
-            row[j] = v
-    if not data:
+                key = (int(rec[0]), int(rec[1]))
+                flat[len(lines)] = np.array(rec[2:], dtype=np.float64)
+            except ValueError as e:
+                _fail(path, lineno, f"bad row: {e}")
+            if key in lines:
+                _fail(path, lineno, f"chain {key[0]} draw {key[1]} repeats line {lines[key]}")
+            lines[key] = lineno
+    if not lines:
         raise ParseError(f"{path}: no sample rows")
-    keys = sorted(data)
-    flat = np.array([data[k] for k in keys])
-    if np.any(np.isnan(flat)):
-        raise ParseError(f"{path}: some draws are missing parameters")
-    chain = np.array([c for c, _ in keys], dtype=np.int64)
+    keys = list(lines)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    flat = flat[:len(keys)] if order == list(range(len(keys))) else flat[order]
+    chain = np.array([keys[i][0] for i in order], dtype=np.int64)
 
-    draws = {}
-    at = 0
-    n = flat.shape[0]
-    for cls, shape in grid.class_shapes().items():
-        size = int(np.prod(shape))
-        draws[cls] = flat[:, at:at + size].reshape((n,) + shape)
-        at += size
-    sigma2 = flat[:, at:at + len(PARAM_CLASSES)]
-    if config is None:
-        config = SamplerConfig(iterations=n, burn_in=0, thin=1,
-                               chains=int(chain.max()) + 1)
+    n, shapes = len(keys), grid.class_shapes()
+    *blocks, sigma2 = np.split(flat, np.cumsum([np.prod(s) for s in shapes.values()]), axis=1)
+    draws = {c: b.reshape((n,) + s) for (c, s), b in zip(shapes.items(), blocks)}
+    config = SamplerConfig(iterations=n, burn_in=0, thin=1, chains=int(chain.max()) + 1)
     return PosteriorSample(grid=grid, draws=draws, sigma2=sigma2, chain=chain,
                            acceptance={}, config=config)
 
@@ -409,22 +405,22 @@ class RunManifest:
     @classmethod
     def read(cls, path) -> "RunManifest":
         with open(path) as fh:
-            d = json.load(fh)
-        return cls(**d)
+            try:
+                d = json.load(fh)
+            except json.JSONDecodeError as e:
+                raise ParseError(f"{path}: not valid JSON: {e}") from None
+        keys = [f.name for f in fields(cls)]
+        missing = [k for k in keys if k not in d] if isinstance(d, dict) else keys
+        if missing:
+            raise ParseError(f"{path}: manifest is missing keys {missing}")
+        return cls(**{k: d[k] for k in keys})
 
     def to_grid(self) -> ModelGrid:
-        g = dict(self.grid)
-        g["census_years"] = tuple(g.get("census_years", ()))
-        return ModelGrid(**g)
+        return ModelGrid(**self.grid)
 
 
 def grid_as_dict(grid: ModelGrid) -> dict:
-    return {
-        "start_year": grid.start_year, "end_year": grid.end_year,
-        "open_age": grid.open_age, "fert_min_age": grid.fert_min_age,
-        "fert_max_age": grid.fert_max_age,
-        "census_years": list(grid.census_years), "step": grid.step,
-    }
+    return {**asdict(grid), "census_years": list(grid.census_years)}
 
 
 def make_manifest(seed, settings, grid, elicitation, hyper, input_paths,

@@ -105,9 +105,6 @@ class PosteriorSample:
     def variances_at(self, i: int) -> VarianceParams:
         return VarianceParams(*self.sigma2[i])
 
-    def parameter_names(self) -> list:
-        return parameter_names(self.grid)
-
     def flat(self) -> np.ndarray:
         """(n_draws, n_params) matrix in ``parameter_names`` order."""
         cols = [self.draws[c].reshape(self.n_draws, -1) for c in PARAM_CLASSES]

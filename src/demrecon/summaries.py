@@ -214,11 +214,8 @@ def summary_rows(sample: PosteriorSample, indicators, probs=(0.025, 0.5, 0.975),
                 rows.append({"indicator": name, "year": year,
                              "statistic": f"q{p:g}", "value": float(q)})
         if len(probs) >= 2:
-            lo, hi = min(probs), max(probs)
-            qlo = marginal_quantiles(t, [lo])[0]
-            qhi = marginal_quantiles(t, [hi])[0]
             rows.append({"indicator": name, "year": "", "statistic": "mean_half_width",
-                         "value": mean_half_width(qlo, qhi)})
+                         "value": mean_half_width(qs[np.argmin(probs)], qs[np.argmax(probs)])})
 
     for name, direction, value in thresholds:
         t = tm(name)

@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from demrecon import (FEMALE, CensusData, load_census, make_manifest, write_census,
-                      write_samples, write_theta)
+from demrecon import (FEMALE, CensusData, load_census, make_manifest, parameter_names,
+                      write_census, write_samples, write_theta)
 from demrecon.cli import main
 from conftest import make_theta, sample_from_thetas
 
@@ -121,9 +121,9 @@ def test_full_pipeline(tmp_path):
 
     with open(run / "samples.csv") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["chain", "draw", "parameter", "value"]
-    n_params = len(rows[1:]) // 40  # 20 retained draws per chain, 2 chains
-    assert n_params == 76
+    assert rows[0] == ["chain", "draw"] + parameter_names(grid)
+    assert len(rows[1:]) == 40  # 20 retained draws per chain, 2 chains
+    assert {len(r) for r in rows} == {78}  # chain, draw and 76 parameters
 
     summ = tmp_path / "summ"
     assert main(["summarize", "--sample-dir", str(run),
@@ -316,3 +316,48 @@ def test_summarize_divergent_life_expectancy_exit_3(tmp_path, capsys, desk_grid)
     assert main(["summarize", "--sample-dir", str(run),
                  "--indicator", "e0_female"]) == 3
     assert "life expectancy diverges" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--q", "2"], ["--r", "0"], ["--s", "1"]])
+def test_diagnose_bad_run_length_settings_exit_2(tmp_path, capsys, flags):
+    # the sample directory does not exist: the settings check must come first
+    code = main(["diagnose", "--sample-dir", str(tmp_path / "missing")] + flags)
+    assert code == 2
+    assert "need 0 < q < 1, 0 < s < 1 and r > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["sampler_setting", "census_year", "eta", "alpha",
+                                  "manifest_json", "manifest_keys"])
+def test_malformed_config_exit_2_without_traceback(tmp_path, case):
+    grid_yaml, elic_yaml, grid, _ = _desk_inputs(tmp_path)
+    years = grid.likelihood_years
+    write_census(tmp_path / "census", CensusData(
+        years=years, counts=np.full((len(years), grid.n_ages, 2), 100.0)), grid)
+    run = _sample_dir(tmp_path / "run", grid, [make_theta(grid, seed=s) for s in range(3)])
+    inputs = ["--grid", str(grid_yaml), "--initial-estimates-dir", str(tmp_path / "initial"),
+              "--out-dir", str(tmp_path / "out")]
+    elic = ["--elicitation", str(elic_yaml)]
+    argv, bad = {
+        "sampler_setting": (["sample", "--census", str(tmp_path / "census")] + elic + inputs,
+                            grid_yaml),
+        "census_year": (["project"] + inputs, grid_yaml),
+        "eta": (["simulate"] + elic + inputs, elic_yaml),
+        "alpha": (["simulate"] + elic + inputs, elic_yaml),
+        "manifest_json": (["summarize", "--sample-dir", str(run)], run / "manifest.json"),
+        "manifest_keys": (["diagnose", "--sample-dir", str(run)], run / "manifest.json"),
+    }[case]
+    corrupt = {
+        "sampler_setting": lambda text: text + "sampler:\n  iterations: many\n",
+        "census_year": lambda text: text.replace("1965", "1965a"),
+        "eta": lambda text: text.replace("counts: 0.1", "counts: ten percent"),
+        "alpha": lambda text: text + "  alpha:\n    srb: half\n",
+        "manifest_json": lambda text: text[:-10],
+        "manifest_keys": lambda text: json.dumps(
+            {k: v for k, v in json.loads(text).items() if k != "grid"}),
+    }[case]
+    bad.write_text(corrupt(bad.read_text()))
+    proc = subprocess.run([sys.executable, "-m", "demrecon.cli"] + argv,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {bad}: ")

@@ -1,7 +1,6 @@
 """CSV and YAML round trips, parse diagnostics, and the run manifest."""
 
 import csv
-from io import StringIO
 
 import numpy as np
 import pytest
@@ -9,8 +8,8 @@ import pytest
 from demrecon import (CensusData, ParseError, PosteriorSample, SamplerConfig,
                       beta_from_elicitation, load_census, load_elicitation,
                       load_grid, load_sampler_settings, load_theta,
-                      make_manifest, project_full, read_samples, run_chain,
-                      sha256_file, validate, write_census, write_samples,
+                      make_manifest, parameter_names, project_full, read_samples,
+                      run_chain, sha256_file, validate, write_census, write_samples,
                       write_theta, write_trajectory)
 from demrecon.io import RunManifest, write_rows
 from conftest import make_theta, flat_elicitation
@@ -160,44 +159,86 @@ def test_samples_round_trip(tmp_path, desk_grid):
     assert np.array_equal(back.chain, sample.chain)
 
 
+def _write_records(path, records):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(records)
+
+
+def _header(grid):
+    return ["chain", "draw"] + parameter_names(grid)
+
+
 def test_read_samples_rejects_foreign_parameter(tmp_path, desk_grid):
     p = tmp_path / "samples.csv"
-    p.write_text("chain,draw,parameter,value\n0,0,tempo[0],1.0\n")
-    with pytest.raises(ParseError, match="unknown parameter"):
+    header = _header(desk_grid)
+    header[header.index("srb[1965]")] = "tempo[0]"
+    _write_records(p, [header])
+    with pytest.raises(ParseError, match=r"samples\.csv:1: column \d+ is unknown parameter"
+                                         r" 'tempo\[0\]', expected 'srb\[1965\]'"):
         read_samples(p, desk_grid)
 
 
 def test_read_samples_rejects_incomplete_draw(tmp_path, desk_grid):
     p = tmp_path / "samples.csv"
-    p.write_text("chain,draw,parameter,value\n0,0,srb[1960],1.05\n")
-    with pytest.raises(ParseError, match="missing"):
+    n = len(parameter_names(desk_grid))
+    _write_records(p, [_header(desk_grid), [0, 0] + [1.05] * (n - 1)])
+    with pytest.raises(ParseError, match=rf"samples\.csv:2: expected {n + 2} fields, got {n + 1}"):
+        read_samples(p, desk_grid)
+
+
+@pytest.mark.parametrize("change, message", [
+    ("long_format", "column 3 is unknown parameter 'parameter', expected 'baseline"),
+    ("empty", "column 1 is missing, expected 'chain'"),
+    ("drop_last", r"column \d+ is missing, expected 'sigma2\[srb\]'"),
+    ("add_extra", r"column \d+ is unknown parameter 'extra', expected no more columns"),
+    ("swap", r"column 3 is 'baseline\[0,male\]', expected 'baseline\[0,female\]'"),
+])
+def test_read_samples_rejects_other_headers(tmp_path, desk_grid, change, message):
+    """The 0.1.0 long format, an empty file, and a missing, extra or
+    reordered column."""
+    full = _header(desk_grid)
+    header = {"long_format": ["chain", "draw", "parameter", "value"], "empty": [],
+              "drop_last": full[:-1], "add_extra": full + ["extra"],
+              "swap": full[:2] + [full[3], full[2]] + full[4:]}[change]
+    p = tmp_path / "samples.csv"
+    _write_records(p, [header] if header else [])
+    with pytest.raises(ParseError, match=rf"samples\.csv:1: {message}"):
         read_samples(p, desk_grid)
 
 
 def _two_chain_samples(tmp_path, grid):
-    """A random 2-chain sample written with write_samples, plus its lines."""
+    """A random 2-chain sample written with write_samples, plus its records."""
     rng = np.random.default_rng(8)
-    n, K, P, F = 7, grid.n_ages, grid.n_periods, grid.n_fertile
-    shapes = {"counts": (K, 2), "fertility": (F, P), "survival": (K + 1, P, 2),
-              "migration": (K, P, 2), "srb": (P,)}
-    draws = {c: rng.uniform(0.1, 0.9, (n,) + shape) for c, shape in shapes.items()}
+    n = 7
+    draws = {c: rng.uniform(0.1, 0.9, (n,) + shape) for c, shape in grid.class_shapes().items()}
     sample = PosteriorSample(grid=grid, draws=draws, sigma2=rng.uniform(0.1, 1.0, (n, 5)),
                              chain=np.array([0, 0, 0, 0, 1, 1, 1]), acceptance={},
                              config=SamplerConfig(iterations=n, burn_in=0))
     p = tmp_path / "samples.csv"
     write_samples(p, sample)
-    return sample, p, p.read_text().splitlines()
+    with open(p, newline="") as fh:
+        return sample, p, list(csv.reader(fh))
+
+
+def test_samples_file_is_the_draw_matrix(tmp_path, desk_grid):
+    sample, _, records = _two_chain_samples(tmp_path, desk_grid)
+    assert records[0] == _header(desk_grid)
+    assert [r[:2] for r in records[1:]] == [["0", "0"], ["0", "1"], ["0", "2"], ["0", "3"],
+                                            ["1", "0"], ["1", "1"], ["1", "2"]]
+    values = np.array([r[2:] for r in records[1:]], dtype=np.float64)
+    assert np.array_equal(values, sample.flat())
 
 
 @pytest.mark.parametrize("order", ["shuffled", "interleaved_chains"])
 def test_read_samples_ignores_row_order(tmp_path, desk_grid, order):
-    sample, p, lines = _two_chain_samples(tmp_path, desk_grid)
-    header, rows = lines[0], lines[1:]
+    sample, p, records = _two_chain_samples(tmp_path, desk_grid)
+    header, rows = records[0], records[1:]
     if order == "shuffled":
         rows = [rows[i] for i in np.random.default_rng(2).permutation(len(rows))]
     else:  # chain 0 draw k, then chain 1 draw k, ...
-        rows = sorted(rows, key=lambda r: (int(r.split(",")[1]), int(r.split(",")[0])))
-    p.write_text("\n".join([header] + rows) + "\n")
+        rows = sorted(rows, key=lambda r: (int(r[1]), int(r[0])))
+    assert rows != records[1:]
+    _write_records(p, [header] + rows)
     back = read_samples(p, desk_grid)
     assert np.array_equal(back.flat(), sample.flat())
     assert np.array_equal(back.chain, sample.chain)
@@ -209,15 +250,22 @@ def test_read_samples_ignores_row_order(tmp_path, desk_grid, order):
     (2, "tempo[0]", "unknown parameter"),
 ])
 def test_read_samples_reports_line_of_late_bad_row(tmp_path, desk_grid, field, bad, message):
-    _, p, lines = _two_chain_samples(tmp_path, desk_grid)
-    lineno = len(lines) - 3  # inside the last draw's block
-    rec = next(csv.reader([lines[lineno - 1]]))
-    rec[field] = bad
-    buf = StringIO()
-    csv.writer(buf, lineterminator="").writerow(rec)
-    lines[lineno - 1] = buf.getvalue()
-    p.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError, match=rf"samples\.csv:{lineno}: {message}"):
+    """A bad value or draw number in the last draw row is reported on its
+    line (8); a foreign parameter name is a header error on line 1."""
+    _, p, records = _two_chain_samples(tmp_path, desk_grid)
+    assert len(records) == 8
+    lineno = 1 if message == "unknown parameter" else 8
+    records[lineno - 1][field] = bad
+    _write_records(p, records)
+    with pytest.raises(ParseError, match=rf"samples\.csv:{lineno}: (column 3 is )?{message}"):
+        read_samples(p, desk_grid)
+
+
+def test_read_samples_rejects_duplicate_draw(tmp_path, desk_grid):
+    _, p, records = _two_chain_samples(tmp_path, desk_grid)
+    again = records[2][:2] + ["0.5"] * (len(records[2]) - 2)  # chain 0 draw 1, new values
+    _write_records(p, records + [again])
+    with pytest.raises(ParseError, match=r"samples\.csv:9: chain 0 draw 1 repeats line 3"):
         read_samples(p, desk_grid)
 
 

@@ -1,13 +1,16 @@
-"""The Python examples in README.md run as written, with fewer iterations,
-and the names its API list mentions exist in the package."""
+"""The Python examples and the quick-start commands in README.md run as
+written, with fewer iterations, and the names its API list mentions exist
+in the package."""
 
 import re
+import shlex
 from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
 import demrecon
+from demrecon.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,3 +40,23 @@ def test_readme_api_list_names_exported_functions():
     assert len(names) >= 10
     for name in names:
         assert reduce(getattr, name.split("."), demrecon), name
+
+
+def test_readme_quick_start_commands_run(tmp_path, monkeypatch):
+    text = (ROOT / "README.md").read_text()
+    section = re.search(r"## Quick start\n(.*?)\n## ", text, flags=re.S).group(1)
+    script = "\n".join(re.findall(r"```sh\n(.*?)```", section, flags=re.S))
+    script, n = re.subn(r"--iterations \d+ --burn-in \d+", "--iterations 12 --burn-in 4",
+                        script.replace("\\\n", " "))
+    assert n == 1
+    commands = [shlex.split(line) for line in script.splitlines() if line.strip()]
+    assert [c[1] for c in commands] == ["project", "simulate", "sample", "summarize",
+                                        "diagnose"]
+    (tmp_path / "data").symlink_to(ROOT / "data")  # the commands read data/demo
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert argv[0] == "demrecon"
+        assert main(argv[1:]) == 0, argv
+    for out in ("proj/projection.csv", "fit/samples.csv", "fit/summary.csv",
+                "fit/diagnostics.csv"):
+        assert (tmp_path / "out" / out).is_file()

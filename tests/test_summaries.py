@@ -257,3 +257,16 @@ def test_summary_rows_threshold_matches_direct(desk_sample):
         assert len(r) == 1
         assert r[0]["value"] == pytest.approx(direct[j], rel=1e-14)
         assert r[0]["statistic"] == "p(tfr<3)"
+
+
+@pytest.mark.parametrize("probs", [[0.025, 0.5, 0.975], [0.1, 0.9], [0.05, 0.25, 0.75, 0.95],
+                                   [0.9, 0.5, 0.1]])
+def test_summary_rows_half_width_uses_outer_quantiles(desk_sample, probs):
+    """The half-width comes from the widest requested interval, bitwise
+    equal to quantiles computed for its two ends alone."""
+    rows = summary_rows(desk_sample, ["tfr"], probs=probs)
+    tm = indicator_trajectories(desk_sample, "tfr")
+    lo = marginal_quantiles(tm, [min(probs)])[0]
+    hi = marginal_quantiles(tm, [max(probs)])[0]
+    [got] = [r["value"] for r in rows if r["statistic"] == "mean_half_width"]
+    assert got == mean_half_width(lo, hi)
