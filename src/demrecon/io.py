@@ -79,6 +79,12 @@ def load_grid(path) -> ModelGrid:
     for key in ("start_year", "end_year"):
         if key not in d:
             raise ParseError(f"{path}: grid is missing required key {key!r}")
+    return _grid_from_mapping(path, d)
+
+
+def _grid_from_mapping(path, d: dict) -> ModelGrid:
+    """ModelGrid from the grid keys present in d, each checked to be an
+    integer (census_years a list of them); path names the source in errors."""
     kwargs = {key: _int(path, f"grid key {key!r}", d[key])
               for key in ("start_year", "end_year", "open_age", "fert_min_age",
                           "fert_max_age", "step") if key in d}
@@ -413,6 +419,16 @@ class RunManifest:
         missing = [k for k in keys if k not in d] if isinstance(d, dict) else keys
         if missing:
             raise ParseError(f"{path}: manifest is missing keys {missing}")
+        grid = d["grid"]
+        if not isinstance(grid, dict):
+            raise ParseError(f"{path}: manifest grid must be a mapping, got {grid!r}")
+        grid_keys = [f.name for f in fields(ModelGrid)]
+        problems = [f"{what} keys {keys}" for what, keys in (
+            ("missing", [k for k in grid_keys if k not in grid]),
+            ("unknown", sorted(set(grid) - set(grid_keys)))) if keys]
+        if problems:
+            raise ParseError(f"{path}: manifest grid has {' and '.join(problems)}")
+        d["grid"] = grid_as_dict(_grid_from_mapping(path, grid))
         return cls(**{k: d[k] for k in keys})
 
     def to_grid(self) -> ModelGrid:

@@ -17,6 +17,14 @@ landing in the destination age group (the group the cohort has aged
 into). The projection is female dominant: male counts never enter the
 birth sum.
 
+The terms that depend on one period's rates alone, g/2, 1 + g/2, the
+age-0 factor s0*(1 + g0/2) + g0/2 and the birth shares 1/(1+srb) and
+srb/(1+srb), come from ``rate_terms``; the step kernel ``_step_counts``
+takes them in place of raw migration and srb. ``project_full`` computes
+them period by period, and the sampler keeps them cached by period and
+refreshes only the entries a proposal touches. Either way the step is
+the same kernel with the same arithmetic.
+
 Exact arithmetic notes, relied on by tests: the aged survivor at
 destination a+5 is computed as count[a] * (1 + g[a]/2) * s[a+5], and the
 open group accumulates as (survivors from open_age-5) + (retained open
@@ -34,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FEMALE, MALE, SEX_LABELS, STEP, ModelGrid, ThetaVector
+from .grid import FEMALE, SEX_LABELS, STEP, ModelGrid, ThetaVector
 
 
 def total_births(counts_female: np.ndarray, survival_female: np.ndarray,
@@ -64,31 +72,55 @@ def total_births(counts_female: np.ndarray, survival_female: np.ndarray,
     return 5.0 * (fertility * (n_a + n_prev * s_a) * 0.5).sum(axis=-1)
 
 
-def _step_counts(counts: np.ndarray, fertility: np.ndarray, survival: np.ndarray,
-                 migration: np.ndarray, srb, fertile_index: np.ndarray) -> np.ndarray:
-    """One projection step on raw arrays; the hot path used by the sampler.
+def rate_terms(survival: np.ndarray, migration: np.ndarray, srb):
+    """The terms of one projection step that depend on the rates alone.
 
-    counts (..., K, 2), fertility (..., F), survival (..., K+1, 2),
-    migration (..., K, 2) and srb (...), where the leading axes, if any,
-    are the same on every argument (stacked draws). Returns (..., K, 2);
-    each draw's slice equals the step of that draw alone, bit for bit.
+    survival (..., K+1, 2), migration (..., K, 2) and srb (...) are one
+    period's rates, with any leading batch axes. Returns
+    (half_g, grow, factor0, shares):
+
+      half_g  = g/2 and grow = 1 + g/2, both (..., K, 2);
+      factor0 = s0 * (1 + g0/2) + g0/2, the age-0 factor, (..., 2);
+      shares  = [1/(1+srb), srb/(1+srb)], the birth shares by sex, (..., 2).
+
+    These are what ``_step_counts`` takes in place of raw migration and
+    srb, so a caller that holds them across steps (the sampler) only
+    refreshes the entries a proposal touches.
     """
     half_g = 0.5 * migration
-    base = counts * (1.0 + half_g)
-    out = np.empty_like(base)
-    # survivors age one group; the open group also retains its members
-    out[..., 1:, :] = base[..., :-1, :] * survival[..., 1:-1, :]
-    out[..., -1, :] += base[..., -1, :] * survival[..., -1, :]
+    grow = 1.0 + half_g
+    factor0 = survival[..., 0, :] * grow[..., 0, :] + half_g[..., 0, :]
+    srb = np.asarray(srb, dtype=np.float64)
+    den = 1.0 + srb
+    shares = np.empty(srb.shape + (2,))
+    shares[..., 0] = 1.0 / den
+    shares[..., 1] = srb / den
+    return half_g, grow, factor0, shares
+
+
+def _step_counts(counts: np.ndarray, fertility: np.ndarray, survival: np.ndarray,
+                 half_g: np.ndarray, grow: np.ndarray, factor0: np.ndarray,
+                 shares: np.ndarray, fertile_index: np.ndarray) -> np.ndarray:
+    """One projection step on raw arrays; the hot path used by the sampler.
+
+    counts (..., K, 2), fertility (..., F) and survival (..., K+1, 2),
+    plus the ``rate_terms`` of the same period's survival, migration and
+    srb, where the leading axes, if any, are the same on every argument
+    (stacked draws). Returns (..., K, 2); each draw's slice equals the
+    step of that draw alone, bit for bit.
+    """
+    # survivors age one group (row a holds the survivors of group a); the
+    # open group also retains its members, added to the survivors into it
+    aged = counts * grow * survival[..., 1:, :]
+    aged[..., -2, :] += aged[..., -1, :]
     # second-half migrants arrive already aged into the destination group
     mig_in = counts * half_g
-    out[..., 1:, :] += mig_in[..., :-1, :]
+    out = np.empty_like(aged)
+    np.add(aged[..., :-1, :], mig_in[..., :-1, :], out=out[..., 1:, :])
     out[..., -1, :] += mig_in[..., -1, :]
 
     b = total_births(counts[..., FEMALE], survival[..., FEMALE], fertility, fertile_index)
-    g0 = half_g[..., 0, :]
-    factor = survival[..., 0, :] * (1.0 + g0) + g0
-    out[..., 0, FEMALE] = b * (1.0 / (1.0 + srb)) * factor[..., FEMALE]
-    out[..., 0, MALE] = b * (srb / (1.0 + srb)) * factor[..., MALE]
+    np.multiply(b[..., None] * shares, factor0, out=out[..., 0, :])
     return out
 
 
@@ -141,10 +173,10 @@ def project_full(baseline: np.ndarray, theta: ThetaVector, grid: ModelGrid) -> T
     traj = np.empty(np.shape(baseline)[:-2] + (P + 1, grid.n_ages, 2))
     traj[..., 0, :, :] = baseline
     for p in range(P):
+        surv = theta.survival[..., p, :]
+        terms = rate_terms(surv, theta.migration[..., p, :], theta.srb[..., p])
         traj[..., p + 1, :, :] = _step_counts(
-            traj[..., p, :, :], theta.fertility[..., p], theta.survival[..., p, :],
-            theta.migration[..., p, :], theta.srb[..., p], fi,
-        )
+            traj[..., p, :, :], theta.fertility[..., p], surv, *terms, fi)
     return Trajectory(counts=traj, years=tuple(grid.stock_years))
 
 

@@ -21,6 +21,16 @@ Changing a parameter of period t leaves all states up to t untouched,
 so each update re-projects only from the first affected period. The
 suffix states come from the same step function as a full projection
 and are bitwise identical to one.
+
+``ChainState`` keeps what each re-projected step needs ready: the
+``rate_terms`` of every period (period as the leading axis) and one
+argument tuple of views per period for the step kernel. A proposal
+rewrites only the cached entries its scalar feeds (g/2, 1 + g/2 and the
+age-0 factor for migration, the factor for age-0 survival, the birth
+shares for srb) and a rejection restores them, so the cache always
+equals ``rate_terms`` of the current rates, bit for bit. The census
+misfit of every census year a proposal reaches is one vectorised
+expression over the stacked log observations of those years.
 """
 
 from __future__ import annotations
@@ -35,7 +45,8 @@ from .grid import (PARAM_CLASSES, SEX_LABELS,
                    CensusData, ModelGrid, ThetaVector, VarianceParams)
 from .priors import (HyperParams, InitialEstimates, log_invgamma,
                      log_likelihood_census, log_prior_theta, transform)
-from .projection import Trajectory, _step_counts, positivity_indicator, project_full
+from .projection import (Trajectory, _step_counts, positivity_indicator, project_full,
+                         rate_terms)
 
 # acceptance rate the burn-in adaptation steers each proposal scale toward
 TARGET_ACCEPT = 0.44
@@ -218,6 +229,24 @@ class ChainState:
         # start the variances at their prior modes (deterministic)
         self.sigma2 = np.array([hyper.beta[c] / (hyper.alpha[c] + 1.0) for c in PARAM_CLASSES])
 
+        # rate terms by period, and one prebuilt argument tuple of views per
+        # period for the step kernel; a proposal refreshes only the entries
+        # it touches (see _refresh_terms)
+        surv, mig = self.nat["survival"], self.nat["migration"]
+        self.terms = rate_terms(np.moveaxis(surv, 1, 0), np.moveaxis(mig, 1, 0),
+                                self.nat["srb"])
+        half_g, grow, factor0, shares = self.terms
+        fert = self.nat["fertility"]
+        self._step_args = [
+            (fert[:, p], surv[:, p, :], half_g[p], grow[p], factor0[p], shares[p],
+             self.fertile_index)
+            for p in range(P)
+        ]
+        # flat views for the proposal writes. fertility read from CSV is
+        # Fortran-ordered, so its reshape is a copy and the write never
+        # reaches nat (ROADMAP item 6); that layout is carried as is.
+        self._nat_flat = {c: v.reshape(-1) for c, v in self.nat.items()}
+
         self.traj = np.empty((P + 1, K, 2))
         self.scratch = np.empty_like(self.traj)
         self._reproject_into(self.traj, 0)
@@ -227,19 +256,27 @@ class ChainState:
                 f" first offence at {Trajectory(self.traj.copy(), grid.stock_years).first_negative()}"
             )
 
-        # census bookkeeping: log observations and per-year squared misfit
-        self.cen_pos = []
-        self.cen_logobs = []
+        # census bookkeeping: trajectory rows of the census years, their
+        # log observations stacked, and the per-year squared misfit
+        cen_pos, cen_logobs = [], []
         if census is not None:
             for year in grid.likelihood_years:
                 if year in census.years:
-                    self.cen_pos.append(grid.year_index(year))
-                    self.cen_logobs.append(np.log(census.at(year)))
-        self.cen_pos = np.array(self.cen_pos, dtype=np.intp)
-        self.quad = np.array([self._year_quad(i) for i in range(len(self.cen_pos))])
+                    cen_pos.append(grid.year_index(year))
+                    cen_logobs.append(np.log(census.at(year)))
+        self.cen_pos = np.array(cen_pos, dtype=np.intp)
+        self.cen_logobs = np.array(cen_logobs).reshape(len(cen_pos), K, 2)
+        self.n_cen_cells = self.cen_logobs.size
+        # per first re-projected row: the first census entry it reaches
+        # (census rows ascend, so the reached entries are a suffix), and
+        # those entries' trajectory rows and log observations
+        self._cen_from = []
+        for first in range(P + 1):
+            lo = int(np.searchsorted(self.cen_pos, first))
+            self._cen_from.append((lo, self.cen_pos[lo:], self.cen_logobs[lo:]))
+        self.quad = self._census_quads(self.traj, 0)
         if self.quad.size and not np.all(np.isfinite(self.quad)):
             raise SamplingError("initial estimates give zero projected counts at a census year")
-        self.n_cen_cells = sum(lo.size for lo in self.cen_logobs)
 
         # scan table: (class, flat index, first trajectory row affected)
         self.components = []
@@ -248,6 +285,10 @@ class ChainState:
             for j in range(size):
                 self.components.append((cls, j, self._first_affected(cls, j)))
         self.n_components = len(self.components)
+        # what update_component needs of each entry besides the above
+        self._scan = [(PARAM_CLASSES.index(cls), float(self.mu[cls][j]),
+                       self._touched_terms(cls, j))
+                      for cls, j, _ in self.components]
 
         # proposal scales start at sqrt(beta/alpha), the scale of the
         # marginal t prior
@@ -269,31 +310,58 @@ class ChainState:
             p = (j // 2) % P
         return p + 1
 
+    def _touched_terms(self, cls: str, j: int):
+        """(kind, period, age, sex) of the rate terms a component feeds,
+        or None: migration feeds half_g and grow (and the age-0 factor at
+        age 0), age-0 survival the factor, srb the birth shares."""
+        P = self.grid.n_periods
+        if cls == "srb":
+            return ("srb", j, 0, 0)
+        if cls in ("survival", "migration"):
+            a, p, sex = j // (2 * P), (j // 2) % P, j % 2
+            if cls == "migration" or a == 0:
+                return (cls, p, a, sex)
+        return None
+
+    def _refresh_terms(self, touched):
+        """Recompute the cached rate terms that one component feeds from
+        the current natural values, with the arithmetic of ``rate_terms``."""
+        kind, p, a, sex = touched
+        half_g, grow, factor0, shares = self.terms
+        if kind == "srb":
+            srb = self.nat["srb"][p]
+            shares[p, 0] = 1.0 / (1.0 + srb)
+            shares[p, 1] = srb / (1.0 + srb)
+            return
+        if kind == "migration":
+            hg = 0.5 * self.nat["migration"][a, p, sex]
+            half_g[p, a, sex] = hg
+            grow[p, a, sex] = 1.0 + hg
+            if a:
+                return
+        factor0[p, sex] = (self.nat["survival"][0, p, sex] * grow[p, 0, sex]
+                           + half_g[p, 0, sex])
+
     def _reproject_into(self, buf: np.ndarray, first: int):
         """Recompute trajectory rows first..P into buf from current rates."""
-        nat = self.nat
         if first == 0:
-            buf[0] = nat["counts"]
+            buf[0] = self.nat["counts"]
             prev = buf[0]
-            start = 1
+            first = 1
         else:
             prev = self.traj[first - 1]
-            start = first
-        fert, surv = nat["fertility"], nat["survival"]
-        mig, srb = nat["migration"], nat["srb"]
-        for i in range(start, self.grid.n_periods + 1):
-            p = i - 1
-            prev = _step_counts(prev, fert[:, p], surv[:, p, :], mig[:, p, :],
-                                float(srb[p]), self.fertile_index)
+        args = self._step_args
+        for i in range(first, self.grid.n_periods + 1):
+            prev = _step_counts(prev, *args[i - 1])
             buf[i] = prev
 
-    def _year_quad(self, ci: int, traj: Optional[np.ndarray] = None) -> float:
-        """Squared log misfit of one census year against a trajectory buffer."""
-        t = self.traj if traj is None else traj
-        proj = t[self.cen_pos[ci]]
+    def _census_quads(self, traj: np.ndarray, first: int) -> np.ndarray:
+        """Squared log misfit of every census year at or after row first,
+        against a trajectory buffer."""
+        _, rows, logobs = self._cen_from[first]
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = self.cen_logobs[ci] - np.log(proj)
-        return float(np.sum(r * r))
+            r = logobs - np.log(traj[rows])
+        return (r * r).sum(axis=(1, 2))
 
     def update_component(self, comp: int, scale: float, z: float, logu: float) -> tuple:
         """Metropolis step for one scan-table entry.
@@ -302,29 +370,32 @@ class ChainState:
         state only on acceptance.
         """
         cls, j, first = self.components[comp]
-        cls_i = PARAM_CLASSES.index(cls)
+        cls_i, mu, touched = self._scan[comp]
         x = self.x[cls]
         x_old = x[j]
         x_new = x_old + scale * z
-        mu = self.mu[cls][j]
         s2 = self.sigma2[cls_i]
         dlp = -0.5 * ((x_new - mu) ** 2 - (x_old - mu) ** 2) / s2
 
-        nat = self.nat[cls]
-        nat_flat = nat.reshape(-1)
+        nat_flat = self._nat_flat[cls]
         nat_old = nat_flat[j]
         nat_flat[j] = _nat_scalar(cls, x_new)
+        if touched is not None:
+            self._refresh_terms(touched)
 
-        self._reproject_into(self.scratch, first)
-        tail = self.scratch[first:]
-        if not np.all(tail >= 0.0):  # also rejects NaN
+        scratch = self.scratch
+        self._reproject_into(scratch, first)
+        tail = scratch[first:]
+        if not tail.min() >= 0.0:  # also rejects NaN
             nat_flat[j] = nat_old
+            if touched is not None:
+                self._refresh_terms(touched)
             return False, 0.0
 
-        affected = np.nonzero(self.cen_pos >= first)[0]
-        new_quads = np.array([self._year_quad(ci, self.scratch) for ci in affected])
-        if affected.size:
-            dll = -0.5 * (float(np.sum(new_quads)) - float(np.sum(self.quad[affected]))) \
+        lo = self._cen_from[first][0]
+        if lo < self.quad.size:
+            new_quads = self._census_quads(scratch, first)
+            dll = -0.5 * (float(new_quads.sum()) - float(self.quad[lo:].sum())) \
                 / self.sigma2[0]
         else:
             dll = 0.0
@@ -335,10 +406,12 @@ class ChainState:
         if logu < log_alpha:
             x[j] = x_new
             self.traj[first:] = tail
-            if affected.size:
-                self.quad[affected] = new_quads
+            if lo < self.quad.size:
+                self.quad[lo:] = new_quads
             return True, min(1.0, math.exp(min(log_alpha, 0.0)))
         nat_flat[j] = nat_old
+        if touched is not None:
+            self._refresh_terms(touched)
         return False, min(1.0, math.exp(log_alpha)) if log_alpha > -math.inf else 0.0
 
     def update_variances(self, rng: np.random.Generator):

@@ -205,6 +205,7 @@ def test_criterion_07_reduced_model_matches_quadrature():
     assert abs(mcmc_mean - quad_mean) / quad_mean < 0.02
 
 
+@pytest.mark.slow
 def test_criterion_08_desk_scale_calibration():
     """Twenty synthetic desk-scale reconstructions (K=4, 3 periods): the
     95% credible intervals for the first-period SRB and TFR each cover

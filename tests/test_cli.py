@@ -327,7 +327,8 @@ def test_diagnose_bad_run_length_settings_exit_2(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize("case", ["sampler_setting", "census_year", "eta", "alpha",
-                                  "manifest_json", "manifest_keys"])
+                                  "manifest_json", "manifest_keys", "manifest_grid",
+                                  "manifest_grid_value"])
 def test_malformed_config_exit_2_without_traceback(tmp_path, case):
     grid_yaml, elic_yaml, grid, _ = _desk_inputs(tmp_path)
     years = grid.likelihood_years
@@ -345,6 +346,9 @@ def test_malformed_config_exit_2_without_traceback(tmp_path, case):
         "alpha": (["simulate"] + elic + inputs, elic_yaml),
         "manifest_json": (["summarize", "--sample-dir", str(run)], run / "manifest.json"),
         "manifest_keys": (["diagnose", "--sample-dir", str(run)], run / "manifest.json"),
+        "manifest_grid": (["diagnose", "--sample-dir", str(run)], run / "manifest.json"),
+        "manifest_grid_value": (["summarize", "--sample-dir", str(run)],
+                                run / "manifest.json"),
     }[case]
     corrupt = {
         "sampler_setting": lambda text: text + "sampler:\n  iterations: many\n",
@@ -354,6 +358,10 @@ def test_malformed_config_exit_2_without_traceback(tmp_path, case):
         "manifest_json": lambda text: text[:-10],
         "manifest_keys": lambda text: json.dumps(
             {k: v for k, v in json.loads(text).items() if k != "grid"}),
+        "manifest_grid": lambda text: json.dumps(
+            {**json.loads(text), "grid": {"start_year": 1960, "tempo": 5}}),
+        "manifest_grid_value": lambda text: text.replace('"start_year": 1960',
+                                                         '"start_year": "1960s"'),
     }[case]
     bad.write_text(corrupt(bad.read_text()))
     proc = subprocess.run([sys.executable, "-m", "demrecon.cli"] + argv,

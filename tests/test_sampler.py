@@ -1,6 +1,8 @@
 """Metropolis-within-Gibbs machinery: posterior evaluation, the variance
 Gibbs block, single-component updates and full runs."""
 
+import dataclasses
+import hashlib
 import math
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from demrecon import (CensusData, ConfigError, PARAM_CLASSES,
                       load_elicitation, load_grid, load_theta, log_posterior,
                       parameter_names, project_full, run_chain,
                       simulate_dataset, transform, variance_posterior)
+from demrecon.projection import rate_terms
 from demrecon.sampler import ChainState
 from conftest import make_theta, flat_elicitation
 from oracles import invgamma_cdf_oracle, log_posterior_oracle
@@ -206,6 +209,26 @@ def test_chain_state_rejects_negative_start(desk_grid, desk_hyper):
                    SamplerConfig(iterations=10, burn_in=5))
 
 
+def _census_quads_by_year(state, traj):
+    """Each census year's squared log misfit, one ``np.sum`` per year."""
+    quads = []
+    for row, logobs in zip(state.cen_pos, state.cen_logobs):
+        r = logobs - np.log(traj[row])
+        quads.append(float(np.sum(r * r)))
+    return quads
+
+
+def _fresh_rate_terms(state):
+    nat = state.nat
+    return rate_terms(np.moveaxis(nat["survival"], 1, 0),
+                      np.moveaxis(nat["migration"], 1, 0), nat["srb"])
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_update_preserves_trajectory_cache(desk_grid, desk_hyper):
     state, initial, census = _state(desk_grid, desk_hyper)
     rng = np.random.default_rng(7)
@@ -214,9 +237,41 @@ def test_update_preserves_trajectory_cache(desk_grid, desk_hyper):
         _mh_update_component(state, comp, 0.3 * math.exp(state.log_scale[cls][0]), rng)
     fresh = project_full(state.theta().baseline, state.theta(), desk_grid)
     assert np.array_equal(state.traj, fresh.counts)
-    for ci in range(len(state.cen_pos)):
-        assert state.quad[ci] == pytest.approx(state._year_quad(ci, fresh.counts),
-                                               rel=1e-12)
+    for got, want in zip(state.quad, _census_quads_by_year(state, fresh.counts)):
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("fert_min_age", [15, 0])
+def test_cached_terms_trajectory_and_quads_stay_exact(full_grid, fert_min_age):
+    """After every update (accepted, rejected by the Metropolis draw, or
+    rejected for a negative count) the cached rate terms, trajectory and
+    census misfits equal a fresh computation from the current rates, bit
+    for bit."""
+    grid = dataclasses.replace(full_grid, fert_min_age=fert_min_age)
+    hyper = beta_from_elicitation(flat_elicitation(), make_theta(grid, seed=1))
+    state, _, _ = _state(grid, hyper, seed=1)
+    rng = np.random.default_rng(11)
+    outcomes = {"accepted": 0, "metropolis": 0, "positivity": 0}
+    for _ in range(3):
+        for comp in range(state.n_components):
+            cls, j, first = state.components[comp]
+            # every fifth proposal is a huge step: negative counts for
+            # migration, a sure Metropolis rejection for the rest
+            scale = 40.0 if comp % 5 == 0 else math.exp(state.log_scale[cls][j])
+            accepted, _ = state.update_component(
+                comp, scale, rng.standard_normal(), math.log(rng.random()))
+            if accepted:
+                outcomes["accepted"] += 1
+            elif not state.scratch[first:].min() >= 0.0:
+                outcomes["positivity"] += 1
+            else:
+                outcomes["metropolis"] += 1
+            for got, want in zip(state.terms, _fresh_rate_terms(state)):
+                assert _same_bits(got, want)
+            fresh = project_full(state.theta().baseline, state.theta(), grid).counts
+            assert _same_bits(state.traj, fresh)
+            assert _same_bits(state.quad, _census_quads_by_year(state, fresh))
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_update_delta_matches_posterior_difference(desk_grid, desk_hyper):
@@ -241,15 +296,25 @@ def test_update_rejection_restores_state(desk_grid, desk_hyper):
     nat_before = {c: state.nat[c].copy() for c in PARAM_CLASSES}
     traj_before = state.traj.copy()
     quad_before = state.quad.copy()
+    terms_before = [t.copy() for t in state.terms]
     # logu = 0 can only accept when the proposal strictly improves;
-    # a huge step into the tail will not
-    accepted, _ = state.update_component(0, 50.0, 3.0, 0.0)
-    assert not accepted
-    for c in PARAM_CLASSES:
-        assert np.array_equal(state.x[c], x_before[c])
-        assert np.array_equal(state.nat[c], nat_before[c])
-    assert np.array_equal(state.traj, traj_before)
-    assert np.array_equal(state.quad, quad_before)
+    # a huge step into the tail will not. Besides a baseline count, try
+    # one entry of each class that feeds the cached rate terms: srb,
+    # age-0 survival, age-0 migration and an older migration entry.
+    comps = [0] + [next(i for i, (c, j, _) in enumerate(state.components)
+                        if c == cls and j == j0)
+                   for cls, j0 in (("srb", 1), ("survival", 3), ("migration", 1),
+                                   ("migration", 2 * desk_grid.n_periods + 1))]
+    for comp in comps:
+        accepted, _ = state.update_component(comp, 50.0, 3.0, 0.0)
+        assert not accepted
+        for c in PARAM_CLASSES:
+            assert np.array_equal(state.x[c], x_before[c])
+            assert np.array_equal(state.nat[c], nat_before[c])
+        assert np.array_equal(state.traj, traj_before)
+        assert np.array_equal(state.quad, quad_before)
+        for got, want in zip(state.terms, terms_before):
+            assert _same_bits(got, want)
 
 
 def test_zero_scale_always_accepts(desk_grid, desk_hyper):
@@ -379,9 +444,43 @@ def test_theta_at_and_variances_at_round_trip(desk_grid, desk_hyper):
     assert v.srb == sample.sigma2[3, 4]
 
 
+# SHA-256 of flat() + chain of a 2-chain, 6-sweep demo run, per start
+RUN_CHAIN_DIGESTS = {
+    "memory": "1d0fdf004f243b371968fbcf36e4b82713085c7e080ffa65d36108ded9f81f12",
+    "csv": "4ce766ce70f780c7722d7eed8d0002ac0d4db333f672c013528f8c937f207cc4",
+}
+
+
+@pytest.mark.parametrize("start", ["memory", "csv"])
+def test_run_chain_draws_match_recorded_digest(start):
+    """Draws, accept decisions and RNG consumption of ``run_chain`` are
+    pinned bit for bit, so a faster sampler must reproduce them exactly.
+
+    "memory" starts from a C-ordered copy of the demo initial estimates;
+    "csv" starts from ``data/demo/initial`` as loaded, whose fertility is
+    Fortran-ordered and therefore never moves (ROADMAP item 6). The fix
+    of item 6 changes every fit draw: it must re-record both digests,
+    together with ``perfbench/reference/``.
+    """
+    grid = load_grid(DEMO / "grid.yaml")
+    loaded = load_theta(DEMO / "initial", grid)
+    hyper = beta_from_elicitation(load_elicitation(DEMO / "elicitation.yaml"), loaded)
+    census = simulate_dataset(grid, loaded, hyper, seed=3).census
+    if start == "memory":
+        initial = ThetaVector.from_classes(
+            {c: np.ascontiguousarray(v) for c, v in loaded.by_class().items()})
+    else:
+        initial = loaded
+    config = SamplerConfig(iterations=6, burn_in=3, chains=2, seed=0)
+    sample = run_chain(config, grid, initial, census, hyper)
+    h = hashlib.sha256(np.ascontiguousarray(sample.flat()).tobytes())
+    h.update(sample.chain.astype(np.int64).tobytes())
+    assert h.hexdigest() == RUN_CHAIN_DIGESTS[start]
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "load_theta returns fertility Fortran-ordered; ChainState keeps that layout,"
-    " so nat.reshape(-1) in update_component is a copy and the proposal is lost"))
+    " so its flat fertility (reshape(-1)) is a copy and the proposal is lost"))
 def test_fertility_draws_move_from_loaded_initial_estimates():
     grid = load_grid(DEMO / "grid.yaml")
     initial = load_theta(DEMO / "initial", grid)
