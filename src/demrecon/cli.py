@@ -46,6 +46,7 @@ def _validated(grid, theta=None, census=None):
 
 def _cmd_project(args) -> int:
     grid = io.load_grid(args.grid)
+    _validated(grid)
     theta = io.load_theta(args.initial_estimates_dir, grid)
     _validated(grid, theta)
     traj = project_full(theta.baseline, theta, grid)
@@ -78,6 +79,7 @@ def _sampler_config(args, file_settings) -> SamplerConfig:
 
 def _cmd_sample(args) -> int:
     grid = io.load_grid(args.grid)
+    _validated(grid)
     theta = io.load_theta(args.initial_estimates_dir, grid)
     census = io.load_census(args.census, grid)
     elic = io.load_elicitation(args.elicitation)
@@ -228,6 +230,7 @@ def _cmd_simulate(args) -> int:
     from .simulate import simulate_dataset
 
     grid = io.load_grid(args.grid)
+    _validated(grid)
     center = io.load_theta(args.initial_estimates_dir, grid)
     elic = io.load_elicitation(args.elicitation)
     _validated(grid, center)

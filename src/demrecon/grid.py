@@ -15,6 +15,7 @@ once instead of failing on the first problem.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -135,11 +136,29 @@ class ModelGrid:
         """
         return tuple(y for y in self.census_years if self.start_year < y <= self.end_year)
 
+    def class_axes(self) -> dict:
+        """Axis labels of each ``ThetaVector`` array, keyed by class in
+        PARAM_CLASSES order: age lower bounds, period start years and sex
+        labels. Shapes, flat column ranges, parameter names and the
+        coordinates in ``validate`` messages all derive from these."""
+        ages, years = self.ages.tolist(), self.period_years.tolist()
+        return {"counts": (ages, SEX_LABELS), "fertility": (self.fertile_ages.tolist(), years),
+                "survival": (self.survival_ages.tolist(), years, SEX_LABELS),
+                "migration": (ages, years, SEX_LABELS), "srb": (years,)}
+
     def class_shapes(self) -> dict:
         """Shape of each ``ThetaVector`` array, keyed by class in PARAM_CLASSES order."""
-        K, P = self.n_ages, self.n_periods
-        return {"counts": (K, 2), "fertility": (self.n_fertile, P),
-                "survival": (K + 1, P, 2), "migration": (K, P, 2), "srb": (P,)}
+        return {c: tuple(map(len, axes)) for c, axes in self.class_axes().items()}
+
+    def class_slices(self) -> dict:
+        """Each class's column range in the flat parameter vector, whose
+        order is ``parameter_names``: classes in PARAM_CLASSES order, each
+        in the C order of its array."""
+        out, start = {}, 0
+        for c, shape in self.class_shapes().items():
+            out[c] = slice(start, start + math.prod(shape))
+            start = out[c].stop
+        return out
 
 
 @dataclass(frozen=True)
@@ -317,59 +336,53 @@ def _check_shape(name: str, arr: np.ndarray, want: tuple, out: list) -> bool:
     return True
 
 
-def _cell_lines(name, arr, bad, labels, reason, out):
-    """Append one violation line per offending array cell."""
-    for idx in zip(*np.nonzero(bad)):
-        coord = ",".join(str(lab[i]) for lab, i in zip(labels, idx))
-        out.append(f"{name}[{coord}] = {arr[idx]:g} {reason}")
+# the value range of each class and of census counts, as (cells outside
+# it, reason); migration may take any finite value
+_POSITIVE = (lambda a: a <= 0, "must be positive")
+_RANGES = {"counts": (lambda a: a < 0, "is negative"), "fertility": _POSITIVE,
+           "survival": (lambda a: (a <= 0) | (a >= 1), "outside (0, 1)"),
+           "migration": (lambda a: False, ""), "srb": _POSITIVE}
+
+
+def _cell_lines(name, arr, labels, value_range, out):
+    """Append one line per non-finite cell, then one per finite cell
+    outside the value range, each with its coordinates from labels."""
+    finite = np.isfinite(arr)
+    outside, reason = value_range
+    for bad, why in ((~finite, "is not finite"), (finite & outside(arr), reason)):
+        for idx in zip(*np.nonzero(bad)):
+            coord = ",".join(str(lab[i]) for lab, i in zip(labels, idx))
+            out.append(f"{name}[{coord}] = {arr[idx]:g} {why}")
 
 
 def validate(grid: ModelGrid, theta: ThetaVector = None, census: CensusData = None) -> ValidationReport:
     """Check every structural invariant and return the full list of violations.
 
     Total: never raises on bad values, always returns a report. Coordinates
-    in the messages use age lower bounds, calendar years and sex labels.
-    Census-year membership rules are only enforced when the grid declares
-    census years or census data is supplied, so projection-only grids can
-    leave ``census_years`` empty.
+    in the messages are the labels of ``ModelGrid.class_axes``: age lower
+    bounds, calendar years and sex labels. Census-year membership rules are
+    only enforced when the grid declares census years or census data is
+    supplied, so projection-only grids can leave ``census_years`` empty.
     """
     out: list = []
     _check_grid(grid, out, require_census=census is not None)
-
-    K = grid.n_ages
-    ages = grid.ages
-    sages = grid.survival_ages
-    years = grid.period_years
-    sexes = SEX_LABELS
+    axes = grid.class_axes()
 
     if theta is not None:
-        t = theta
-        want = grid.class_shapes()
-        if _check_shape("baseline", t.baseline, want["counts"], out):
-            _cell_lines("baseline", t.baseline, t.baseline < 0, (ages, sexes), "is negative", out)
-        if _check_shape("fertility", t.fertility, want["fertility"], out):
-            _cell_lines(
-                "fertility", t.fertility, t.fertility <= 0,
-                (grid.fertile_ages, years), "must be positive", out,
-            )
-        if _check_shape("survival", t.survival, want["survival"], out):
-            bad = (t.survival <= 0) | (t.survival >= 1)
-            _cell_lines("survival", t.survival, bad, (sages, years, sexes), "outside (0, 1)", out)
-        _check_shape("migration", t.migration, want["migration"], out)
-        if _check_shape("srb", t.srb, want["srb"], out):
-            _cell_lines("srb", t.srb, t.srb <= 0, (years,), "must be positive", out)
+        for f, (cls, labels) in zip(dataclasses.fields(theta), axes.items()):
+            arr = getattr(theta, f.name)
+            if _check_shape(f.name, arr, tuple(map(len, labels)), out):
+                _cell_lines(f.name, arr, labels, _RANGES[cls], out)
 
     if census is not None:
-        if census.counts.ndim != 3 or census.counts.shape != (len(census.years), K, 2):
+        ages, sexes = axes["counts"]
+        if census.counts.shape != (len(census.years), len(ages), 2):
             out.append(
                 f"census: counts shape {census.counts.shape} does not match"
-                f" ({len(census.years)}, {K}, 2)"
+                f" ({len(census.years)}, {len(ages)}, 2)"
             )
         else:
-            _cell_lines(
-                "census", census.counts, census.counts <= 0,
-                (census.years, ages, sexes), "must be positive", out,
-            )
+            _cell_lines("census", census.counts, (census.years, ages, sexes), _POSITIVE, out)
         for y in census.years:
             if (y - grid.start_year) % STEP != 0 or not (grid.start_year <= y <= grid.end_year):
                 out.append(f"census: year {y} is off the grid [{grid.start_year}, {grid.end_year}] step {STEP}")

@@ -360,9 +360,9 @@ def read_samples(path, grid: ModelGrid) -> PosteriorSample:
     flat = flat[:len(keys)] if order == list(range(len(keys))) else flat[order]
     chain = np.array([keys[i][0] for i in order], dtype=np.int64)
 
-    n, shapes = len(keys), grid.class_shapes()
-    *blocks, sigma2 = np.split(flat, np.cumsum([np.prod(s) for s in shapes.values()]), axis=1)
-    draws = {c: b.reshape((n,) + s) for (c, s), b in zip(shapes.items(), blocks)}
+    n, shapes, slices = len(keys), grid.class_shapes(), grid.class_slices()
+    draws = {c: flat[:, sl].reshape((n,) + shapes[c]) for c, sl in slices.items()}
+    sigma2 = flat[:, slices["srb"].stop:]
     config = SamplerConfig(iterations=n, burn_in=0, thin=1, chains=int(chain.max()) + 1)
     return PosteriorSample(grid=grid, draws=draws, sigma2=sigma2, chain=chain,
                            acceptance={}, config=config)

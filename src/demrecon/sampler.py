@@ -4,9 +4,10 @@ Each sweep updates every projection parameter one at a time with a
 Gaussian random walk on that parameter's transformed scale (log for
 counts, fertility and srb, logit for survival, natural scale for
 migration), then draws all five variances from their conjugate
-inverse-gamma full conditionals. The scan order is fixed: baseline
-counts (age, sex), fertility (age, period), survival (age, period,
-sex), migration (age, period, sex), srb (period).
+inverse-gamma full conditionals. The scan order is fixed, the
+``parameter_names`` order over the sampled classes: baseline counts
+(age, sex), fertility (age, period), survival (age, period, sex),
+migration (age, period, sex), srb (period).
 
 Because the walk happens in the transformed coordinates the prior
 densities apply directly and acceptance ratios need no Jacobian. A
@@ -35,14 +36,14 @@ expression over the stacked log observations of those years.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Optional
 
 import numpy as np
 
-from .grid import (PARAM_CLASSES, SEX_LABELS,
-                   CensusData, ModelGrid, ThetaVector, VarianceParams)
+from .grid import PARAM_CLASSES, CensusData, ModelGrid, ThetaVector, VarianceParams
 from .priors import (HyperParams, InitialEstimates, log_invgamma,
                      log_likelihood_census, log_prior_theta, transform)
 from .projection import (Trajectory, _step_counts, positivity_indicator, project_full,
@@ -127,31 +128,14 @@ class PosteriorSample:
 
 
 def parameter_names(grid: ModelGrid) -> list:
-    """Scalar parameter names in the order used by ``PosteriorSample.flat``.
-
-    Within each class the order is the C order of its array.
-    """
-    names = []
-    years = [int(y) for y in grid.period_years]
-    for a in grid.ages:
-        for l in SEX_LABELS:
-            names.append(f"baseline[{a},{l}]")
-    for a in grid.fertile_ages:
-        for y in years:
-            names.append(f"fertility[{a},{y}]")
-    for a in grid.survival_ages:
-        for y in years:
-            for l in SEX_LABELS:
-                names.append(f"survival[{a},{y},{l}]")
-    for a in grid.ages:
-        for y in years:
-            for l in SEX_LABELS:
-                names.append(f"migration[{a},{y},{l}]")
-    for y in years:
-        names.append(f"srb[{y}]")
-    for c in PARAM_CLASSES:
-        names.append(f"sigma2[{c}]")
-    return names
+    """Scalar parameter names in the order used by ``PosteriorSample.flat``:
+    each class's cells in the C order of its array, labelled by
+    ``ModelGrid.class_axes`` and named by ``ThetaVector`` field, then the
+    five variances. ``ModelGrid.class_slices`` gives each class's range."""
+    names = [f"{f.name}[{','.join(key)}]"
+             for f, axes in zip(fields(ThetaVector), grid.class_axes().values())
+             for key in itertools.product(*(map(str, ax) for ax in axes))]
+    return names + [f"sigma2[{c}]" for c in PARAM_CLASSES]
 
 
 def log_posterior(theta: ThetaVector, variances: VarianceParams,
@@ -199,8 +183,10 @@ def _nat_scalar(cls: str, x: float) -> float:
 
 
 class ChainState:
-    """Mutable state of one chain: transformed parameters, their natural
-    values, the cached trajectory and the census fit statistics.
+    """Mutable state of one chain: transformed parameters, their prior
+    centres and proposal log scales (flat vectors in ``parameter_names``
+    order), their natural values, the cached trajectory and the census fit
+    statistics.
 
     The cached pieces are kept consistent by ``update_component`` and
     ``update_variances``; everything else should treat instances as
@@ -218,12 +204,15 @@ class ChainState:
         K, P = grid.n_ages, grid.n_periods
         self.fertile_index = grid.fertile_index
 
+        # transformed parameters and their prior centres, flat in
+        # parameter_names order; class_slices carves each class
         cents = initial.by_class()
-        self.mu = {c: transform(c, v).ravel() for c, v in cents.items()}
-        for c in PARAM_CLASSES:
-            if not np.all(np.isfinite(self.mu[c])):
+        self.slices = grid.class_slices()
+        self.mu = np.concatenate([transform(c, v).ravel() for c, v in cents.items()])
+        for c, sl in self.slices.items():
+            if not np.all(np.isfinite(self.mu[sl])):
                 raise SamplingError(f"initial estimates are not finite on the {c} transformed scale")
-        self.x = {c: self.mu[c].copy() for c in PARAM_CLASSES}
+        self.x = self.mu.copy()
         self.nat = {c: np.array(v, dtype=np.float64) for c, v in cents.items()}
 
         # start the variances at their prior modes (deterministic)
@@ -244,7 +233,7 @@ class ChainState:
         ]
         # flat views for the proposal writes. fertility read from CSV is
         # Fortran-ordered, so its reshape is a copy and the write never
-        # reaches nat (ROADMAP item 6); that layout is carried as is.
+        # reaches nat (ROADMAP item 1); that layout is carried as is.
         self._nat_flat = {c: v.reshape(-1) for c, v in self.nat.items()}
 
         self.traj = np.empty((P + 1, K, 2))
@@ -278,50 +267,38 @@ class ChainState:
         if self.quad.size and not np.all(np.isfinite(self.quad)):
             raise SamplingError("initial estimates give zero projected counts at a census year")
 
-        # scan table: (class, flat index, first trajectory row affected)
+        # scan table over the sampled classes in parameter_names order:
+        # (flat index, first trajectory row affected, rate terms fed or
+        # None, class, its index in PARAM_CLASSES, index within the class)
         self.components = []
-        for cls in config.sample_classes:
-            size = self.x[cls].size
-            for j in range(size):
-                self.components.append((cls, j, self._first_affected(cls, j)))
+        for ci, (cls, axes) in enumerate(grid.class_axes().items()):
+            if cls in config.sample_classes:
+                start = self.slices[cls].start
+                for j, pos in enumerate(np.ndindex(*map(len, axes))):
+                    self.components.append((start + j, *self._feeds(cls, pos), cls, ci, j))
         self.n_components = len(self.components)
-        # what update_component needs of each entry besides the above
-        self._scan = [(PARAM_CLASSES.index(cls), float(self.mu[cls][j]),
-                       self._touched_terms(cls, j))
-                      for cls, j, _ in self.components]
 
         # proposal scales start at sqrt(beta/alpha), the scale of the
         # marginal t prior
-        self.log_scale = {}
-        for cls in PARAM_CLASSES:
-            s0 = math.sqrt(hyper.beta[cls] / hyper.alpha[cls])
-            self.log_scale[cls] = np.full(self.x[cls].size, math.log(s0))
+        self.log_scale = np.concatenate([
+            np.full(sl.stop - sl.start, math.log(math.sqrt(hyper.beta[c] / hyper.alpha[c])))
+            for c, sl in self.slices.items()])
 
-    def _first_affected(self, cls: str, j: int) -> int:
-        """First trajectory row (state index) that a component invalidates."""
+    @staticmethod
+    def _feeds(cls: str, pos: tuple) -> tuple:
+        """(first trajectory row, rate terms) of the component at array
+        position pos of a class: the row after its period (0 for baseline
+        counts), and (kind, period, age, sex) of the cached rate terms it
+        feeds or None. Migration feeds half_g and grow (and the age-0
+        factor at age 0), age-0 survival the factor, srb the birth shares."""
         if cls == "counts":
-            return 0
-        P = self.grid.n_periods
+            return 0, None
         if cls == "srb":
-            p = j
-        elif cls == "fertility":
-            p = j % P
-        else:  # survival, migration: C order over (age, period, sex)
-            p = (j // 2) % P
-        return p + 1
-
-    def _touched_terms(self, cls: str, j: int):
-        """(kind, period, age, sex) of the rate terms a component feeds,
-        or None: migration feeds half_g and grow (and the age-0 factor at
-        age 0), age-0 survival the factor, srb the birth shares."""
-        P = self.grid.n_periods
-        if cls == "srb":
-            return ("srb", j, 0, 0)
-        if cls in ("survival", "migration"):
-            a, p, sex = j // (2 * P), (j // 2) % P, j % 2
-            if cls == "migration" or a == 0:
-                return (cls, p, a, sex)
-        return None
+            return pos[0] + 1, ("srb", pos[0], 0, 0)
+        a, p = pos[:2]
+        if cls == "migration" or (cls == "survival" and a == 0):
+            return p + 1, (cls, p, a, pos[2])
+        return p + 1, None
 
     def _refresh_terms(self, touched):
         """Recompute the cached rate terms that one component feeds from
@@ -369,13 +346,11 @@ class ChainState:
         Returns (accepted, acceptance probability). Mutates the cached
         state only on acceptance.
         """
-        cls, j, first = self.components[comp]
-        cls_i, mu, touched = self._scan[comp]
-        x = self.x[cls]
-        x_old = x[j]
+        i, first, touched, cls, cls_i, j = self.components[comp]
+        x_old = self.x[i]
         x_new = x_old + scale * z
-        s2 = self.sigma2[cls_i]
-        dlp = -0.5 * ((x_new - mu) ** 2 - (x_old - mu) ** 2) / s2
+        mu = self.mu[i]
+        dlp = -0.5 * ((x_new - mu) ** 2 - (x_old - mu) ** 2) / self.sigma2[cls_i]
 
         nat_flat = self._nat_flat[cls]
         nat_old = nat_flat[j]
@@ -404,7 +379,7 @@ class ChainState:
         if math.isnan(log_alpha):
             log_alpha = float("-inf")
         if logu < log_alpha:
-            x[j] = x_new
+            self.x[i] = x_new
             self.traj[first:] = tail
             if lo < self.quad.size:
                 self.quad[lo:] = new_quads
@@ -418,8 +393,8 @@ class ChainState:
         """Gibbs draw of all five variances given the current parameters.
         The counts class pools the baseline residuals with the census log
         residuals at the likelihood years: one variance governs both."""
-        for i, cls in enumerate(PARAM_CLASSES):
-            r = self.x[cls] - self.mu[cls]
+        for i, (cls, sl) in enumerate(self.slices.items()):
+            r = self.x[sl] - self.mu[sl]
             m, ss = r.size, float(r @ r)
             if cls == "counts":
                 m += self.n_cen_cells
@@ -444,11 +419,11 @@ def run_chain(config: SamplerConfig, grid: ModelGrid, initial: InitialEstimates,
     per_chain = (config.iterations - config.burn_in) // config.thin
     total = per_chain * config.chains
 
-    shapes = grid.class_shapes()
+    shapes, slices = grid.class_shapes(), grid.class_slices()
     draws = {c: np.empty((total,) + shape) for c, shape in shapes.items()}
     sig = np.empty((total, len(PARAM_CLASSES)))
     chain_lab = np.empty(total, dtype=np.int64)
-    acc = {c: np.zeros((config.chains, math.prod(shape))) for c, shape in shapes.items()}
+    acc = np.zeros((config.chains, slices["srb"].stop))  # a column per scalar of theta
 
     streams = np.random.SeedSequence(config.seed).spawn(config.chains)
     pos = 0
@@ -456,22 +431,22 @@ def run_chain(config: SamplerConfig, grid: ModelGrid, initial: InitialEstimates,
         rng = np.random.default_rng(streams[c])
         state = ChainState(grid, initial, census, hyper, config)
         ncomp = state.n_components
-        acc_counts = {cls: np.zeros(state.x[cls].size) for cls in PARAM_CLASSES}
+        flat_index = [comp[0] for comp in state.components]
+        log_scale, acc_c = state.log_scale, acc[c]
         for it in range(config.iterations):
             adapting = it < config.burn_in
             if ncomp:
                 zs = rng.standard_normal(ncomp)
                 us = rng.random(ncomp)
                 gamma = (it + 1.0) ** -0.6 if adapting else 0.0
-                for k in range(ncomp):
-                    cls, j, _ = state.components[k]
-                    scale = math.exp(state.log_scale[cls][j])
+                for k, i in enumerate(flat_index):
                     accepted, aprob = state.update_component(
-                        k, scale, zs[k], math.log(us[k]) if us[k] > 0.0 else -math.inf)
+                        k, math.exp(log_scale[i]), zs[k],
+                        math.log(us[k]) if us[k] > 0.0 else -math.inf)
                     if adapting:
-                        state.log_scale[cls][j] += gamma * (aprob - TARGET_ACCEPT)
+                        log_scale[i] += gamma * (aprob - TARGET_ACCEPT)
                     elif accepted:
-                        acc_counts[cls][j] += 1.0
+                        acc_c[i] += 1.0
             if config.update_variances:
                 state.update_variances(rng)
             if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
@@ -480,10 +455,9 @@ def run_chain(config: SamplerConfig, grid: ModelGrid, initial: InitialEstimates,
                 sig[pos] = state.sigma2
                 chain_lab[pos] = c
                 pos += 1
-        post = config.iterations - config.burn_in
-        for cls in PARAM_CLASSES:
-            acc[cls][c] = acc_counts[cls] / max(post, 1)
 
-    acc = {c: acc[c].reshape((config.chains,) + shapes[c]) for c in PARAM_CLASSES}
+    acc /= max(config.iterations - config.burn_in, 1)
+    acceptance = {c: acc[:, sl].reshape((config.chains,) + shapes[c])
+                  for c, sl in slices.items()}
     return PosteriorSample(grid=grid, draws=draws, sigma2=sig, chain=chain_lab,
-                           acceptance=acc, config=config)
+                           acceptance=acceptance, config=config)

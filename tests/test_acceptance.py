@@ -128,7 +128,7 @@ def test_criterion_06_gibbs_conjugacy():
     theta = make_theta(grid, seed=2)
     hyper = beta_from_elicitation(flat_elicitation(0.10), initial)
     state = ChainState(grid, initial, None, hyper, SamplerConfig(iterations=1, burn_in=0))
-    state.x = {c: transform(c, v).ravel() for c, v in theta.by_class().items()}
+    state.x = np.concatenate([transform(c, v).ravel() for c, v in theta.by_class().items()])
     rng = np.random.default_rng(0)
     n = 100000
     draws = np.empty(n)

@@ -242,6 +242,42 @@ def test_invalid_initial_estimates_exit_2(tmp_path):
     assert code == 2
 
 
+def _command(tmp_path, grid_yaml, elic_yaml, command):
+    """argv of project, sample or simulate on the inputs of ``_desk_inputs``."""
+    argv = [command, "--grid", str(grid_yaml),
+            "--initial-estimates-dir", str(tmp_path / "initial"),
+            "--out-dir", str(tmp_path / "out")]
+    if command != "project":
+        argv += ["--elicitation", str(elic_yaml)]
+    if command == "sample":
+        argv += ["--census", str(tmp_path / "census"), "--iterations", "4", "--burn-in", "2"]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["project", "sample", "simulate"])
+def test_non_finite_input_exit_2(tmp_path, capsys, command):
+    grid_yaml, elic_yaml, grid, theta = _desk_inputs(tmp_path)
+    mig = theta.migration.copy()
+    mig[1, 0, FEMALE] = np.nan
+    write_theta(tmp_path / "initial", theta.replace(migration=mig), grid)
+    years = grid.likelihood_years
+    write_census(tmp_path / "census", CensusData(
+        years=years, counts=np.full((len(years), grid.n_ages, 2), 100.0)), grid)
+    assert main(_command(tmp_path, grid_yaml, elic_yaml, command)) == 2
+    assert "migration[5,1960,female] = nan is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["project", "sample", "simulate"])
+def test_invalid_grid_reported_before_files_that_depend_on_it(tmp_path, capsys, command):
+    grid_yaml, elic_yaml, _, _ = _desk_inputs(tmp_path)
+    grid_yaml.write_text(grid_yaml.read_text().replace("start_year: 1960",
+                                                       "start_year: 1980"))
+    assert main(_command(tmp_path, grid_yaml, elic_yaml, command)) == 2
+    err = capsys.readouterr().err
+    assert "grid: end_year 1975 must exceed start_year 1980" in err
+    assert "fertility.csv" not in err
+
+
 def test_summarize_rejects_unknown_indicator(tmp_path):
     grid_yaml, elic_yaml, grid, theta = _desk_inputs(tmp_path)
     sim = tmp_path / "sim"

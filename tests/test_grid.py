@@ -63,6 +63,36 @@ def test_class_shapes_cover_every_parameter(fert_min_age):
     assert report.ok, str(report)
 
 
+def test_parameter_names_pinned_on_tiny_grid():
+    """Two age groups, fertile ages 0-5, one period: every name, in order,
+    and each class's slice of them."""
+    grid = ModelGrid(start_year=1960, end_year=1965, open_age=5,
+                     fert_min_age=0, fert_max_age=5, census_years=(1960, 1965))
+    names = parameter_names(grid)
+    assert names == [
+        "baseline[0,female]", "baseline[0,male]", "baseline[5,female]", "baseline[5,male]",
+        "fertility[0,1960]", "fertility[5,1960]",
+        "survival[0,1960,female]", "survival[0,1960,male]",
+        "survival[5,1960,female]", "survival[5,1960,male]",
+        "survival[10,1960,female]", "survival[10,1960,male]",
+        "migration[0,1960,female]", "migration[0,1960,male]",
+        "migration[5,1960,female]", "migration[5,1960,male]",
+        "srb[1960]",
+        "sigma2[counts]", "sigma2[fertility]", "sigma2[survival]",
+        "sigma2[migration]", "sigma2[srb]",
+    ]
+    # the class slices tile the names class by class, then the variances
+    slices = grid.class_slices()
+    assert tuple(slices) == PARAM_CLASSES
+    stop = 0
+    for (cls, sl), field in zip(slices.items(), ("baseline", "fertility", "survival",
+                                                  "migration", "srb")):
+        assert sl.start == stop and sl.stop - sl.start == np.prod(grid.class_shapes()[cls])
+        assert all(n.startswith(field + "[") for n in names[sl])
+        stop = sl.stop
+    assert names[stop:] == [f"sigma2[{c}]" for c in PARAM_CLASSES]
+
+
 def test_by_class_round_trip(desk_grid):
     th = make_theta(desk_grid, seed=5)
     arrays = th.by_class()
@@ -158,3 +188,28 @@ def test_validate_census_year_must_be_declared(desk_grid):
     report = validate(desk_grid, make_theta(desk_grid), cen)
     assert not report.ok
     assert "1970" in str(report)
+
+
+@pytest.mark.parametrize("cls,value,line", [
+    ("counts", np.nan, "baseline[5,male] = nan is not finite"),
+    ("fertility", np.inf, "fertility[15,1965] = inf is not finite"),
+    ("survival", np.nan, "survival[5,1965,male] = nan is not finite"),
+    ("migration", np.nan, "migration[5,1965,male] = nan is not finite"),
+    ("migration", -np.inf, "migration[5,1965,male] = -inf is not finite"),
+    ("srb", np.inf, "srb[1965] = inf is not finite"),
+])
+def test_validate_reports_non_finite_cells(desk_grid, cls, value, line):
+    arrays = make_theta(desk_grid).by_class()
+    bad = arrays[cls].copy()
+    bad[(1,) * bad.ndim] = value
+    report = validate(desk_grid, ThetaVector.from_classes({**arrays, cls: bad}))
+    assert report.violations == (line,)
+
+
+def test_validate_reports_every_non_finite_census_cell(desk_grid):
+    counts = np.ones((2, desk_grid.n_ages, 2))
+    counts[0, 1, 0] = np.nan
+    counts[1, 3, 1] = np.inf
+    report = validate(desk_grid, make_theta(desk_grid), CensusData((1965, 1975), counts))
+    assert report.violations == ("census[1965,5,female] = nan is not finite",
+                                 "census[1975,15,male] = inf is not finite")

@@ -133,7 +133,7 @@ def test_residual_squares_pools_census_into_counts(desk_grid, desk_hyper):
     assert float(np.sum(state.quad)) == pytest.approx(hand, rel=1e-12)
 
     # the pooled residuals set the counts conditional: same gamma draw
-    state.x = {c: transform(c, v).ravel() for c, v in initial.by_class().items()}
+    state.x = np.concatenate([transform(c, v).ravel() for c, v in initial.by_class().items()])
     state.update_variances(np.random.default_rng(4))
     r = transform("counts", initial.baseline) - transform("counts", theta.baseline)
     a, b = variance_posterior(desk_hyper.alpha["counts"], desk_hyper.beta["counts"],
@@ -149,8 +149,9 @@ def test_residual_squares_at_center_is_zero(desk_grid, desk_hyper):
     census = CensusData(years=years, counts=np.stack([traj.at(y) for y in years]))
     state = ChainState(desk_grid, theta, census, desk_hyper,
                        SamplerConfig(iterations=1, burn_in=0))
+    slices = desk_grid.class_slices()
     for cls, arr in theta.by_class().items():
-        r = state.x[cls] - state.mu[cls]
+        r = state.x[slices[cls]] - state.mu[slices[cls]]
         assert r.size == arr.size
         assert not np.any(r)
     assert state.n_cen_cells == census.counts.size
@@ -164,7 +165,7 @@ def test_gibbs_draws_follow_conjugate_distribution(desk_grid, desk_hyper):
     theta = make_theta(desk_grid, seed=2)
     state = ChainState(desk_grid, initial, None, desk_hyper,
                        SamplerConfig(iterations=1, burn_in=0))
-    state.x = {c: transform(c, v).ravel() for c, v in theta.by_class().items()}
+    state.x = np.concatenate([transform(c, v).ravel() for c, v in theta.by_class().items()])
     rng = np.random.default_rng(123)
     n = 4000
     draws = np.empty(n)
@@ -233,8 +234,8 @@ def test_update_preserves_trajectory_cache(desk_grid, desk_hyper):
     state, initial, census = _state(desk_grid, desk_hyper)
     rng = np.random.default_rng(7)
     for comp in range(state.n_components):
-        cls = state.components[comp][0]
-        _mh_update_component(state, comp, 0.3 * math.exp(state.log_scale[cls][0]), rng)
+        i = state.components[comp][0]
+        _mh_update_component(state, comp, 0.3 * math.exp(state.log_scale[i]), rng)
     fresh = project_full(state.theta().baseline, state.theta(), desk_grid)
     assert np.array_equal(state.traj, fresh.counts)
     for got, want in zip(state.quad, _census_quads_by_year(state, fresh.counts)):
@@ -254,10 +255,10 @@ def test_cached_terms_trajectory_and_quads_stay_exact(full_grid, fert_min_age):
     outcomes = {"accepted": 0, "metropolis": 0, "positivity": 0}
     for _ in range(3):
         for comp in range(state.n_components):
-            cls, j, first = state.components[comp]
+            i, first = state.components[comp][:2]
             # every fifth proposal is a huge step: negative counts for
             # migration, a sure Metropolis rejection for the rest
-            scale = 40.0 if comp % 5 == 0 else math.exp(state.log_scale[cls][j])
+            scale = 40.0 if comp % 5 == 0 else math.exp(state.log_scale[i])
             accepted, _ = state.update_component(
                 comp, scale, rng.standard_normal(), math.log(rng.random()))
             if accepted:
@@ -281,7 +282,7 @@ def test_update_delta_matches_posterior_difference(desk_grid, desk_hyper):
     v = VarianceParams(*state.sigma2)
     before = log_posterior(state.theta(), v, initial, desk_hyper, census, desk_grid)
     comp = 11  # a fertility component
-    cls, j, _ = state.components[comp]
+    assert state.components[comp][3] == "fertility"
     z, scale = 0.8, 0.05
     accepted, aprob = state.update_component(comp, scale, z, -math.inf)
     assert accepted
@@ -292,7 +293,7 @@ def test_update_delta_matches_posterior_difference(desk_grid, desk_hyper):
 
 def test_update_rejection_restores_state(desk_grid, desk_hyper):
     state, _, _ = _state(desk_grid, desk_hyper)
-    x_before = {c: state.x[c].copy() for c in PARAM_CLASSES}
+    x_before = state.x.copy()
     nat_before = {c: state.nat[c].copy() for c in PARAM_CLASSES}
     traj_before = state.traj.copy()
     quad_before = state.quad.copy()
@@ -301,15 +302,16 @@ def test_update_rejection_restores_state(desk_grid, desk_hyper):
     # a huge step into the tail will not. Besides a baseline count, try
     # one entry of each class that feeds the cached rate terms: srb,
     # age-0 survival, age-0 migration and an older migration entry.
-    comps = [0] + [next(i for i, (c, j, _) in enumerate(state.components)
-                        if c == cls and j == j0)
+    slices = desk_grid.class_slices()
+    comps = [0] + [next(k for k, comp in enumerate(state.components)
+                        if comp[0] == slices[cls].start + j0)
                    for cls, j0 in (("srb", 1), ("survival", 3), ("migration", 1),
                                    ("migration", 2 * desk_grid.n_periods + 1))]
     for comp in comps:
         accepted, _ = state.update_component(comp, 50.0, 3.0, 0.0)
         assert not accepted
+        assert np.array_equal(state.x, x_before)
         for c in PARAM_CLASSES:
-            assert np.array_equal(state.x[c], x_before[c])
             assert np.array_equal(state.nat[c], nat_before[c])
         assert np.array_equal(state.traj, traj_before)
         assert np.array_equal(state.quad, quad_before)
@@ -330,7 +332,7 @@ def test_positivity_violating_proposal_rejected(desk_grid, desk_hyper):
     initial = make_theta(desk_grid, seed=1, mig_width=0.0)
     config = SamplerConfig(iterations=10, burn_in=5)
     state = ChainState(desk_grid, initial, None, desk_hyper, config)
-    comps = [i for i, (c, _, _) in enumerate(state.components) if c == "migration"]
+    comps = [k for k, comp in enumerate(state.components) if comp[3] == "migration"]
     comp = comps[0]
     accepted, aprob = state.update_component(comp, 10.0, -1.0, -math.inf)
     assert not accepted
@@ -417,6 +419,7 @@ def test_restricted_classes_stay_at_start(desk_grid, desk_hyper):
     assert np.allclose(sample.sigma2, np.array(modes)[None, :])
 
 
+@pytest.mark.slow
 def test_two_chains_mix_on_small_problem(desk_grid):
     initial = make_theta(desk_grid, seed=4)
     hyper = beta_from_elicitation(flat_elicitation(), initial)
@@ -429,6 +432,25 @@ def test_two_chains_mix_on_small_problem(desk_grid):
     col = names.index(f"srb[{desk_grid.period_years[0]}]")
     r = gelman_rubin([flat[:half, col], flat[half:, col]])
     assert r < 1.1
+
+
+def test_scan_visits_sampled_classes_in_class_order(desk_grid, desk_hyper):
+    """The scan follows PARAM_CLASSES whatever order sample_classes names
+    the classes in, and scans a class named twice once."""
+    initial = make_theta(desk_grid, seed=1)
+    census = _census_from(initial, desk_grid)
+    slices = desk_grid.class_slices()
+    runs = []
+    for classes in (("srb", "counts"), ("counts", "srb"), ("srb", "counts", "srb")):
+        config = SamplerConfig(iterations=8, burn_in=4, chains=1, seed=3,
+                               sample_classes=classes)
+        state = ChainState(desk_grid, initial, census, desk_hyper, config)
+        assert [comp[0] for comp in state.components] == \
+            list(range(slices["counts"].start, slices["counts"].stop)) + \
+            list(range(slices["srb"].start, slices["srb"].stop))
+        runs.append(run_chain(config, desk_grid, initial, census, desk_hyper))
+    for sample in runs[1:]:
+        assert _same_bits(sample.flat(), runs[0].flat())
 
 
 def test_theta_at_and_variances_at_round_trip(desk_grid, desk_hyper):
@@ -458,8 +480,8 @@ def test_run_chain_draws_match_recorded_digest(start):
 
     "memory" starts from a C-ordered copy of the demo initial estimates;
     "csv" starts from ``data/demo/initial`` as loaded, whose fertility is
-    Fortran-ordered and therefore never moves (ROADMAP item 6). The fix
-    of item 6 changes every fit draw: it must re-record both digests,
+    Fortran-ordered and therefore never moves (ROADMAP item 1). The fix
+    of item 1 changes every fit draw: it must re-record both digests,
     together with ``perfbench/reference/``.
     """
     grid = load_grid(DEMO / "grid.yaml")
