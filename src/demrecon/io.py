@@ -311,14 +311,14 @@ def write_trajectory(path, trajectory: Trajectory):
 
 
 def write_samples(path, sample: PosteriorSample):
-    """Draw matrix: chain, draw, then one column per parameter."""
+    """Draw matrix: chain, draw, then one column per parameter. Only the
+    header needs csv quoting; a float's repr never does."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["chain", "draw"] + parameter_names(sample.grid))
+        csv.writer(fh).writerow(["chain", "draw"] + parameter_names(sample.grid))
         draw_no = {}
         for c, row in zip(sample.chain.tolist(), sample.flat()):
             k = draw_no[c] = draw_no.get(c, -1) + 1
-            w.writerow([c, k] + [repr(v) for v in row.tolist()])
+            fh.write(f"{c},{k},{','.join(map(repr, row.tolist()))}\r\n")
 
 
 def read_samples(path, grid: ModelGrid) -> PosteriorSample:

@@ -10,7 +10,10 @@ calibrated, which is what makes interval-coverage tests well posed.
 
 ``prior_sample`` produces the same kind of object as the MCMC sampler
 but drawn directly from the prior, so every posterior summary can also
-be computed under the prior with the same code.
+be computed under the prior with the same code. It projects candidates
+one stacked chunk (up to 512) at a time and keeps, in draw order, the
+first whose counts are finite and nonnegative: the draws of successive
+``draw_joint`` calls, which run the same routine one candidate at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .grid import PARAM_CLASSES, CensusData, ModelGrid, ThetaVector, VarianceParams
 from .priors import HyperParams, InitialEstimates, transform, untransform
-from .projection import positivity_indicator, project_full
+from .projection import project_full
 from .sampler import PosteriorSample, SamplerConfig
 
 
@@ -36,29 +39,55 @@ def draw_variances(hyper: HyperParams, rng: np.random.Generator) -> VariancePara
                              for c in PARAM_CLASSES})
 
 
+def _first_admissible(initial: InitialEstimates, grid: ModelGrid, rng: np.random.Generator, n: int,
+                      max_tries: int, hyper: HyperParams = None, variances=None, chunk: int = 1):
+    """The first n admissible prior candidates in draw order: (sigma2 (n, 5),
+    class-keyed draws with a leading draw axis). A candidate takes from rng
+    its variances from hyper (unless hyper is None), then one standard-normal
+    block per class. Up to ``chunk`` candidates, never more than are still
+    needed, are projected as one stack and admitted if every count is finite
+    and nonnegative. Raises RuntimeError after max_tries straight failures."""
+    mus = {c: transform(c, v) for c, v in initial.by_class().items()}
+    sig = np.empty((n, len(PARAM_CLASSES)))
+    draws = {c: np.empty((n,) + mu.shape) for c, mu in mus.items()}
+    kept = fails = 0
+    while kept < n:
+        m = min(n - kept, chunk)
+        s = np.empty((m, len(PARAM_CLASSES)))
+        z = {c: np.empty((m,) + mu.shape) for c, mu in mus.items()}
+        for i in range(m):
+            s[i] = [getattr(variances, c) if hyper is None else variance_draws(hyper, c, rng)[0]
+                    for c in PARAM_CLASSES]
+            for c in mus:
+                rng.standard_normal(out=z[c][i])
+        with np.errstate(all="ignore"):  # rejected candidates may overflow
+            theta = ThetaVector.from_classes({c: untransform(c, mu + (z[c].T * np.sqrt(s[:, j])).T)
+                                              for j, (c, mu) in enumerate(mus.items())})
+            counts = project_full(theta.baseline, theta, grid).counts
+            ok = np.all((counts >= 0) & (counts < np.inf), axis=(-3, -2, -1))
+        for good in ok.tolist():
+            fails = 0 if good else fails + 1
+            if fails >= max_tries:
+                raise RuntimeError(f"no positive prior draw in {max_tries} consecutive tries")
+        new = slice(kept, kept + int(ok.sum()))
+        sig[new] = s[ok]
+        for c, a in theta.by_class().items():
+            draws[c][new] = a[ok]
+        kept = new.stop
+    return sig, draws
+
+
 def draw_theta(initial: InitialEstimates, variances: VarianceParams,
                grid: ModelGrid, rng: np.random.Generator,
-               require_positive: bool = True, max_tries: int = 1000) -> ThetaVector:
+               max_tries: int = 1000) -> ThetaVector:
     """One draw from the parameter prior around the initial estimates.
 
     Each class is Gaussian on its transformed scale with that class's
-    variance. With require_positive the draw is rejected and retried
-    until its projection has no negative count, which is the prior's
-    positivity restriction.
+    variance. The draw is retried until its projection has only finite,
+    nonnegative counts: the prior's positivity restriction.
     """
-    mus = {c: transform(c, v) for c, v in initial.by_class().items()}
-    sds = {c: np.sqrt(getattr(variances, c)) for c in PARAM_CLASSES}
-    for _ in range(max_tries):
-        # one standard-normal block per class, in PARAM_CLASSES order
-        theta = ThetaVector.from_classes({
-            c: untransform(c, mus[c] + sds[c] * rng.standard_normal(mus[c].shape))
-            for c in PARAM_CLASSES})
-        if not require_positive:
-            return theta
-        if positivity_indicator(project_full(theta.baseline, theta, grid)):
-            return theta
-    raise RuntimeError(f"no positive draw found in {max_tries} tries;"
-                       " the prior may be concentrated on impossible populations")
+    _, draws = _first_admissible(initial, grid, rng, 1, max_tries, variances=variances)
+    return ThetaVector.from_classes({c: a[0] for c, a in draws.items()})
 
 
 def draw_joint(initial: InitialEstimates, hyper: HyperParams, grid: ModelGrid,
@@ -69,25 +98,16 @@ def draw_joint(initial: InitialEstimates, hyper: HyperParams, grid: ModelGrid,
     discards the variances too; redrawing only theta under a huge
     variance draw would both bias the result and loop forever.
     """
-    for _ in range(max_tries):
-        v = draw_variances(hyper, rng)
-        theta = draw_theta(initial, v, grid, rng, require_positive=False)
-        if positivity_indicator(project_full(theta.baseline, theta, grid)):
-            return v, theta
-    raise RuntimeError(f"no positive joint draw in {max_tries} tries")
+    sig, draws = _first_admissible(initial, grid, rng, 1, max_tries, hyper)
+    return (VarianceParams(*sig[0].tolist()),
+            ThetaVector.from_classes({c: a[0] for c, a in draws.items()}))
 
 
 def prior_sample(initial: InitialEstimates, hyper: HyperParams, grid: ModelGrid,
                  n_draws: int, seed: int = 0) -> PosteriorSample:
     """Direct Monte Carlo sample from the prior, packaged like an MCMC run."""
-    rng = np.random.default_rng(seed)
-    draws = {c: np.empty((n_draws,) + shape) for c, shape in grid.class_shapes().items()}
-    sig = np.empty((n_draws, len(PARAM_CLASSES)))
-    for i in range(n_draws):
-        v, theta = draw_joint(initial, hyper, grid, rng)
-        for c, a in theta.by_class().items():
-            draws[c][i] = a
-        sig[i] = [getattr(v, c) for c in PARAM_CLASSES]
+    sig, draws = _first_admissible(initial, grid, np.random.default_rng(seed),
+                                   n_draws, 100000, hyper, chunk=512)
     config = SamplerConfig(iterations=n_draws, burn_in=0, thin=1, chains=1, seed=seed)
     return PosteriorSample(grid=grid, draws=draws, sigma2=sig,
                            chain=np.zeros(n_draws, dtype=np.int64),

@@ -9,6 +9,7 @@ routes is then evidence of correctness rather than a tautology.
 import math
 
 import mpmath as mp
+import numpy as np
 
 FEMALE, MALE = 0, 1
 
@@ -226,3 +227,40 @@ def ols_slope_oracle(xs, ys):
     sxx = sum(x * x for x in xs)
     sxy = sum(x * y for x, y in zip(xs, ys))
     return (n * sxy - sx * sy) / (n * sxx - sx * sx)
+
+
+# ---------------------------------------------------------------------------
+# prior draws
+
+
+def prior_draws_oracle(initial, hyper, grid, rng, n_draws):
+    """n_draws from the positivity-restricted joint prior, one candidate at
+    a time: five inverse-gamma variances in class order, one standard-normal
+    block per class, one projection, kept if every count is finite and
+    nonnegative, else discarded with its variances. Returns the kept
+    (sigma2 rows, theta list) and the number of candidates tried.
+
+    The transforms and the projection are the package's own; what this
+    loop is the reference for is the order of draws and the acceptance.
+    """
+    from demrecon import PARAM_CLASSES, ThetaVector, project_full, transform, untransform
+
+    mus = {c: transform(c, v) for c, v in initial.by_class().items()}
+    sig, thetas, tried = [], [], 0
+    for _ in range(n_draws):
+        for _ in range(100000):
+            tried += 1
+            v = [float(1.0 / rng.gamma(hyper.alpha[c], 1.0 / hyper.beta[c], size=1)[0])
+                 for c in PARAM_CLASSES]
+            with np.errstate(all="ignore"):
+                theta = ThetaVector.from_classes({
+                    c: untransform(c, mus[c] + np.sqrt(v[j]) * rng.standard_normal(mus[c].shape))
+                    for j, c in enumerate(PARAM_CLASSES)})
+                counts = project_full(theta.baseline, theta, grid).counts
+            if np.all(np.isfinite(counts)) and np.all(counts >= 0):
+                break
+        else:
+            raise RuntimeError("no positive draw in 100000 tries")
+        sig.append(v)
+        thetas.append(theta)
+    return sig, thetas, tried

@@ -1,6 +1,7 @@
 """CSV and YAML round trips, parse diagnostics, and the run manifest."""
 
 import csv
+import io as stdio
 
 import numpy as np
 import pytest
@@ -227,6 +228,31 @@ def test_samples_file_is_the_draw_matrix(tmp_path, desk_grid):
                                             ["1", "0"], ["1", "1"], ["1", "2"]]
     values = np.array([r[2:] for r in records[1:]], dtype=np.float64)
     assert np.array_equal(values, sample.flat())
+
+
+def test_samples_file_bytes_are_csv_writer_of_repr(tmp_path, desk_grid):
+    """Rows are the bytes csv.writer gives for repr'd values, extremes included,
+    and read back bit for bit."""
+    rng = np.random.default_rng(3)
+    n = 4
+    draws = {c: rng.uniform(0.1, 0.9, (n,) + shape) for c, shape in desk_grid.class_shapes().items()}
+    draws["migration"][0, 0, 0, 0] = -0.0
+    draws["migration"][1, 0, 0, 0] = 5e-324
+    draws["counts"][2, 0, 0] = 1e300
+    sigma2 = rng.uniform(0.1, 1.0, (n, 5))
+    sigma2[3, 0] = np.inf
+    sample = PosteriorSample(grid=desk_grid, draws=draws, sigma2=sigma2,
+                             chain=np.array([0, 0, 1, 1]), acceptance={},
+                             config=SamplerConfig(iterations=n, burn_in=0))
+    p = tmp_path / "samples.csv"
+    write_samples(p, sample)
+    buf = stdio.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(_header(desk_grid))
+    for (c, k), row in zip([(0, 0), (0, 1), (1, 0), (1, 1)], sample.flat().tolist()):
+        w.writerow([c, k] + [repr(v) for v in row])
+    assert p.read_bytes() == buf.getvalue().encode()
+    assert read_samples(p, desk_grid).flat().tobytes() == sample.flat().tobytes()
 
 
 @pytest.mark.parametrize("order", ["shuffled", "interleaved_chains"])
