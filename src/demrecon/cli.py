@@ -87,13 +87,13 @@ def _cmd_sample(args) -> int:
     hyper = beta_from_elicitation(elic, theta)
     config = _sampler_config(args, io.load_sampler_settings(args.grid))
     config.check()
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)  # before sampling, so a bad path costs no run
 
     started = time.monotonic()
     sample = run_chain(config, grid, theta, census, hyper)
     elapsed = time.monotonic() - started
 
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     io.write_samples(out / "samples.csv", sample)
     inputs = [args.grid, args.elicitation]
     inputs += sorted(str(p) for p in Path(args.initial_estimates_dir).glob("*.csv"))
@@ -231,6 +231,8 @@ def _cmd_simulate(args) -> int:
 
     grid = io.load_grid(args.grid)
     _validated(grid)
+    if not grid.likelihood_years:
+        raise _Invalid(f"{args.grid}: simulate needs a census year after the baseline year")
     center = io.load_theta(args.initial_estimates_dir, grid)
     elic = io.load_elicitation(args.elicitation)
     _validated(grid, center)
@@ -315,9 +317,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (io.ParseError, _Invalid, ConfigError, ElicitationError,
-            FileNotFoundError) as e:
+    except (io.ParseError, _Invalid, ConfigError, ElicitationError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return VALIDATION_EXIT
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError) as e:
+        # a missing path, or a directory where a file should be or the reverse
+        what = "exists and is not a directory" if isinstance(e, FileExistsError) else e.strerror
+        print(f"error: {e.filename}: {what}", file=sys.stderr)
         return VALIDATION_EXIT
     except (SamplingError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,25 +1,27 @@
 """File formats: CSV matrices for parameter blocks, YAML configuration,
 the sample draw matrix and the run manifest.
 
-Parameter block CSVs have age lower bounds in the first column and
-period start years as the remaining headers, one file per sex where the
-block is sex specific:
+A block CSV has row labels in its first column (``age``, or ``year`` in
+srb.csv) and period start years as the remaining headers unless noted.
+A sex-specific block is two files with the same labels, ``<stem>_female.csv``
+and ``<stem>_male.csv``, read into one array with a last (sex) axis:
 
   fertility.csv                    fertile age rows
   survival_female.csv / _male.csv  K+1 rows (0, 5, ..., open age + 5)
   migration_female.csv / _male.csv K rows
   baseline_female.csv / _male.csv  K rows, single column (baseline year)
-  srb.csv                          two columns: year, srb
+  srb.csv                          one column, header year,srb
+  census_female.csv / _male.csv    K rows, census years as columns
 
-Census directories hold census_female.csv / census_male.csv shaped like
-the blocks, with census years as columns. Posterior samples are the
-draw matrix: a chain,draw header followed by ``parameter_names(grid)``,
-then one row per retained draw, floats written with repr so a reload is
-bit exact. The long format of version 0.1.0 (one chain,draw,parameter,
-value row per scalar) fails the header check and is not read. The
-manifest JSON records everything needed to reproduce a run: seed,
-settings, hyperparameters, input file digests, package version and the
-parsed grid.
+Posterior samples are the draw matrix: a chain,draw header followed by
+``parameter_names(grid)``, then one row per retained draw, floats
+written with repr so a reload is bit exact. The long format of version
+0.1.0 (one chain,draw,parameter,value row per scalar) fails the header
+check and is not read. The manifest JSON records everything needed to
+reproduce a run: seed, settings, hyperparameters, input file digests,
+package version and the parsed grid. Inputs are read as UTF-8; a byte
+that does not decode is a ``ParseError`` naming the file, which the CLI
+reports with exit code 2, as it does a directory where a file should be.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import csv
 import hashlib
 import json
 import time
+from contextlib import contextmanager
 from itertools import zip_longest
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -50,12 +53,25 @@ def _fail(path, line, msg):
     raise ParseError(f"{path}:{line}: {msg}")
 
 
+@contextmanager
+def _reading(path):
+    """Open a text input for reading; a byte that is not UTF-8 anywhere in
+    the with block becomes a ParseError naming the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 text: {e.reason}") from None
+
+
 # ---------------------------------------------------------------------------
 # YAML configuration
 
 
 def _load_section(path, section):
-    with open(path) as fh:
+    """(mapping, explicit): the ``section:`` mapping of a YAML file and
+    True, or its top level and False when it has no such mapping."""
+    with _reading(path) as fh:
         try:
             doc = yaml.safe_load(fh)
         except yaml.YAMLError as e:
@@ -63,7 +79,7 @@ def _load_section(path, section):
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a mapping at the top level")
     sub = doc.get(section)
-    return sub if isinstance(sub, dict) else doc
+    return (sub, True) if isinstance(sub, dict) else (doc, False)
 
 
 def _int(path, what, value) -> int:
@@ -75,7 +91,7 @@ def _int(path, what, value) -> int:
 
 def load_grid(path) -> ModelGrid:
     """Read a grid from YAML (either top-level keys or under ``grid:``)."""
-    d = _load_section(path, "grid")
+    d, _ = _load_section(path, "grid")
     for key in ("start_year", "end_year"):
         if key not in d:
             raise ParseError(f"{path}: grid is missing required key {key!r}")
@@ -99,7 +115,7 @@ def _grid_from_mapping(path, d: dict) -> ModelGrid:
 
 def load_elicitation(path) -> Elicitation:
     """Read elicited errors from YAML (top level or under ``elicitation:``)."""
-    d = _load_section(path, "elicitation")
+    d, _ = _load_section(path, "elicitation")
     if "eta" not in d or not isinstance(d["eta"], dict):
         raise ParseError(f"{path}: elicitation needs an 'eta' mapping with keys {PARAM_CLASSES}")
     missing = [c for c in PARAM_CLASSES if c not in d["eta"]]
@@ -115,9 +131,13 @@ def load_elicitation(path) -> Elicitation:
 
 
 def load_sampler_settings(path) -> dict:
-    """Optional ``sampler:`` section of a config file; {} when absent."""
-    d = _load_section(path, "sampler")
-    known = {"iterations", "burn_in", "thin", "chains", "seed"}
+    """Optional ``sampler:`` section of a config file; {} when absent. Its
+    unknown keys are an error; top-level keys, beside the grid's, are filtered."""
+    d, explicit = _load_section(path, "sampler")
+    known = ("iterations", "burn_in", "thin", "chains", "seed")
+    unknown = [k for k in d if k not in known]
+    if explicit and unknown:
+        raise ParseError(f"{path}: unknown sampler keys {unknown}; known keys are {list(known)}")
     return {k: _int(path, f"sampler key {k!r}", v) for k, v in d.items() if k in known}
 
 
@@ -125,23 +145,26 @@ def load_sampler_settings(path) -> dict:
 # CSV matrices
 
 
-def _read_matrix(path, index_name="age"):
-    """Read one block CSV: returns (row_labels, col_labels, float matrix)."""
+def _read_matrix(path, index_name="age", columns=None):
+    """Read one block CSV: returns (row_labels, col_labels, float matrix).
+    The column headers are years, or exactly ``columns`` when given."""
     path = Path(path)
     if not path.exists():
         raise ParseError(f"{path}: file not found")
-    with open(path, newline="") as fh:
+    with _reading(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             _fail(path, 1, "empty file")
+        if columns is not None and [h.strip() for h in header] != [index_name, *columns]:
+            _fail(path, 1, f"header must be {','.join([index_name, *columns])!r}")
         if len(header) < 2:
             _fail(path, 1, f"need an {index_name!r} column plus at least one data column")
         if header[0].strip() != index_name:
             _fail(path, 1, f"first column must be {index_name!r}, got {header[0]!r}")
         try:
-            cols = [int(c) for c in header[1:]]
+            cols = [int(c) for c in header[1:]] if columns is None else list(columns)
         except ValueError:
             _fail(path, 1, f"column headers after {index_name!r} must be years: {header[1:]}")
         rows = []
@@ -178,32 +201,36 @@ def _write_matrix(path, row_labels, col_labels, matrix, index_name="age"):
             w.writerow([str(lab)] + [repr(float(v)) for v in row])
 
 
-def _read_srb(path):
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"{path}: file not found")
-    years, vals = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["year", "srb"]:
-            _fail(path, 1, "header must be 'year,srb'")
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec or all(not c.strip() for c in rec):
-                continue
-            try:
-                years.append(int(rec[0]))
-                vals.append(float(rec[1]))
-            except (ValueError, IndexError):
-                _fail(path, lineno, f"expected 'year,value', got {rec!r}")
-    order = np.argsort(years)
-    return [years[i] for i in order], np.asarray(vals, dtype=np.float64)[order]
-
-
 def _expect_labels(path, kind, got, want):
     want = [int(w) for w in want]
     if list(got) != want:
         raise ParseError(f"{path}: {kind} {got} do not match the grid's {want}")
+
+
+def _read_per_sex(d, stem, row_kind, row_labels, col_kind, col_labels=None):
+    """Read ``<stem>_female.csv`` and ``<stem>_male.csv`` from directory d.
+    Their rows must be row_labels, and their columns col_labels or, when
+    that is None, the same in both files. Returns (column labels, the two
+    matrices stacked on a last sex axis, C-ordered)."""
+    mats, cols_seen = [], None
+    for label in SEX_LABELS:
+        p = d / f"{stem}_{label}.csv"
+        rows, cols, m = _read_matrix(p)
+        _expect_labels(p, row_kind, rows, row_labels)
+        if col_labels is not None:
+            _expect_labels(p, col_kind, cols, col_labels)
+        elif cols_seen is not None and cols != cols_seen:
+            raise ParseError(f"{p}: {col_kind} {cols} differ from the female file's {cols_seen}")
+        cols_seen = cols
+        mats.append(m)
+    # the matrices may be Fortran-ordered, and so would a bare stack of them
+    return cols_seen, np.ascontiguousarray(np.stack(mats, axis=-1))
+
+
+def _write_per_sex(d, stem, row_labels, col_labels, arr):
+    """Write arr[..., sex] as ``<stem>_female.csv`` and ``<stem>_male.csv``."""
+    for sex, label in enumerate(SEX_LABELS):
+        _write_matrix(d / f"{stem}_{label}.csv", row_labels, col_labels, arr[..., sex])
 
 
 def load_theta(directory, grid: ModelGrid) -> ThetaVector:
@@ -214,83 +241,43 @@ def load_theta(directory, grid: ModelGrid) -> ThetaVector:
     problems are left to ``validate``.
     """
     d = Path(directory)
-    pyears = list(grid.period_years)
+    pyears = grid.period_years
 
     rows, cols, fert = _read_matrix(d / "fertility.csv")
     _expect_labels(d / "fertility.csv", "fertile ages", rows, grid.fertile_ages)
     _expect_labels(d / "fertility.csv", "period years", cols, pyears)
-
-    surv = np.empty((grid.n_ages + 1, grid.n_periods, 2))
-    mig = np.empty((grid.n_ages, grid.n_periods, 2))
-    base = np.empty((grid.n_ages, 2))
-    for sex, label in ((FEMALE, "female"), (MALE, "male")):
-        p = d / f"survival_{label}.csv"
-        rows, cols, m = _read_matrix(p)
-        _expect_labels(p, "survival ages", rows, grid.survival_ages)
-        _expect_labels(p, "period years", cols, pyears)
-        surv[:, :, sex] = m
-
-        p = d / f"migration_{label}.csv"
-        rows, cols, m = _read_matrix(p)
-        _expect_labels(p, "ages", rows, grid.ages)
-        _expect_labels(p, "period years", cols, pyears)
-        mig[:, :, sex] = m
-
-        p = d / f"baseline_{label}.csv"
-        rows, cols, m = _read_matrix(p)
-        _expect_labels(p, "ages", rows, grid.ages)
-        _expect_labels(p, "baseline year", cols, [grid.start_year])
-        base[:, sex] = m[:, 0]
-
-    years, srb = _read_srb(d / "srb.csv")
+    _, surv = _read_per_sex(d, "survival", "survival ages", grid.survival_ages,
+                            "period years", pyears)
+    _, mig = _read_per_sex(d, "migration", "ages", grid.ages, "period years", pyears)
+    _, base = _read_per_sex(d, "baseline", "ages", grid.ages,
+                            "baseline year", [grid.start_year])
+    years, _, srb = _read_matrix(d / "srb.csv", "year", ["srb"])
     _expect_labels(d / "srb.csv", "period years", years, pyears)
 
-    return ThetaVector(baseline=base, fertility=fert, survival=surv,
-                       migration=mig, srb=srb)
+    return ThetaVector(baseline=base[:, 0], fertility=fert, survival=surv,
+                       migration=mig, srb=srb[:, 0])
 
 
 def write_theta(directory, theta: ThetaVector, grid: ModelGrid):
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    pyears = list(grid.period_years)
-    _write_matrix(d / "fertility.csv", list(grid.fertile_ages), pyears, theta.fertility)
-    for sex, label in ((FEMALE, "female"), (MALE, "male")):
-        _write_matrix(d / f"survival_{label}.csv", list(grid.survival_ages), pyears,
-                      theta.survival[:, :, sex])
-        _write_matrix(d / f"migration_{label}.csv", list(grid.ages), pyears,
-                      theta.migration[:, :, sex])
-        _write_matrix(d / f"baseline_{label}.csv", list(grid.ages), [grid.start_year],
-                      theta.baseline[:, sex:sex + 1])
-    with open(d / "srb.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["year", "srb"])
-        for y, v in zip(pyears, theta.srb):
-            w.writerow([str(y), repr(float(v))])
+    pyears = grid.period_years
+    _write_matrix(d / "fertility.csv", grid.fertile_ages, pyears, theta.fertility)
+    _write_per_sex(d, "survival", grid.survival_ages, pyears, theta.survival)
+    _write_per_sex(d, "migration", grid.ages, pyears, theta.migration)
+    _write_per_sex(d, "baseline", grid.ages, [grid.start_year], theta.baseline[:, None])
+    _write_matrix(d / "srb.csv", pyears, ["srb"], theta.srb[:, None], "year")
 
 
 def load_census(directory, grid: ModelGrid) -> CensusData:
-    d = Path(directory)
-    mats = {}
-    years_seen = None
-    for label in SEX_LABELS:
-        p = d / f"census_{label}.csv"
-        rows, cols, m = _read_matrix(p)
-        _expect_labels(p, "ages", rows, grid.ages)
-        if years_seen is None:
-            years_seen = cols
-        elif cols != years_seen:
-            raise ParseError(f"{p}: census years {cols} differ from the female file's {years_seen}")
-        mats[label] = m
-    counts = np.stack([mats["female"].T, mats["male"].T], axis=-1)
-    return CensusData(years=tuple(years_seen), counts=counts)
+    years, counts = _read_per_sex(Path(directory), "census", "ages", grid.ages, "census years")
+    return CensusData(years=tuple(years), counts=np.ascontiguousarray(counts.transpose(1, 0, 2)))
 
 
 def write_census(directory, census: CensusData, grid: ModelGrid):
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    for sex, label in ((FEMALE, "female"), (MALE, "male")):
-        _write_matrix(d / f"census_{label}.csv", list(grid.ages), list(census.years),
-                      census.counts[:, :, sex].T)
+    _write_per_sex(d, "census", grid.ages, census.years, census.counts.transpose(1, 0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +313,7 @@ def read_samples(path, grid: ModelGrid) -> PosteriorSample:
     may come in any order."""
     columns = ["chain", "draw"] + parameter_names(grid)
     lines = {}  # (chain, draw) -> line number
-    with open(path, newline="") as fh:
+    with _reading(path) as fh:
         # rows are parsed into one matrix sized by the line count: keeping
         # per-row arrays and then stacking them would hold the sample twice
         flat = np.empty((sum(1 for _ in fh), len(columns) - 2))
@@ -410,7 +397,7 @@ class RunManifest:
 
     @classmethod
     def read(cls, path) -> "RunManifest":
-        with open(path) as fh:
+        with _reading(path) as fh:
             try:
                 d = json.load(fh)
             except json.JSONDecodeError as e:

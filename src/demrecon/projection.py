@@ -181,5 +181,7 @@ def project_full(baseline: np.ndarray, theta: ThetaVector, grid: ModelGrid) -> T
 
 
 def positivity_indicator(trajectory: Trajectory) -> int:
-    """1 if every count at every age, year and sex is nonnegative, else 0."""
-    return int(bool(np.all(trajectory.counts >= 0)))
+    """1 if every count at every age, year and sex is finite and
+    nonnegative, else 0."""
+    counts = trajectory.counts
+    return int(bool(np.all((counts >= 0) & (counts < np.inf))))

@@ -11,8 +11,9 @@ migration (age, period, sex), srb (period).
 
 Because the walk happens in the transformed coordinates the prior
 densities apply directly and acceptance ratios need no Jacobian. A
-proposal whose re-projection produces a negative count anywhere is
-rejected outright; that is the positivity restriction of the prior.
+proposal whose re-projection produces a negative or non-finite count
+anywhere is rejected outright; that is the positivity restriction of the
+prior.
 
 Proposal scales adapt during burn-in only, by a Robbins-Monro step on
 the log scale toward a 0.44 acceptance rate, and are frozen afterwards
@@ -361,7 +362,7 @@ class ChainState:
         scratch = self.scratch
         self._reproject_into(scratch, first)
         tail = scratch[first:]
-        if not tail.min() >= 0.0:  # also rejects NaN
+        if not (tail.min() >= 0.0 and tail.max() < math.inf):  # also rejects NaN
             nat_flat[j] = nat_old
             if touched is not None:
                 self._refresh_terms(touched)

@@ -362,8 +362,45 @@ def test_diagnose_bad_run_length_settings_exit_2(tmp_path, capsys, flags):
     assert "need 0 < q < 1, 0 < s < 1 and r > 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["sampler_setting", "census_year", "eta", "alpha",
-                                  "manifest_json", "manifest_keys", "manifest_grid",
+_UNREADABLE = [(command, target, corruption)
+               for command, target in [("project", "grid.yaml"),
+                                       ("project", "initial/survival_male.csv"),
+                                       ("sample", "census/census_male.csv"),
+                                       ("summarize", "run/samples.csv"),
+                                       ("diagnose", "run/manifest.json")]
+               for corruption in ("not_utf8", "directory")]
+_UNREADABLE += [(command, "out", "file")
+                for command in ("project", "sample", "simulate", "summarize", "diagnose")]
+
+
+@pytest.mark.parametrize("command, target, corruption", _UNREADABLE)
+def test_unreadable_path_exit_2_naming_it(tmp_path, capsys, command, target, corruption):
+    """A file that is not UTF-8 text, a directory where a file should be, or
+    an --out-dir that is a file: exit 2 with the path, not a traceback."""
+    grid_yaml, elic_yaml, grid, _ = _desk_inputs(tmp_path)
+    years = grid.likelihood_years
+    write_census(tmp_path / "census", CensusData(
+        years=years, counts=np.full((len(years), grid.n_ages, 2), 100.0)), grid)
+    run = _sample_dir(tmp_path / "run", grid, [make_theta(grid, seed=s) for s in range(3)])
+    bad = tmp_path / target
+    if corruption == "not_utf8":
+        bad.write_bytes(bad.read_bytes().replace(b"\n", b"\n\xe9", 1))  # latin-1 e-acute
+    elif corruption == "directory":
+        bad.unlink()
+        bad.mkdir()
+    else:
+        bad.write_text("a file\n")
+    if command in ("summarize", "diagnose"):
+        argv = [command, "--sample-dir", str(run), "--out-dir", str(tmp_path / "out")]
+    else:
+        argv = _command(tmp_path, grid_yaml, elic_yaml, command)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}") and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("case", ["sampler_setting", "sampler_key", "census_year",
+                                  "no_census_year", "eta", "alpha", "manifest_json", "manifest_keys", "manifest_grid",
                                   "manifest_grid_value"])
 def test_malformed_config_exit_2_without_traceback(tmp_path, case):
     grid_yaml, elic_yaml, grid, _ = _desk_inputs(tmp_path)
@@ -377,7 +414,10 @@ def test_malformed_config_exit_2_without_traceback(tmp_path, case):
     argv, bad = {
         "sampler_setting": (["sample", "--census", str(tmp_path / "census")] + elic + inputs,
                             grid_yaml),
+        "sampler_key": (["sample", "--census", str(tmp_path / "census")] + elic + inputs,
+                        grid_yaml),
         "census_year": (["project"] + inputs, grid_yaml),
+        "no_census_year": (["simulate"] + elic + inputs, grid_yaml),
         "eta": (["simulate"] + elic + inputs, elic_yaml),
         "alpha": (["simulate"] + elic + inputs, elic_yaml),
         "manifest_json": (["summarize", "--sample-dir", str(run)], run / "manifest.json"),
@@ -388,7 +428,9 @@ def test_malformed_config_exit_2_without_traceback(tmp_path, case):
     }[case]
     corrupt = {
         "sampler_setting": lambda text: text + "sampler:\n  iterations: many\n",
+        "sampler_key": lambda text: text + "sampler:\n  iteration: 10\n",
         "census_year": lambda text: text.replace("1965", "1965a"),
+        "no_census_year": lambda text: text.replace("census_years", "census_year"),
         "eta": lambda text: text.replace("counts: 0.1", "counts: ten percent"),
         "alpha": lambda text: text + "  alpha:\n    srb: half\n",
         "manifest_json": lambda text: text[:-10],

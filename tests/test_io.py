@@ -2,6 +2,7 @@
 
 import csv
 import io as stdio
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from demrecon import (CensusData, ParseError, PosteriorSample, SamplerConfig,
                       write_theta, write_trajectory)
 from demrecon.io import RunManifest, write_rows
 from conftest import make_theta, flat_elicitation
+
+DEMO = Path(__file__).resolve().parent.parent / "data" / "demo"
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +91,48 @@ def test_wrong_age_labels_rejected(tmp_path, desk_grid):
         load_theta(tmp_path, desk_grid)
 
 
+def test_wrong_row_label_in_male_file_names_it(tmp_path, desk_grid):
+    write_theta(tmp_path, make_theta(desk_grid, seed=3), desk_grid)
+    p = tmp_path / "survival_male.csv"
+    p.write_text(p.read_text().replace("\n20,", "\n21,"))
+    with pytest.raises(ParseError, match=r"survival_male\.csv: survival ages \[0, 5, 10, 15, 21\]"):
+        load_theta(tmp_path, desk_grid)
+
+
+def test_bad_srb_header_rejected(tmp_path, desk_grid):
+    write_theta(tmp_path, make_theta(desk_grid, seed=3), desk_grid)
+    p = tmp_path / "srb.csv"
+    p.write_text(p.read_text().replace("year,srb", "year,sbr"))
+    with pytest.raises(ParseError, match=r"srb\.csv:1: header must be 'year,srb'"):
+        load_theta(tmp_path, desk_grid)
+
+
+def test_census_sexes_with_different_years_rejected(tmp_path, desk_grid):
+    years = desk_grid.likelihood_years
+    write_census(tmp_path, CensusData(
+        years=years, counts=np.full((len(years), desk_grid.n_ages, 2), 100.0)), desk_grid)
+    p = tmp_path / "census_male.csv"
+    p.write_text(p.read_text().replace(",1975", ",1970"))
+    with pytest.raises(ParseError, match=r"census_male\.csv: census years \[1965, 1970\]"
+                                         r" differ from the female file's \[1965, 1975\]"):
+        load_census(tmp_path, desk_grid)
+
+
+def test_loaded_blocks_are_c_ordered(tmp_path):
+    """ChainState writes proposals through flat views of the loaded arrays,
+    which reach the arrays only when they are C-ordered. Fertility is the
+    known exception (ROADMAP item 1) and is not checked here."""
+    grid = load_grid(DEMO / "grid.yaml")
+    theta = load_theta(DEMO / "initial", grid)
+    for cls in ("counts", "survival", "migration", "srb"):
+        assert theta.by_class()[cls].flags.c_contiguous, cls
+    traj = project_full(theta.baseline, theta, grid)
+    years = grid.likelihood_years
+    write_census(tmp_path, CensusData(years=years, counts=np.stack([traj.at(y) for y in years])),
+                 grid)
+    assert load_census(tmp_path, grid).counts.flags.c_contiguous
+
+
 # ---------------------------------------------------------------------------
 # config loaders
 
@@ -142,6 +187,17 @@ def test_load_sampler_settings(tmp_path):
     s = load_sampler_settings(p)
     assert s == {"iterations": 500, "burn_in": 100, "thin": 2,
                  "chains": 3, "seed": 42}
+
+
+def test_sampler_section_rejects_unknown_keys(tmp_path):
+    """A misspelled key of a sampler section must not silently run the
+    defaults; top-level keys share the file with the grid's and are filtered."""
+    p = tmp_path / "settings.yaml"
+    p.write_text("sampler:\n  iteration: 10\n  burn_in: 2\n")
+    with pytest.raises(ParseError, match=r"unknown sampler keys \['iteration'\]"):
+        load_sampler_settings(p)
+    p.write_text("start_year: 1960\nend_year: 1975\niterations: 10\n")
+    assert load_sampler_settings(p) == {"iterations": 10}
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,17 @@ def test_log_posterior_negative_projection_is_minus_inf(desk_grid, desk_hyper):
     assert log_posterior(theta, v, initial, desk_hyper, None, desk_grid) == -math.inf
 
 
+def test_log_posterior_overflowing_projection_is_minus_inf(desk_grid, desk_hyper):
+    """Finite parameters whose counts overflow to inf are no population,
+    as the prior's admissibility check already says."""
+    initial = make_theta(desk_grid, seed=1)
+    huge = initial.replace(baseline=np.full_like(initial.baseline, 1e308),
+                           migration=np.full_like(initial.migration, 0.01))
+    with np.errstate(over="ignore"):
+        assert np.isinf(project_full(huge.baseline, huge, desk_grid).counts).any()
+        assert log_posterior(huge, _variances(), initial, desk_hyper, None, desk_grid) == -math.inf
+
+
 # ---------------------------------------------------------------------------
 # variance conditionals
 
@@ -208,6 +219,21 @@ def test_chain_state_rejects_negative_start(desk_grid, desk_hyper):
     with pytest.raises(SamplingError):
         ChainState(desk_grid, bad, None, desk_hyper,
                    SamplerConfig(iterations=10, burn_in=5))
+
+
+def test_chain_state_rejects_overflowing_proposal(desk_grid, desk_hyper):
+    """Without a census no misfit sees a suffix that overflows to inf, so the
+    positivity check must reject it, leaving the state as it was. Migration
+    is positive everywhere, so the overflow is +inf and not NaN."""
+    initial = make_theta(desk_grid, seed=1)
+    big = initial.replace(baseline=np.full_like(initial.baseline, 1e305),
+                          migration=np.full_like(initial.migration, 0.01))
+    state = ChainState(desk_grid, big, None, desk_hyper, SamplerConfig(iterations=10, burn_in=5))
+    comp = next(k for k, entry in enumerate(state.components) if entry[3] == "migration")
+    x, traj = state.x.copy(), state.traj.copy()
+    with np.errstate(over="ignore"):
+        assert state.update_component(comp, 1.0, 1e4, -math.inf) == (False, 0.0)
+    assert np.array_equal(state.x, x) and np.array_equal(state.traj, traj)
 
 
 def _census_quads_by_year(state, traj):
