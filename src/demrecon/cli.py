@@ -26,9 +26,9 @@ from .diagnostics import check_run_length_settings, gelman_rubin, raftery_lewis
 from .grid import validate
 from .priors import ElicitationError, beta_from_elicitation
 from .projection import project_full
-from .sampler import (ConfigError, SamplerConfig, SamplingError, parameter_names,
-                      run_chain)
-from .summaries import INDICATOR_NAMES, indicator_years, summary_rows
+from .sampler import (SAMPLER_SETTINGS, ConfigError, SamplerConfig, SamplingError,
+                      parameter_names, run_chain)
+from .summaries import COMPARISONS, INDICATOR_NAMES, indicator_years, summary_rows
 
 VALIDATION_EXIT = 2
 RUNTIME_EXIT = 3
@@ -61,22 +61,6 @@ def _cmd_project(args) -> int:
     return 0
 
 
-def _sampler_config(args, file_settings) -> SamplerConfig:
-    def pick(flag, key, default):
-        v = getattr(args, flag)
-        if v is not None:
-            return v
-        return file_settings.get(key, default)
-
-    return SamplerConfig(
-        iterations=int(pick("iterations", "iterations", 5000)),
-        burn_in=int(pick("burn_in", "burn_in", 2500)),
-        thin=int(pick("thin", "thin", 1)),
-        chains=int(pick("chains", "chains", 1)),
-        seed=int(pick("seed", "seed", 0)),
-    )
-
-
 def _cmd_sample(args) -> int:
     grid = io.load_grid(args.grid)
     _validated(grid)
@@ -85,7 +69,8 @@ def _cmd_sample(args) -> int:
     elic = io.load_elicitation(args.elicitation)
     _validated(grid, theta, census)
     hyper = beta_from_elicitation(elic, theta)
-    config = _sampler_config(args, io.load_sampler_settings(args.grid))
+    flags = {k: v for k in SAMPLER_SETTINGS if (v := getattr(args, k)) is not None}
+    config = SamplerConfig(**{**io.load_sampler_settings(args.grid), **flags})
     config.check()
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)  # before sampling, so a bad path costs no run
@@ -98,8 +83,7 @@ def _cmd_sample(args) -> int:
     inputs = [args.grid, args.elicitation]
     inputs += sorted(str(p) for p in Path(args.initial_estimates_dir).glob("*.csv"))
     inputs += sorted(str(p) for p in Path(args.census).glob("*.csv"))
-    settings = {"iterations": config.iterations, "burn_in": config.burn_in,
-                "thin": config.thin, "chains": config.chains}
+    settings = {k: getattr(config, k) for k in SAMPLER_SETTINGS if k != "seed"}
     manifest = io.make_manifest(config.seed, settings, grid, elic, hyper,
                                 inputs, elapsed)
     manifest.write(out / "manifest.json")
@@ -109,7 +93,7 @@ def _cmd_sample(args) -> int:
 
 
 def _parse_threshold(expr: str):
-    for op in (">=", "<=", ">", "<"):
+    for op in COMPARISONS:
         if op in expr:
             name, value = expr.split(op, 1)
             try:
@@ -272,11 +256,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial-estimates-dir", required=True)
     p.add_argument("--census", required=True)
     p.add_argument("--elicitation", required=True)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--burn-in", type=int, dest="burn_in")
-    p.add_argument("--thin", type=int)
-    p.add_argument("--chains", type=int)
-    p.add_argument("--seed", type=int)
+    for key in SAMPLER_SETTINGS:
+        p.add_argument("--" + key.replace("_", "-"), type=int, dest=key)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(fn=_cmd_sample)
 

@@ -70,7 +70,7 @@ def raftery_lewis(chain, q: float = 0.025, r: float = 0.005, s: float = 0.95,
     chain is a 1-d scalar sample. Raises ValueError when the chain is
     shorter than the iid minimum Nmin (too short for the transition
     matrix to mean anything) or when the binarized chain never leaves
-    one of its states.
+    one of its states or alternates on every step.
     """
     check_run_length_settings(q, r, s)
     x = np.asarray(chain, dtype=np.float64).ravel()
@@ -103,6 +103,9 @@ def raftery_lewis(chain, q: float = 0.025, r: float = 0.005, s: float = 0.95,
     lam = 1.0 - a - b
     if a + b == 0.0:
         raise ValueError("no transitions observed between the two states")
+    if a == b == 1.0:  # |1 - a - b| = 1: the chain never forgets its start
+        raise ValueError("binarized chain alternates on every step (period 2);"
+                         " burn-in is undefined")
     if abs(lam) == 0.0:
         m_star = 1.0
     else:
@@ -121,7 +124,7 @@ def gelman_rubin(chains) -> float:
 
     chains is a sequence of equal-length 1-d arrays, one per chain.
     Values near 1 indicate the chains sample the same distribution;
-    above about 1.1 they have not converged.
+    above about 1.1 they have not converged (inf: constant chains apart).
     """
     seqs = [np.asarray(c, dtype=np.float64).ravel() for c in chains]
     if len(seqs) < 2:
@@ -133,6 +136,6 @@ def gelman_rubin(chains) -> float:
     w = float(np.mean([s.var(ddof=1) for s in seqs]))
     b_over_n = float(means.var(ddof=1))
     if w == 0.0:
-        return 1.0
+        return 1.0 if b_over_n == 0.0 else math.inf
     v_hat = (n - 1.0) / n * w + b_over_n
     return float(math.sqrt(v_hat / w))

@@ -22,6 +22,12 @@ reproduce a run: seed, settings, hyperparameters, input file digests,
 package version and the parsed grid. Inputs are read as UTF-8; a byte
 that does not decode is a ``ParseError`` naming the file, which the CLI
 reports with exit code 2, as it does a directory where a file should be.
+
+A YAML config's explicit ``grid:``, ``elicitation:`` or ``sampler:``
+section, the classes under ``eta`` and ``alpha`` and the manifest's grid
+refuse unknown keys; a file without the section is read from its top-level
+keys, filtered to the section's. Grid and sampler values are ints or
+strings of one, never a float or a bool.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from . import __version__
 from .grid import (FEMALE, MALE, PARAM_CLASSES, SEX_LABELS,
                    CensusData, Elicitation, ModelGrid, ThetaVector)
 from .projection import Trajectory
-from .sampler import PosteriorSample, SamplerConfig, parameter_names
+from .sampler import SAMPLER_SETTINGS, PosteriorSample, SamplerConfig, parameter_names
 
 
 class ParseError(ValueError):
@@ -68,9 +74,21 @@ def _reading(path):
 # YAML configuration
 
 
-def _load_section(path, section):
-    """(mapping, explicit): the ``section:`` mapping of a YAML file and
-    True, or its top level and False when it has no such mapping."""
+def _known_keys(path, what, mapping, known) -> dict:
+    """mapping, which must be a dict whose keys are all in known; else a
+    ParseError naming what and the unknown keys."""
+    if not isinstance(mapping, dict):
+        raise ParseError(f"{path}: {what} must be a mapping, got {mapping!r}")
+    unknown = [k for k in mapping if k not in known]
+    if unknown:
+        raise ParseError(f"{path}: unknown {what} keys {unknown}; known keys are {list(known)}")
+    return mapping
+
+
+def _load_section(path, section, known) -> dict:
+    """The ``section:`` mapping of a YAML file, whose keys must all be in
+    known; without one, the top-level keys in known (the top level also
+    holds other sections' keys)."""
     with _reading(path) as fh:
         try:
             doc = yaml.safe_load(fh)
@@ -79,53 +97,57 @@ def _load_section(path, section):
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a mapping at the top level")
     sub = doc.get(section)
-    return (sub, True) if isinstance(sub, dict) else (doc, False)
+    if isinstance(sub, dict):
+        return _known_keys(path, section, sub, known)
+    return {k: v for k, v in doc.items() if k in known}
 
 
 def _int(path, what, value) -> int:
+    """An int, or a string of one; a bool or a float is refused, not truncated."""
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"{path}: {what} must be an integer, got {value!r}") from None
+        if isinstance(value, str) or type(value) is int:
+            return int(value)
+    except ValueError:
+        pass
+    raise ParseError(f"{path}: {what} must be an integer, got {value!r}")
+
+
+GRID_KEYS = tuple(f.name for f in fields(ModelGrid))
 
 
 def load_grid(path) -> ModelGrid:
     """Read a grid from YAML (either top-level keys or under ``grid:``)."""
-    d, _ = _load_section(path, "grid")
-    for key in ("start_year", "end_year"):
-        if key not in d:
-            raise ParseError(f"{path}: grid is missing required key {key!r}")
-    return _grid_from_mapping(path, d)
+    return _grid_from_mapping(path, _load_section(path, "grid", GRID_KEYS),
+                              ("start_year", "end_year"))
 
 
-def _grid_from_mapping(path, d: dict) -> ModelGrid:
-    """ModelGrid from the grid keys present in d, each checked to be an
-    integer (census_years a list of them); path names the source in errors."""
-    kwargs = {key: _int(path, f"grid key {key!r}", d[key])
-              for key in ("start_year", "end_year", "open_age", "fert_min_age",
-                          "fert_max_age", "step") if key in d}
-    years = d.get("census_years", ())
-    if years is None:
-        years = ()
-    if not isinstance(years, (list, tuple)):
+def _grid_from_mapping(path, d, required) -> ModelGrid:
+    """ModelGrid from a mapping of grid keys that holds every key in
+    required, each an integer (census_years a list of them); path names
+    the source in errors."""
+    d = _known_keys(path, "grid", d, GRID_KEYS)
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ParseError(f"{path}: grid is missing required keys {missing}")
+    kwargs = {k: _int(path, f"grid key {k!r}", v) for k, v in d.items() if k != "census_years"}
+    years = d.get("census_years")
+    if not isinstance(years, (list, tuple, type(None))):
         raise ParseError(f"{path}: census_years must be a list of years")
-    kwargs["census_years"] = tuple(_int(path, "a census year", y) for y in years)
+    kwargs["census_years"] = tuple(_int(path, "a census year", y) for y in years or ())
     return ModelGrid(**kwargs)
 
 
 def load_elicitation(path) -> Elicitation:
-    """Read elicited errors from YAML (top level or under ``elicitation:``)."""
-    d, _ = _load_section(path, "elicitation")
-    if "eta" not in d or not isinstance(d["eta"], dict):
-        raise ParseError(f"{path}: elicitation needs an 'eta' mapping with keys {PARAM_CLASSES}")
-    missing = [c for c in PARAM_CLASSES if c not in d["eta"]]
+    """Read elicited errors from YAML (top level or under ``elicitation:``):
+    an ``eta`` mapping with every class and an optional ``alpha`` mapping."""
+    d = _load_section(path, "elicitation", ("eta", "alpha"))
+    eta = _known_keys(path, "eta", d.get("eta", {}), PARAM_CLASSES)
+    alpha = _known_keys(path, "alpha", d.get("alpha", {}), PARAM_CLASSES)
+    missing = [c for c in PARAM_CLASSES if c not in eta]
     if missing:
         raise ParseError(f"{path}: eta is missing classes {missing}")
-    alpha = d.get("alpha", {})
-    if not isinstance(alpha, dict):
-        raise ParseError(f"{path}: alpha must be a mapping if present")
     try:
-        return Elicitation(eta=d["eta"], alpha=alpha)
+        return Elicitation(eta=eta, alpha=alpha)
     except (TypeError, ValueError) as e:
         raise ParseError(f"{path}: eta and alpha values must be numbers ({e})") from None
 
@@ -133,12 +155,8 @@ def load_elicitation(path) -> Elicitation:
 def load_sampler_settings(path) -> dict:
     """Optional ``sampler:`` section of a config file; {} when absent. Its
     unknown keys are an error; top-level keys, beside the grid's, are filtered."""
-    d, explicit = _load_section(path, "sampler")
-    known = ("iterations", "burn_in", "thin", "chains", "seed")
-    unknown = [k for k in d if k not in known]
-    if explicit and unknown:
-        raise ParseError(f"{path}: unknown sampler keys {unknown}; known keys are {list(known)}")
-    return {k: _int(path, f"sampler key {k!r}", v) for k, v in d.items() if k in known}
+    d = _load_section(path, "sampler", SAMPLER_SETTINGS)
+    return {k: _int(path, f"sampler key {k!r}", v) for k, v in d.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -406,16 +424,7 @@ class RunManifest:
         missing = [k for k in keys if k not in d] if isinstance(d, dict) else keys
         if missing:
             raise ParseError(f"{path}: manifest is missing keys {missing}")
-        grid = d["grid"]
-        if not isinstance(grid, dict):
-            raise ParseError(f"{path}: manifest grid must be a mapping, got {grid!r}")
-        grid_keys = [f.name for f in fields(ModelGrid)]
-        problems = [f"{what} keys {keys}" for what, keys in (
-            ("missing", [k for k in grid_keys if k not in grid]),
-            ("unknown", sorted(set(grid) - set(grid_keys)))) if keys]
-        if problems:
-            raise ParseError(f"{path}: manifest grid has {' and '.join(problems)}")
-        d["grid"] = grid_as_dict(_grid_from_mapping(path, grid))
+        d["grid"] = grid_as_dict(_grid_from_mapping(path, d["grid"], GRID_KEYS))
         return cls(**{k: d[k] for k in keys})
 
     def to_grid(self) -> ModelGrid:

@@ -63,10 +63,15 @@ class SamplingError(RuntimeError):
     initial point with zero posterior density)."""
 
 
+# the SamplerConfig fields a config file's ``sampler:`` section and the
+# ``sample`` command's flags may set
+SAMPLER_SETTINGS = ("iterations", "burn_in", "thin", "chains", "seed")
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
-    iterations: int
-    burn_in: int
+    iterations: int = 5000
+    burn_in: int = 2500
     thin: int = 1
     chains: int = 1
     seed: int = 0

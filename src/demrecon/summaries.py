@@ -72,20 +72,16 @@ def mean_half_width(lower: np.ndarray, upper: np.ndarray) -> float:
     return float(np.mean((hi - lo) / 2.0))
 
 
+# threshold comparisons; ">=" and "<=" come before ">" and "<", so a
+# statement searched for each operator in turn is split on the whole one
+COMPARISONS = {">=": np.greater_equal, "<=": np.less_equal, ">": np.greater, "<": np.less}
+
+
 def exceedance_prob(tm: TrajectoryMatrix, threshold: float, direction: str = ">") -> np.ndarray:
     """Fraction of draws beyond the threshold, per period."""
-    v = tm.values
-    if direction == ">":
-        hit = v > threshold
-    elif direction == ">=":
-        hit = v >= threshold
-    elif direction == "<":
-        hit = v < threshold
-    elif direction == "<=":
-        hit = v <= threshold
-    else:
-        raise ValueError(f"direction must be one of > >= < <=, got {direction!r}")
-    return hit.mean(axis=0)
+    if direction not in COMPARISONS:
+        raise ValueError(f"direction must be one of {' '.join(COMPARISONS)}, got {direction!r}")
+    return COMPARISONS[direction](tm.values, threshold).mean(axis=0)
 
 
 def endpoint_diff(tm: TrajectoryMatrix, year_a: int = None, year_b: int = None) -> np.ndarray:
@@ -136,6 +132,12 @@ def _e0_matrix(survival: np.ndarray, sex: int) -> np.ndarray:
     return 5.0 * (live.sum(axis=1) + live[:, -1, :] * s_open / (1.0 - s_open))
 
 
+def _u5mr_matrix(survival: np.ndarray, sex: int) -> np.ndarray:
+    """Under-five deaths per 1000 births per draw and period, from
+    (draws, K+1, P, 2) survival: 1000 times one minus the age-0 entry."""
+    return 1000.0 * (1.0 - survival[:, 0, :, sex])
+
+
 def indicator_trajectories(sample: PosteriorSample, name: str) -> TrajectoryMatrix:
     """Evaluate one named indicator on every draw of the sample.
 
@@ -158,11 +160,10 @@ def indicator_trajectories(sample: PosteriorSample, name: str) -> TrajectoryMatr
         return TrajectoryMatrix(name, _e0_matrix(d["survival"], sex), years)
     if name in ("u5mr_female", "u5mr_male"):
         sex = FEMALE if name.endswith("female") else MALE
-        return TrajectoryMatrix(name, 1000.0 * (1.0 - d["survival"][:, 0, :, sex]), years)
+        return TrajectoryMatrix(name, _u5mr_matrix(d["survival"], sex), years)
     if name == "sex_ratio_u5mr":
-        m = 1000.0 * (1.0 - d["survival"][:, 0, :, MALE])
-        f = 1000.0 * (1.0 - d["survival"][:, 0, :, FEMALE])
-        return TrajectoryMatrix(name, m / f, years)
+        vals = _u5mr_matrix(d["survival"], MALE) / _u5mr_matrix(d["survival"], FEMALE)
+        return TrajectoryMatrix(name, vals, years)
     if name == "sex_diff_e0":
         vals = _e0_matrix(d["survival"], FEMALE) - _e0_matrix(d["survival"], MALE)
         return TrajectoryMatrix(name, vals, years)

@@ -4,12 +4,16 @@ exit codes and reproducibility."""
 import csv
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demrecon import (FEMALE, CensusData, load_census, make_manifest, parameter_names,
                       write_census, write_samples, write_theta)
@@ -354,6 +358,18 @@ def test_summarize_divergent_life_expectancy_exit_3(tmp_path, capsys, desk_grid)
     assert "life expectancy diverges" in capsys.readouterr().err
 
 
+def test_diagnose_period_two_chain_is_a_note(tmp_path, desk_grid):
+    """Draws alternating between two parameter sets binarize to a chain of
+    period 2, whose run-length burn-in is undefined: a note, not a crash."""
+    a, b = make_theta(desk_grid, seed=1), make_theta(desk_grid, seed=2)
+    run = _sample_dir(tmp_path / "run", desk_grid, [a, b] * 30)
+    assert main(["diagnose", "--sample-dir", str(run), "--r", "0.05",
+                 "--parameter", "srb[1960]"]) == 0
+    with open(run / "diagnostics.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert "period 2" in row["note"]
+
+
 @pytest.mark.parametrize("flags", [["--q", "2"], ["--r", "0"], ["--s", "1"]])
 def test_diagnose_bad_run_length_settings_exit_2(tmp_path, capsys, flags):
     # the sample directory does not exist: the settings check must come first
@@ -397,6 +413,28 @@ def test_unreadable_path_exit_2_naming_it(tmp_path, capsys, command, target, cor
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}") and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("command, target, corrupt, key", [
+    ("project", "grid", lambda t: t.replace("census_years", "census_year"), "census_year"),
+    ("simulate", "elicitation", lambda t: t + "  alphas:\n    srb: 3\n", "alphas"),
+    ("simulate", "elicitation", lambda t: t + "  alpha: {sbr: 3}\n", "sbr"),
+    ("project", "grid", lambda t: t.replace("open_age: 15", "open_age: 15.5"), "open_age"),
+    ("sample", "grid", lambda t: t + "sampler:\n  iterations: 100.9\n", "iterations"),
+], ids=["grid_key", "elicitation_key", "alpha_class", "grid_value", "sampler_value"])
+def test_unknown_config_key_or_fractional_value_exit_2_naming_it(tmp_path, capsys, command,
+                                                                 target, corrupt, key):
+    """A misspelled key or class must not run the defaults, and a fractional
+    integer setting must not be truncated."""
+    grid_yaml, elic_yaml, grid, _ = _desk_inputs(tmp_path)
+    years = grid.likelihood_years
+    write_census(tmp_path / "census", CensusData(
+        years=years, counts=np.full((len(years), grid.n_ages, 2), 100.0)), grid)
+    bad = grid_yaml if target == "grid" else elic_yaml
+    bad.write_text(corrupt(bad.read_text()))
+    assert main(_command(tmp_path, grid_yaml, elic_yaml, command)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and f"'{key}'" in err, err
 
 
 @pytest.mark.parametrize("case", ["sampler_setting", "sampler_key", "census_year",
@@ -447,3 +485,74 @@ def test_malformed_config_exit_2_without_traceback(tmp_path, case):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"error: {bad}: ")
+
+
+# ---------------------------------------------------------------------------
+# corrupt inputs
+
+# replacement bytes of YAML and JSON files: no digit and no e/E, since one of
+# those can turn a year such as 1975 into 19e5, a grid too large to allocate.
+# CSV labels never size an array, so CSV files may take any byte.
+_CONFIG_BYTES = [b for b in range(256) if chr(b) not in "0123456789eE"]
+
+# each corruptible input (a directory stands for any CSV file in it) and
+# the commands that read it
+_READERS = {
+    "grid.yaml": ("project", "simulate", "sample"),
+    "elicitation.yaml": ("simulate", "sample"),
+    "initial": ("project", "simulate", "sample"),
+    "census": ("sample",),
+    "run/manifest.json": ("summarize", "diagnose"),
+    "run/samples.csv": ("summarize", "diagnose"),
+}
+
+
+def _argv(d, command, out="out"):
+    """argv of command on the inputs under d, as laid out by ``corrupt_base``."""
+    if command in ("summarize", "diagnose"):
+        return [command, "--sample-dir", str(d / "run"), "--out-dir", str(d / out)]
+    argv = [command, "--grid", str(d / "grid.yaml"), "--initial-estimates-dir",
+            str(d / "initial"), "--out-dir", str(d / out)]
+    if command != "project":
+        argv += ["--elicitation", str(d / "elicitation.yaml"), "--seed", "1"]
+    if command == "sample":
+        argv += ["--census", str(d / "census"), "--iterations", "3", "--burn-in", "1",
+                 "--chains", "2"]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def corrupt_base(tmp_path_factory):
+    """Desk-grid inputs and the sample directory of a 3-sweep, 2-chain run."""
+    d = tmp_path_factory.mktemp("corrupt_base")
+    _, _, grid, _ = _desk_inputs(d)
+    years = grid.likelihood_years
+    write_census(d / "census", CensusData(
+        years=years, counts=np.full((len(years), grid.n_ages, 2), 100.0)), grid)
+    assert main(_argv(d, "sample", out="run")) == 0
+    return d
+
+
+@pytest.mark.parametrize("target", list(_READERS))
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_corrupt_input_exits_cleanly(corrupt_base, target, data):
+    """One byte replaced, or the file truncated: every command that reads
+    the file exits 0, 2 or 3 and never raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp) / "inputs"
+        shutil.copytree(corrupt_base, d)
+        path = d / target
+        if path.is_dir():
+            path = data.draw(st.sampled_from(sorted(path.glob("*.csv"))), label="file")
+        raw = path.read_bytes()
+        pos = data.draw(st.integers(0, len(raw) - 1), label="position")
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[:pos]
+        else:
+            alphabet = range(256) if path.suffix == ".csv" else _CONFIG_BYTES
+            raw = raw[:pos] + bytes([data.draw(st.sampled_from(alphabet), label="byte")]) \
+                + raw[pos + 1:]
+        path.write_bytes(raw)
+        for command in _READERS[target]:
+            assert main(_argv(d, command)) in (0, 2, 3)

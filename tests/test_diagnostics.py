@@ -88,6 +88,12 @@ def test_degenerate_binary_chain_raises():
         raftery_lewis(x)
 
 
+def test_period_two_binary_chain_raises():
+    # alternating values: a = b = 1, so |1 - a - b| = 1 and its log is 0
+    with pytest.raises(ValueError, match="period 2"):
+        raftery_lewis(np.tile([0.0, 1.0], 2500))
+
+
 def test_looser_tolerance_needs_fewer_draws():
     rng = np.random.default_rng(6)
     x = rng.standard_normal(60000)
@@ -141,6 +147,10 @@ def test_gelman_rubin_input_validation():
 
 def test_gelman_rubin_constant_chains():
     assert gelman_rubin([np.zeros(10), np.zeros(10)]) == 1.0
+
+
+def test_gelman_rubin_flags_chains_stuck_at_different_values():
+    assert gelman_rubin([np.zeros(10), np.ones(10)]) == math.inf
 
 
 def test_report_is_plain_record():

@@ -200,6 +200,45 @@ def test_sampler_section_rejects_unknown_keys(tmp_path):
     assert load_sampler_settings(p) == {"iterations": 10}
 
 
+@pytest.mark.parametrize("text, message", [
+    ("grid:\n  start_year: 1960\n  end_year: 1975\n  census_year: [1960]\n",
+     r"unknown grid keys \['census_year'\]"),
+    ("elicitation:\n  eta: {counts: 0.1, fertility: 0.1, survival: 0.1, migration: 0.2,"
+     " srb: 0.1}\n  alphas: {srb: 3}\n", r"unknown elicitation keys \['alphas'\]"),
+    ("eta: {counts: 0.1, fertility: 0.1, survival: 0.1, migration: 0.2, srb: 0.1}\n"
+     "alpha: {sbr: 3}\n", r"unknown alpha keys \['sbr'\]"),
+    ("eta: {counts: 0.1, fertility: 0.1, survival: 0.1, migration: 0.2, sbr: 0.1}\n",
+     r"unknown eta keys \['sbr'\]"),
+], ids=["grid_key", "elicitation_key", "alpha_class", "eta_class"])
+def test_config_sections_reject_unknown_keys_and_classes(tmp_path, text, message):
+    p = tmp_path / "config.yaml"
+    p.write_text(text)
+    load = load_grid if "year" in text else load_elicitation
+    with pytest.raises(ParseError, match=message):
+        load(p)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("open_age: 80.5", r"grid key 'open_age' must be an integer, got 80\.5"),
+    ("open_age: true", r"grid key 'open_age' must be an integer, got True"),
+    ("census_years: [1960, 1975.0]", r"a census year must be an integer, got 1975\.0"),
+], ids=["float", "bool", "float_census_year"])
+def test_grid_values_must_be_integers(tmp_path, line, message):
+    p = tmp_path / "grid.yaml"
+    p.write_text(f"start_year: 1960\nend_year: '1975'\n{line}\n")
+    with pytest.raises(ParseError, match=message):
+        load_grid(p)
+    p.write_text("start_year: 1960\nend_year: '1975'\n")
+    assert load_grid(p).end_year == 1975
+
+
+def test_sampler_values_must_be_integers(tmp_path):
+    p = tmp_path / "settings.yaml"
+    p.write_text("sampler:\n  iterations: 100.9\n")
+    with pytest.raises(ParseError, match=r"sampler key 'iterations' must be an integer"):
+        load_sampler_settings(p)
+
+
 # ---------------------------------------------------------------------------
 # samples and trajectories
 
@@ -398,3 +437,11 @@ def test_manifest_round_trip(tmp_path, desk_grid):
     assert back.input_digests[str(f)] == sha256_file(f)
     assert back.settings["iterations"] == 10
     assert back.hyperparams["beta"]["srb"] == hyper.beta["srb"]
+
+
+def test_manifest_grid_value_must_be_an_integer(tmp_path, desk_grid):
+    path = tmp_path / "manifest.json"
+    make_manifest(0, {}, desk_grid, None, None, [], 0.0).write(path)
+    path.write_text(path.read_text().replace('"start_year": 1960', '"start_year": 1960.7'))
+    with pytest.raises(ParseError, match=r"grid key 'start_year' must be an integer"):
+        RunManifest.read(path)
