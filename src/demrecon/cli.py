@@ -56,7 +56,7 @@ def _cmd_project(args) -> int:
     io.write_trajectory(path, traj)
     neg = traj.first_negative()
     if neg is not None:
-        print(f"warning: negative count at year={neg[0]} age={neg[1]} sex={neg[2]}")
+        print(f"warning: negative or non-finite count at year={neg[0]} age={neg[1]} sex={neg[2]}")
     print(f"wrote {path}")
     return 0
 
@@ -213,6 +213,8 @@ def _cmd_diagnose(args) -> int:
 def _cmd_simulate(args) -> int:
     from .simulate import simulate_dataset
 
+    seed = args.seed or 0
+    SamplerConfig(seed=seed).check()  # the sampler's rule for a seed
     grid = io.load_grid(args.grid)
     _validated(grid)
     if not grid.likelihood_years:
@@ -221,7 +223,7 @@ def _cmd_simulate(args) -> int:
     elic = io.load_elicitation(args.elicitation)
     _validated(grid, center)
     hyper = beta_from_elicitation(elic, center)
-    data = simulate_dataset(grid, center, hyper, seed=args.seed or 0)
+    data = simulate_dataset(grid, center, hyper, seed=seed)
 
     out = Path(args.out_dir)
     io.write_theta(out / "initial", center, grid)
@@ -233,7 +235,7 @@ def _cmd_simulate(args) -> int:
                   ["class", "value"])
     inputs = [args.grid, args.elicitation]
     inputs += sorted(str(p) for p in Path(args.initial_estimates_dir).glob("*.csv"))
-    manifest = io.make_manifest(args.seed or 0, {"command": "simulate"}, grid,
+    manifest = io.make_manifest(seed, {"command": "simulate"}, grid,
                                 elic, hyper, inputs, 0.0)
     manifest.write(out / "manifest.json")
     print(f"wrote synthetic dataset under {out}")

@@ -146,6 +146,10 @@ def load_elicitation(path) -> Elicitation:
     missing = [c for c in PARAM_CLASSES if c not in eta]
     if missing:
         raise ParseError(f"{path}: eta is missing classes {missing}")
+    for what, m in (("eta", eta), ("alpha", alpha)):
+        for c, v in m.items():
+            if isinstance(v, bool):  # YAML true/false, not a number
+                raise ParseError(f"{path}: {what} {c} must be a number, got {v!r}")
     try:
         return Elicitation(eta=eta, alpha=alpha)
     except (TypeError, ValueError) as e:

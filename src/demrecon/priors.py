@@ -120,6 +120,11 @@ def log_invgamma(sigma2: float, alpha: float, beta: float) -> float:
             - (alpha + 1.0) * np.log(sigma2) - beta / sigma2)
 
 
+def draw_invgamma(rng: np.random.Generator, shape: float, scale: float, size=None):
+    """Inverse-gamma draws, reciprocals of gamma(shape, 1/scale) draws."""
+    return 1.0 / rng.gamma(shape, 1.0 / scale, size)
+
+
 @dataclass(frozen=True)
 class HyperParams:
     """Inverse-gamma (alpha, beta) per parameter class."""
@@ -154,15 +159,16 @@ def beta_from_elicitation(elicitation: Elicitation,
                     to 1 - 1e-6 first. One global beta per class, so
                     every cell gets at least the elicited coverage.
 
-    beta = alpha * (half_width / t_quantile_95(alpha))^2.
+    beta = alpha * (half_width / t_quantile_95(alpha))^2. Every eta, alpha
+    and beta must be finite and positive, else ElicitationError names the
+    class.
     """
     alpha = dict(elicitation.alpha)
     eta = dict(elicitation.eta)
     for cls in PARAM_CLASSES:
-        if eta[cls] <= 0:
-            raise ElicitationError(f"{cls}: elicited relative error must be positive, got {eta[cls]}")
-        if alpha[cls] <= 0:
-            raise ElicitationError(f"{cls}: alpha must be positive, got {alpha[cls]}")
+        for what, v in (("elicited relative error", eta[cls]), ("alpha", alpha[cls])):
+            if not 0.0 < v < np.inf:  # NaN fails too
+                raise ElicitationError(f"{cls}: {what} must be finite and positive, got {v}")
 
     beta = {}
     for cls in LOG_SCALE_CLASSES:
@@ -189,4 +195,8 @@ def beta_from_elicitation(elicitation: Elicitation,
             float(np.max(np.abs(center - logit(lower)))))
     beta["survival"] = alpha["survival"] * (d / t_quantile_95(alpha["survival"])) ** 2
 
+    for cls, b in beta.items():
+        if not 0.0 < b < np.inf:  # underflow or overflow of a finite elicitation
+            raise ElicitationError(f"{cls}: eta {eta[cls]} and alpha {alpha[cls]} give"
+                                   f" beta = {b}; it must be finite and positive")
     return HyperParams(alpha=alpha, beta=beta)

@@ -31,13 +31,15 @@ open group accumulates as (survivors from open_age-5) + (retained open
 group members), in that order, before any migration is added. With g
 identically zero these reduce bitwise to count * survival.
 
-Negative counts are never an error here. They are carried through and
-exposed via ``Trajectory.first_negative`` / ``positivity_indicator`` so
-a sampler can reject the parameter draw instead of crashing mid-scan.
+Negative and non-finite counts are never an error here: they are carried
+through, and ``positivity_indicator``, the one test of the prior's
+positivity restriction, takes counts with any leading axes for
+``log_posterior``, the sampler and the prior draws alike.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,12 +145,14 @@ class Trajectory:
         return self.counts[..., self.years.index(year), :, :]
 
     def first_negative(self):
-        """(year, age, sex label) of the first negative count, or None.
+        """(year, age, sex label) of the first count that fails
+        ``positivity_indicator`` (negative, infinite or NaN), or None.
 
         On stacked draws this is the first offence of the first draw
         that has one.
         """
-        bad = np.argwhere(self.counts < 0)
+        # each cell as its own (1, 1, 1) block gets its own answer
+        bad = np.argwhere(~positivity_indicator(self.counts[..., None, None, None]))
         if bad.size == 0:
             return None
         t, a, l = bad[0][-3:]
@@ -180,8 +184,10 @@ def project_full(baseline: np.ndarray, theta: ThetaVector, grid: ModelGrid) -> T
     return Trajectory(counts=traj, years=tuple(grid.stock_years))
 
 
-def positivity_indicator(trajectory: Trajectory) -> int:
-    """1 if every count at every age, year and sex is finite and
-    nonnegative, else 0."""
-    counts = trajectory.counts
-    return int(bool(np.all((counts >= 0) & (counts < np.inf))))
+def positivity_indicator(counts: np.ndarray):
+    """Whether every count is finite and nonnegative, the prior's positivity
+    restriction: one bool per leading index of counts (..., T, K, 2), a numpy
+    bool when there are none. The min and max reductions propagate NaN, so
+    NaN fails; -0.0 passes."""
+    return ((np.minimum.reduce(counts, (-3, -2, -1)) >= 0.0)
+            & (np.maximum.reduce(counts, (-3, -2, -1)) < math.inf))

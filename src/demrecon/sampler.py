@@ -45,7 +45,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .grid import PARAM_CLASSES, CensusData, ModelGrid, ThetaVector, VarianceParams
-from .priors import (HyperParams, InitialEstimates, log_invgamma,
+from .priors import (HyperParams, InitialEstimates, draw_invgamma, log_invgamma,
                      log_likelihood_census, log_prior_theta, transform)
 from .projection import (Trajectory, _step_counts, positivity_indicator, project_full,
                          rate_terms)
@@ -82,6 +82,8 @@ class SamplerConfig:
     def check(self):
         if self.iterations <= 0 or self.burn_in < 0 or self.thin <= 0 or self.chains <= 0:
             raise ConfigError("iterations, thin and chains must be positive; burn_in nonnegative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.iterations <= self.burn_in:
             raise ConfigError(
                 f"no draws left after burn-in: iterations={self.iterations}"
@@ -149,7 +151,7 @@ def log_posterior(theta: ThetaVector, variances: VarianceParams,
                   census: Optional[CensusData], grid: ModelGrid) -> float:
     """Joint log posterior up to a constant; -inf on a positivity violation."""
     traj = project_full(theta.baseline, theta, grid)
-    if not positivity_indicator(traj):
+    if not positivity_indicator(traj.counts):
         return float("-inf")
     total = log_prior_theta(theta, initial, variances)
     if census is not None:
@@ -166,11 +168,6 @@ def variance_posterior(alpha: float, beta: float, m: int, ss: float) -> tuple:
     """Conjugate inverse-gamma full-conditional parameters given m squared
     residuals summing to ss."""
     return alpha + 0.5 * m, beta + 0.5 * ss
-
-
-def _draw_invgamma(rng: np.random.Generator, shape: float, scale: float) -> float:
-    """One inverse-gamma draw: reciprocal of a gamma draw."""
-    return 1.0 / rng.gamma(shape, 1.0 / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +242,7 @@ class ChainState:
         self.traj = np.empty((P + 1, K, 2))
         self.scratch = np.empty_like(self.traj)
         self._reproject_into(self.traj, 0)
-        if np.any(self.traj < 0) or np.any(~np.isfinite(self.traj)):
+        if not positivity_indicator(self.traj):
             raise SamplingError(
                 "initial estimates project to a negative or non-finite count;"
                 f" first offence at {Trajectory(self.traj.copy(), grid.stock_years).first_negative()}"
@@ -367,7 +364,7 @@ class ChainState:
         scratch = self.scratch
         self._reproject_into(scratch, first)
         tail = scratch[first:]
-        if not (tail.min() >= 0.0 and tail.max() < math.inf):  # also rejects NaN
+        if not positivity_indicator(tail):
             nat_flat[j] = nat_old
             if touched is not None:
                 self._refresh_terms(touched)
@@ -406,7 +403,7 @@ class ChainState:
                 m += self.n_cen_cells
                 ss += float(np.sum(self.quad))
             a, b = variance_posterior(self.hyper.alpha[cls], self.hyper.beta[cls], m, ss)
-            self.sigma2[i] = _draw_invgamma(rng, a, b)
+            self.sigma2[i] = draw_invgamma(rng, a, b)
 
     def theta(self) -> ThetaVector:
         return ThetaVector.from_classes(self.nat)

@@ -10,10 +10,10 @@ calibrated, which is what makes interval-coverage tests well posed.
 
 ``prior_sample`` produces the same kind of object as the MCMC sampler
 but drawn directly from the prior, so every posterior summary can also
-be computed under the prior with the same code. It projects candidates
-one stacked chunk (up to 512) at a time and keeps, in draw order, the
-first whose counts are finite and nonnegative: the draws of successive
-``draw_joint`` calls, which run the same routine one candidate at a time.
+be computed under the prior with the same code. It and ``draw_joint``
+share one routine: draw candidates, project up to 512 (``draw_joint``:
+one) as a stack and keep, in draw order, those that pass
+``positivity_indicator``; so both give the same draws from one stream.
 """
 
 from __future__ import annotations
@@ -23,30 +23,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import PARAM_CLASSES, CensusData, ModelGrid, ThetaVector, VarianceParams
-from .priors import HyperParams, InitialEstimates, transform, untransform
-from .projection import project_full
+from .priors import HyperParams, InitialEstimates, draw_invgamma, transform, untransform
+from .projection import positivity_indicator, project_full
 from .sampler import PosteriorSample, SamplerConfig
 
 
 def variance_draws(hyper: HyperParams, cls: str, rng: np.random.Generator,
                    n: int = 1) -> np.ndarray:
     """n inverse-gamma draws for one parameter class."""
-    return 1.0 / rng.gamma(hyper.alpha[cls], 1.0 / hyper.beta[cls], size=n)
-
-
-def draw_variances(hyper: HyperParams, rng: np.random.Generator) -> VarianceParams:
-    return VarianceParams(**{c: float(variance_draws(hyper, c, rng, 1)[0])
-                             for c in PARAM_CLASSES})
+    return draw_invgamma(rng, hyper.alpha[cls], hyper.beta[cls], n)
 
 
 def _first_admissible(initial: InitialEstimates, grid: ModelGrid, rng: np.random.Generator, n: int,
-                      max_tries: int, hyper: HyperParams = None, variances=None, chunk: int = 1):
+                      max_tries: int, hyper: HyperParams, chunk: int = 1):
     """The first n admissible prior candidates in draw order: (sigma2 (n, 5),
     class-keyed draws with a leading draw axis). A candidate takes from rng
-    its variances from hyper (unless hyper is None), then one standard-normal
-    block per class. Up to ``chunk`` candidates, never more than are still
-    needed, are projected as one stack and admitted if every count is finite
-    and nonnegative. Raises RuntimeError after max_tries straight failures."""
+    its variances from hyper, then one standard-normal block per class. Up
+    to ``chunk`` candidates, never more than are still needed, are projected
+    as one stack and admitted where ``positivity_indicator`` holds. Raises
+    RuntimeError after max_tries straight failures."""
     mus = {c: transform(c, v) for c, v in initial.by_class().items()}
     sig = np.empty((n, len(PARAM_CLASSES)))
     draws = {c: np.empty((n,) + mu.shape) for c, mu in mus.items()}
@@ -56,15 +51,13 @@ def _first_admissible(initial: InitialEstimates, grid: ModelGrid, rng: np.random
         s = np.empty((m, len(PARAM_CLASSES)))
         z = {c: np.empty((m,) + mu.shape) for c, mu in mus.items()}
         for i in range(m):
-            s[i] = [getattr(variances, c) if hyper is None else variance_draws(hyper, c, rng)[0]
-                    for c in PARAM_CLASSES]
+            s[i] = [variance_draws(hyper, c, rng)[0] for c in PARAM_CLASSES]
             for c in mus:
                 rng.standard_normal(out=z[c][i])
         with np.errstate(all="ignore"):  # rejected candidates may overflow
             theta = ThetaVector.from_classes({c: untransform(c, mu + (z[c].T * np.sqrt(s[:, j])).T)
                                               for j, (c, mu) in enumerate(mus.items())})
-            counts = project_full(theta.baseline, theta, grid).counts
-            ok = np.all((counts >= 0) & (counts < np.inf), axis=(-3, -2, -1))
+            ok = positivity_indicator(project_full(theta.baseline, theta, grid).counts)
         for good in ok.tolist():
             fails = 0 if good else fails + 1
             if fails >= max_tries:
@@ -75,19 +68,6 @@ def _first_admissible(initial: InitialEstimates, grid: ModelGrid, rng: np.random
             draws[c][new] = a[ok]
         kept = new.stop
     return sig, draws
-
-
-def draw_theta(initial: InitialEstimates, variances: VarianceParams,
-               grid: ModelGrid, rng: np.random.Generator,
-               max_tries: int = 1000) -> ThetaVector:
-    """One draw from the parameter prior around the initial estimates.
-
-    Each class is Gaussian on its transformed scale with that class's
-    variance. The draw is retried until its projection has only finite,
-    nonnegative counts: the prior's positivity restriction.
-    """
-    _, draws = _first_admissible(initial, grid, rng, 1, max_tries, variances=variances)
-    return ThetaVector.from_classes({c: a[0] for c, a in draws.items()})
 
 
 def draw_joint(initial: InitialEstimates, hyper: HyperParams, grid: ModelGrid,

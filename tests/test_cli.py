@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demrecon import (FEMALE, CensusData, load_census, make_manifest, parameter_names,
-                      write_census, write_samples, write_theta)
+                      project_full, write_census, write_samples, write_theta)
 from demrecon.cli import main
 from conftest import make_theta, sample_from_thetas
 
@@ -269,6 +269,72 @@ def test_non_finite_input_exit_2(tmp_path, capsys, command):
         years=years, counts=np.full((len(years), grid.n_ages, 2), 100.0)), grid)
     assert main(_command(tmp_path, grid_yaml, elic_yaml, command)) == 2
     assert "migration[5,1960,female] = nan is not finite" in capsys.readouterr().err
+
+
+def _write_census(tmp_path, grid):
+    years = grid.likelihood_years
+    write_census(tmp_path / "census", CensusData(
+        years=years, counts=np.full((len(years), grid.n_ages, 2), 100.0)), grid)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("counts: 0.1", "counts: .nan",
+     "counts: elicited relative error must be finite and positive, got nan"),
+    ("counts: 0.1", "counts: .inf",
+     "counts: elicited relative error must be finite and positive, got inf"),
+    ("counts: 0.1", "counts: 1e-300", "counts: eta 1e-300 and alpha 0.5 give beta = 0.0"),
+    ("counts: 0.1", "counts: true", "eta counts must be a number, got True"),
+    ("srb: 0.1\n", "srb: 0.1\n  alpha: {srb: .nan}\n",
+     "srb: alpha must be finite and positive, got nan"),
+    ("srb: 0.1\n", "srb: 0.1\n  alpha: {srb: .inf}\n",
+     "srb: alpha must be finite and positive, got inf"),
+    ("srb: 0.1\n", "srb: 0.1\n  alpha: {srb: true}\n", "alpha srb must be a number, got True"),
+], ids=["eta_nan", "eta_inf", "eta_underflow", "eta_bool", "alpha_nan", "alpha_inf",
+        "alpha_bool"])
+def test_elicitation_values_must_be_finite_positive_numbers(tmp_path, capsys, old, new,
+                                                            message):
+    grid_yaml, elic_yaml, grid, _ = _desk_inputs(tmp_path)
+    _write_census(tmp_path, grid)
+    elic_yaml.write_text(elic_yaml.read_text().replace(old, new))
+    assert main(_command(tmp_path, grid_yaml, elic_yaml, "sample")) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, where", [("sample", "flag"), ("sample", "sampler"),
+                                            ("simulate", "flag")])
+def test_negative_seed_exit_2(tmp_path, capsys, command, where):
+    grid_yaml, elic_yaml, grid, _ = _desk_inputs(tmp_path)
+    _write_census(tmp_path, grid)
+    argv = _command(tmp_path, grid_yaml, elic_yaml, command)
+    if where == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        grid_yaml.write_text(grid_yaml.read_text() + "sampler:\n  seed: -1\n")
+    assert main(argv) == 2
+    assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["project", "sample"])
+def test_overflowing_start_names_first_non_finite_cell(tmp_path, capsys, command):
+    """Counts that overflow to inf fail positivity like negative ones, and
+    both commands name the first such cell."""
+    grid_yaml, elic_yaml, grid, theta = _desk_inputs(tmp_path)
+    huge = theta.replace(baseline=np.full_like(theta.baseline, 1e308),
+                         migration=np.full_like(theta.migration, 0.01))
+    write_theta(tmp_path / "initial", huge, grid)
+    _write_census(tmp_path, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        counts = project_full(huge.baseline, huge, grid).counts
+        code = main(_command(tmp_path, grid_yaml, elic_yaml, command))
+    t, a, sex = np.argwhere(~np.isfinite(counts))[0]
+    year, age, label = grid.stock_years[t], 5 * int(a), ("female", "male")[sex]
+    out, err = capsys.readouterr()
+    if command == "project":
+        assert code == 0
+        assert f"count at year={year} age={age} sex={label}" in out
+    else:
+        assert code == 3
+        assert f"first offence at ({year}, {age}, '{label}')" in err
 
 
 @pytest.mark.parametrize("command", ["project", "sample", "simulate"])

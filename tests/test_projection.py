@@ -162,23 +162,23 @@ def test_first_negative_reports_coordinates(desk_grid, desk_theta):
     traj = project_full(desk_theta.baseline, desk_theta.replace(migration=mig), desk_grid)
     year, age, sex = traj.first_negative()
     assert (year, age, sex) == (1965, 10, "male")
-    assert positivity_indicator(traj) == 0
+    assert not positivity_indicator(traj.counts)
 
 
 def test_positivity_indicator_cases(desk_grid, desk_theta):
     traj = project_full(desk_theta.baseline, desk_theta, desk_grid)
-    assert positivity_indicator(traj) == 1
+    assert positivity_indicator(traj.counts)
     assert traj.first_negative() is None
     mig = desk_theta.migration.copy()
     mig[:, 1, :] = -3.0
     bad = project_full(desk_theta.baseline, desk_theta.replace(migration=mig), desk_grid)
-    assert positivity_indicator(bad) == 0
+    assert not positivity_indicator(bad.counts)
 
 
 def test_positivity_indicator_rejects_nan(desk_grid, desk_theta):
     counts = np.full((4, 2), np.nan)
     traj = project_full(counts, desk_theta, desk_grid)
-    assert positivity_indicator(traj) == 0
+    assert not positivity_indicator(traj.counts)
 
 
 # ---------------------------------------------------------------------------

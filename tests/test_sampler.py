@@ -10,16 +10,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from demrecon import (CensusData, ConfigError, PARAM_CLASSES,
-                      SamplerConfig, SamplingError, ThetaVector,
+from demrecon import (MALE, CensusData, ConfigError, PARAM_CLASSES,
+                      SamplerConfig, SamplingError, ThetaVector, Trajectory,
                       VarianceParams, beta_from_elicitation, gelman_rubin,
                       load_elicitation, load_grid, load_theta, log_posterior,
-                      parameter_names, project_full, run_chain,
+                      parameter_names, positivity_indicator, prior_sample,
+                      project_full, run_chain, sampler, simulate,
                       simulate_dataset, transform, variance_posterior)
 from demrecon.projection import rate_terms
 from demrecon.sampler import ChainState
 from conftest import make_theta, flat_elicitation
-from oracles import invgamma_cdf_oracle, log_posterior_oracle
+from oracles import invgamma_cdf_oracle, log_posterior_oracle, prior_draws_oracle
 
 DEMO = Path(__file__).resolve().parent.parent / "data" / "demo"
 
@@ -54,6 +55,8 @@ def test_config_check_rejects_bad_values():
     with pytest.raises(ConfigError):
         SamplerConfig(iterations=100, burn_in=10,
                       sample_classes=("srb", "tempo")).check()
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        SamplerConfig(iterations=100, burn_in=10, seed=-1).check()
     SamplerConfig(iterations=100, burn_in=10, thin=2).check()
 
 
@@ -234,6 +237,59 @@ def test_chain_state_rejects_overflowing_proposal(desk_grid, desk_hyper):
     with np.errstate(over="ignore"):
         assert state.update_component(comp, 1.0, 1e4, -math.inf) == (False, 0.0)
     assert np.array_equal(state.x, x) and np.array_equal(state.traj, traj)
+
+
+@pytest.mark.parametrize("value, admissible", [(-1.0, False), (np.inf, False),
+                                                (np.nan, False), (-0.0, True)],
+                         ids=["negative", "inf", "nan", "minus_zero"])
+def test_planted_count_gets_one_verdict_everywhere(desk_grid, desk_hyper, monkeypatch,
+                                                   value, admissible):
+    """One count planted at 1970, age 5, male: positivity_indicator (alone
+    and stacked), log_posterior, ChainState and prior_sample agree on it."""
+    initial = make_theta(desk_grid, seed=1)
+    clean = project_full(initial.baseline, initial, desk_grid).counts
+    planted = clean.copy()
+    planted[2, 1, MALE] = value
+    assert positivity_indicator(planted) == admissible
+    assert positivity_indicator(np.stack([clean, planted])).tolist() == [True, admissible]
+
+    real_project, real_step, steps = sampler.project_full, sampler._step_counts, []
+    with monkeypatch.context() as m:
+        m.setattr(sampler, "project_full",
+                  lambda b, th, g: Trajectory(planted, real_project(b, th, g).years))
+        lp = log_posterior(initial, _variances(), initial, desk_hyper, None, desk_grid)
+    assert (lp > -math.inf) == admissible
+
+    def step(*args):  # the start's projection, one step per period
+        out = real_step(*args)
+        steps.append(1)
+        if len(steps) == 2:
+            out[1, MALE] = value
+        return out
+
+    with monkeypatch.context() as m, np.errstate(invalid="ignore"):  # inf - inf downstream
+        m.setattr(sampler, "_step_counts", step)
+        if admissible:
+            ChainState(desk_grid, initial, None, desk_hyper, SamplerConfig())
+        else:
+            with pytest.raises(SamplingError, match=r"first offence at \(1970, 5, 'male'\)"):
+                ChainState(desk_grid, initial, None, desk_hyper, SamplerConfig())
+
+    clean_draws = prior_sample(initial, desk_hyper, desk_grid, 8, seed=0).flat()
+    assert prior_draws_oracle(initial, desk_hyper, desk_grid, np.random.default_rng(0), 1)[2] == 1
+    real_full, calls = simulate.project_full, []
+
+    def first_planted(baseline, theta, grid):  # in the first candidate only
+        counts = real_full(baseline, theta, grid).counts.copy()
+        if not calls:
+            counts[0, 2, 1, MALE] = value
+        calls.append(1)
+        return Trajectory(counts, grid.stock_years)
+
+    monkeypatch.setattr(simulate, "project_full", first_planted)
+    kept = prior_sample(initial, desk_hyper, desk_grid, 7, seed=0).flat()
+    want = clean_draws[:7] if admissible else clean_draws[1:]
+    assert kept.tobytes() == want.tobytes()
 
 
 def _census_quads_by_year(state, traj):

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from demrecon import (ModelGrid, PARAM_CLASSES, Trajectory, VarianceParams,
-                      beta_from_elicitation, draw_joint, draw_theta, draw_variances,
-                      load_elicitation, load_grid, load_theta, positivity_indicator,
-                      prior_sample, project_full, simulate, simulate_dataset,
-                      variance_draws)
+from demrecon import (ModelGrid, PARAM_CLASSES, HyperParams, Trajectory,
+                      beta_from_elicitation, draw_joint, load_elicitation, load_grid,
+                      load_theta, positivity_indicator, prior_sample, project_full,
+                      simulate, simulate_dataset, variance_draws)
 from conftest import make_theta, flat_elicitation
 from oracles import invgamma_cdf_oracle, prior_draws_oracle
 
@@ -42,41 +41,13 @@ def test_variance_draws_follow_prior(desk_hyper):
     assert stats.kstest(draws, cdf).pvalue > 0.01
 
 
-def test_draw_variances_covers_all_classes(desk_hyper):
-    v = draw_variances(desk_hyper, np.random.default_rng(1))
-    for cls in PARAM_CLASSES:
-        assert getattr(v, cls) > 0
-
-
-def test_draw_theta_centered_on_initial(desk_grid, desk_hyper):
-    """With tiny variances the draw hugs the initial estimates."""
-    initial = make_theta(desk_grid, seed=1)
-    from demrecon import VarianceParams
-    v = VarianceParams(**{c: 1e-10 for c in PARAM_CLASSES})
-    theta = draw_theta(initial, v, desk_grid, np.random.default_rng(2))
-    assert np.allclose(theta.baseline, initial.baseline, rtol=1e-3)
-    assert np.allclose(theta.srb, initial.srb, rtol=1e-3)
-    assert np.allclose(theta.survival, initial.survival, atol=1e-3)
-
-
-def test_draw_theta_gives_up_when_positivity_unreachable(desk_grid, desk_hyper):
-    initial = make_theta(desk_grid, seed=1)
-    mig = np.full_like(initial.migration, -3.0)
-    hopeless = initial.replace(migration=mig)
-    from demrecon import VarianceParams
-    v = VarianceParams(**{c: 1e-12 for c in PARAM_CLASSES})
-    with pytest.raises(RuntimeError):
-        draw_theta(hopeless, v, desk_grid, np.random.default_rng(3),
-                   max_tries=50)
-
-
 def test_draw_joint_returns_positive_trajectory(desk_grid, desk_hyper):
     initial = make_theta(desk_grid, seed=1)
     rng = np.random.default_rng(4)
     for _ in range(20):
         v, theta = draw_joint(initial, desk_hyper, desk_grid, rng)
         traj = project_full(theta.baseline, theta, desk_grid)
-        assert positivity_indicator(traj) == 1
+        assert positivity_indicator(traj.counts)
         for cls in PARAM_CLASSES:
             assert getattr(v, cls) > 0
 
@@ -125,8 +96,7 @@ def test_prior_sample_shapes_and_determinism(desk_grid, desk_hyper):
     # every retained draw satisfies positivity
     for i in range(8):
         theta = s.theta_at(i)
-        assert positivity_indicator(project_full(theta.baseline, theta,
-                                                 desk_grid)) == 1
+        assert positivity_indicator(project_full(theta.baseline, theta, desk_grid).counts)
 
 
 def test_prior_sample_variances_vary(desk_grid, desk_hyper):
@@ -192,9 +162,11 @@ def test_overflowing_candidate_is_rejected(desk_grid):
     with np.errstate(over="ignore"):
         counts = project_full(huge.baseline, huge, desk_grid).counts
     assert np.isinf(counts).any() and np.all(counts >= 0)  # inf, not negative or NaN
-    v = VarianceParams(**{c: 1e-12 for c in PARAM_CLASSES})
-    with pytest.raises(RuntimeError):
-        draw_theta(huge, v, desk_grid, np.random.default_rng(0), max_tries=5)
+    # variances near 1e-12, so every candidate stays beside the overflowing centre
+    tight = HyperParams(alpha={c: 1.0 for c in PARAM_CLASSES},
+                        beta={c: 1e-12 for c in PARAM_CLASSES})
+    with pytest.raises(RuntimeError, match="in 5 consecutive tries"):
+        draw_joint(huge, tight, desk_grid, np.random.default_rng(0), max_tries=5)
 
 
 def test_prior_sample_skips_a_planted_overflow(problems, monkeypatch):
