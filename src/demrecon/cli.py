@@ -15,6 +15,7 @@ started but could not continue.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -49,7 +50,8 @@ def _cmd_project(args) -> int:
     _validated(grid)
     theta = io.load_theta(args.initial_estimates_dir, grid)
     _validated(grid, theta)
-    traj = project_full(theta.baseline, theta, grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by first_negative below
+        traj = project_full(theta.baseline, theta, grid)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "projection.csv"
@@ -242,7 +244,9 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="demrecon",
                                  description="Bayesian two-sex population reconstruction")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def raftery_lewis(chain, q: float = 0.025, r: float = 0.005, s: float = 0.95,
     """
     check_run_length_settings(q, r, s)
     x = np.asarray(chain, dtype=np.float64).ravel()
-    z_alpha = float(norm.ppf(0.5 * (1.0 + s)))
+    z_alpha = float(ndtri(0.5 * (1.0 + s)))
     nmin = int(math.ceil(q * (1.0 - q) * (z_alpha / r) ** 2))
     if x.size < nmin:
         raise ValueError(f"chain of length {x.size} is below the minimum {nmin} for these (q, r, s)")

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.special import expit, gammaln, logit
-from scipy.stats import t as student_t
+from scipy.special import expit, gammaln, logit, stdtrit
 
 from .grid import Elicitation, CensusData, ModelGrid, PARAM_CLASSES, ThetaVector, VarianceParams
 from .projection import Trajectory
@@ -139,7 +138,7 @@ class HyperParams:
 
 def t_quantile_95(alpha: float) -> float:
     """Upper 95 percent quantile of Student's t with 2*alpha degrees of freedom."""
-    return float(student_t.ppf(0.95, 2.0 * alpha))
+    return float(stdtrit(2.0 * alpha, 0.95))
 
 
 def beta_from_elicitation(elicitation: Elicitation,

@@ -33,12 +33,25 @@ shares for srb) and a rejection restores them, so the cache always
 equals ``rate_terms`` of the current rates, bit for bit. The census
 misfit of every census year a proposal reaches is one vectorised
 expression over the stacked log observations of those years.
+
+Chains share only their inputs, and each has its own RNG stream spawned
+from the seed. ``run_chain`` therefore splits them into contiguous
+groups, one per usable CPU: the calling process runs the first group,
+forked workers run the others, and the groups' draws are joined in chain
+order, equal bit for bit to running every chain in one process. The
+calling process keeps a group so that a profiler or wrapper installed
+in it still sees the work of that group's chains, and forked rather than
+spawned workers need not import the package again.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Mapping, Optional
 
@@ -409,33 +422,40 @@ class ChainState:
         return ThetaVector.from_classes(self.nat)
 
 
-def run_chain(config: SamplerConfig, grid: ModelGrid, initial: InitialEstimates,
-              census: Optional[CensusData], hyper: HyperParams) -> PosteriorSample:
-    """Run the configured number of chains and collect retained draws.
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Each chain starts at the initial estimates with the variances at
-    their prior modes, uses its own RNG stream spawned from the seed,
-    and adapts proposal scales during burn-in only. Raises
-    SamplingError if the starting point has zero posterior density.
+
+@np.errstate(over="ignore", invalid="ignore")
+def _run_chains(chain_ids: list, config: SamplerConfig, grid: ModelGrid,
+                initial: InitialEstimates, census: Optional[CensusData],
+                hyper: HyperParams) -> tuple:
+    """Run the given chains one after another.
+
+    Returns their retained draws by class, their variances and their
+    post-burn-in acceptance counts (a row per chain, a column per scalar
+    of theta), each in chain order. Projections that overflow are
+    rejected by the positivity check, so numpy's overflow and invalid
+    warnings are silenced here.
     """
-    config.check()
     per_chain = (config.iterations - config.burn_in) // config.thin
-    total = per_chain * config.chains
-
+    total = per_chain * len(chain_ids)
     shapes, slices = grid.class_shapes(), grid.class_slices()
     draws = {c: np.empty((total,) + shape) for c, shape in shapes.items()}
     sig = np.empty((total, len(PARAM_CLASSES)))
-    chain_lab = np.empty(total, dtype=np.int64)
-    acc = np.zeros((config.chains, slices["srb"].stop))  # a column per scalar of theta
+    acc = np.zeros((len(chain_ids), slices["srb"].stop))
 
     streams = np.random.SeedSequence(config.seed).spawn(config.chains)
     pos = 0
-    for c in range(config.chains):
+    for acc_c, c in zip(acc, chain_ids):
         rng = np.random.default_rng(streams[c])
         state = ChainState(grid, initial, census, hyper, config)
         ncomp = state.n_components
         flat_index = [comp[0] for comp in state.components]
-        log_scale, acc_c = state.log_scale, acc[c]
+        log_scale = state.log_scale
         for it in range(config.iterations):
             adapting = it < config.burn_in
             if ncomp:
@@ -456,10 +476,50 @@ def run_chain(config: SamplerConfig, grid: ModelGrid, initial: InitialEstimates,
                 for cls in PARAM_CLASSES:
                     draws[cls][pos] = state.nat[cls]
                 sig[pos] = state.sigma2
-                chain_lab[pos] = c
                 pos += 1
+    return draws, sig, acc
 
+
+def run_chain(config: SamplerConfig, grid: ModelGrid, initial: InitialEstimates,
+              census: Optional[CensusData], hyper: HyperParams) -> PosteriorSample:
+    """Run the configured number of chains and collect retained draws.
+
+    Each chain starts at the initial estimates with the variances at
+    their prior modes, uses its own RNG stream spawned from the seed,
+    and adapts proposal scales during burn-in only. Raises
+    SamplingError if the starting point has zero posterior density.
+
+    The chains are split into as many contiguous groups as there are
+    usable CPUs (at most one group per chain). The calling process runs
+    the first group and forked worker processes run the others, so the
+    draws equal those of running every chain here, bit for bit. One
+    chain, one CPU, another thread running in this process or no
+    ``fork`` start method make one group, which starts no process.
+    """
+    config.check()
+    # forking a process that runs other threads can copy a lock one of them holds
+    can_fork = ("fork" in multiprocessing.get_all_start_methods()
+                and threading.active_count() == 1)
+    n_groups = min(config.chains, _usable_cpus()) if can_fork else 1
+    groups = [g.tolist() for g in np.array_split(np.arange(config.chains), n_groups)]
+    args = (config, grid, initial, census, hyper)
+    if n_groups == 1:
+        parts = [_run_chains(groups[0], *args)]
+    else:
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(n_groups - 1, mp_context=context) as pool:
+            futures = [pool.submit(_run_chains, g, *args) for g in groups[1:]]
+            parts = [_run_chains(groups[0], *args)] + [f.result() for f in futures]
+    draws, sig, acc = parts[0]
+    if len(parts) > 1:
+        draws = {c: np.concatenate([p[0][c] for p in parts]) for c in PARAM_CLASSES}
+        sig = np.concatenate([p[1] for p in parts])
+        acc = np.concatenate([p[2] for p in parts])
+
+    per_chain = (config.iterations - config.burn_in) // config.thin
+    chain_lab = np.repeat(np.arange(config.chains, dtype=np.int64), per_chain)
     acc /= max(config.iterations - config.burn_in, 1)
+    shapes, slices = grid.class_shapes(), grid.class_slices()
     acceptance = {c: acc[:, sl].reshape((config.chains,) + shapes[c])
                   for c, sl in slices.items()}
     return PosteriorSample(grid=grid, draws=draws, sigma2=sig, chain=chain_lab,

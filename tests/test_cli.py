@@ -4,6 +4,8 @@ exit codes and reproducibility."""
 import csv
 import hashlib
 import json
+import multiprocessing
+import os
 import shutil
 import subprocess
 import sys
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from demrecon import (FEMALE, CensusData, load_census, make_manifest, parameter_names,
                       project_full, write_census, write_samples, write_theta)
+from demrecon import cli, sampler
 from demrecon.cli import main
 from conftest import make_theta, sample_from_thetas
 
@@ -88,6 +91,15 @@ def test_console_script_runs(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "projection.csv" in proc.stdout
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """scipy.stats costs about a second at import and is not needed."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, demrecon.cli; assert 'scipy.stats' not in sys.modules, 'loaded'"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +349,56 @@ def test_overflowing_start_names_first_non_finite_cell(tmp_path, capsys, command
         assert f"first offence at ({year}, {age}, '{label}')" in err
 
 
+@pytest.mark.parametrize("command", ["project", "sample"])
+def test_overflow_prints_only_the_commands_message(tmp_path, command):
+    """numpy's overflow warnings stay off stderr, also in chain workers."""
+    grid_yaml, elic_yaml, grid, theta = _desk_inputs(tmp_path)
+    write_theta(tmp_path / "initial",
+                theta.replace(baseline=np.full_like(theta.baseline, 1e308)), grid)
+    _write_census(tmp_path, grid)
+    argv = _command(tmp_path, grid_yaml, elic_yaml, command)
+    if command == "sample":
+        argv += ["--chains", "3"]
+    proc = subprocess.run([sys.executable, "-m", "demrecon.cli"] + argv,
+                          capture_output=True, text=True)
+    if command == "project":
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("warning: negative or non-finite count at year=")
+    else:
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: initial estimates project to a negative")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("where", ["every group", "workers only"])
+def test_failed_start_in_chain_workers_exit_3(tmp_path, capsys, monkeypatch, where):
+    grid_yaml, elic_yaml, grid, _ = _desk_inputs(tmp_path,
+                                                 mig=-3.0 if where == "every group" else None)
+    _write_census(tmp_path, grid)
+    if where == "every group":
+        message = "error: initial estimates project to a negative or non-finite count"
+    else:
+        parent, init = os.getpid(), sampler.ChainState.__init__
+
+        def init_fails_in_workers(self, *args):
+            if os.getpid() != parent:
+                raise sampler.SamplingError("no start in a worker")
+            init(self, *args)
+
+        monkeypatch.setattr(sampler.ChainState, "__init__", init_fails_in_workers)
+        message = "error: no start in a worker"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    assert main(_command(tmp_path, grid_yaml, elic_yaml, "sample") + ["--chains", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err
+    assert len(forks) == 1
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("command", ["project", "sample", "simulate"])
 def test_invalid_grid_reported_before_files_that_depend_on_it(tmp_path, capsys, command):
     grid_yaml, elic_yaml, _, _ = _desk_inputs(tmp_path)
@@ -434,6 +496,33 @@ def test_diagnose_period_two_chain_is_a_note(tmp_path, desk_grid):
     with open(run / "diagnostics.csv") as fh:
         (row,) = csv.DictReader(fh)
     assert "period 2" in row["note"]
+
+
+def test_parser_built_once_keeps_no_state_between_calls(tmp_path, desk_grid):
+    """Successive calls in one process write what calls on a freshly
+    built parser write: list options start empty every time."""
+    run = _sample_dir(tmp_path / "run", desk_grid, [make_theta(desk_grid, seed=s)
+                                                     for s in range(40)])
+    calls = [
+        ["summarize", "--indicator", "srb", "--prob", "0.1", "--prob", "0.9"],
+        ["summarize", "--indicator", "tfr"],
+        ["summarize"],
+        ["diagnose", "--r", "0.05", "--parameter", "srb[1960]", "--parameter", "srb[1965]"],
+        ["diagnose", "--r", "0.05", "--parameter", "srb[1970]"],
+    ]
+    outputs = {}
+    for fresh in (False, True):
+        for k, argv in enumerate(calls):
+            if fresh:
+                cli._build_parser.cache_clear()
+            out = tmp_path / f"{fresh}-{k}"
+            assert main(argv + ["--sample-dir", str(run), "--out-dir", str(out)]) == 0
+            (path,) = out.iterdir()
+            outputs[fresh, k] = path.read_bytes()
+    for k in range(len(calls)):
+        assert outputs[False, k] == outputs[True, k]
+    assert outputs[False, 1] != outputs[False, 0]
+    assert outputs[False, 4] != outputs[False, 3]
 
 
 @pytest.mark.parametrize("flags", [["--q", "2"], ["--r", "0"], ["--s", "1"]])

@@ -4,6 +4,9 @@ Gibbs block, single-component updates and full runs."""
 import dataclasses
 import hashlib
 import math
+import multiprocessing
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -546,6 +549,77 @@ def test_theta_at_and_variances_at_round_trip(desk_grid, desk_hyper):
     v = sample.variances_at(3)
     assert v.counts == sample.sigma2[3, 0]
     assert v.srb == sample.sigma2[3, 4]
+
+
+# ---------------------------------------------------------------------------
+# chain groups in worker processes
+
+
+def _set_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.mark.parametrize("chains", [3, 5])
+def test_chain_groups_in_workers_equal_one_process(desk_grid, monkeypatch, chains):
+    initial = make_theta(desk_grid, seed=1)
+    hyper = beta_from_elicitation(flat_elicitation(), initial)
+    data = simulate_dataset(desk_grid, initial, hyper, seed=5)
+    config = SamplerConfig(iterations=12, burn_in=4, thin=2, chains=chains, seed=9)
+    forks = _count_forks(monkeypatch)
+    _set_cpus(monkeypatch, 1)
+    one = run_chain(config, desk_grid, data.initial, data.census, hyper)
+    assert forks == []
+    for cpus in (2, 8):
+        _set_cpus(monkeypatch, cpus)
+        forks.clear()
+        got = run_chain(config, desk_grid, data.initial, data.census, hyper)
+        assert len(forks) == min(chains, cpus) - 1  # the caller runs the first group
+        assert _same_bits(got.flat(), one.flat())
+        assert _same_bits(got.chain, one.chain)
+        assert _same_bits(got.sigma2, one.sigma2)
+        for cls in PARAM_CLASSES:
+            assert _same_bits(got.acceptance[cls], one.acceptance[cls])
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("case", ["one chain", "one cpu", "no fork method", "other thread"])
+def test_one_group_starts_no_process(desk_grid, desk_hyper, monkeypatch, case):
+    def no_fork():
+        raise AssertionError("run_chain forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    _set_cpus(monkeypatch, 1 if case == "one cpu" else 8)
+    if case == "no fork method":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn", "forkserver"])
+    chains = 1 if case == "one chain" else 3
+    initial = make_theta(desk_grid, seed=1)
+    config = SamplerConfig(iterations=4, burn_in=2, chains=chains)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, args=(30.0,))
+    if case == "other thread":
+        other.start()
+    try:
+        sample = run_chain(config, desk_grid, initial, _census_from(initial, desk_grid),
+                           desk_hyper)
+    finally:
+        stop.set()
+        if other.is_alive():
+            other.join(timeout=30.0)
+    assert not other.is_alive()
+    assert sample.chain_ids() == list(range(chains))
 
 
 # SHA-256 of flat() + chain of a 2-chain, 6-sweep demo run, per start
