@@ -247,6 +247,8 @@ class CensusData:
         object.__setattr__(self, "counts", _freeze(self.counts))
 
     def at(self, year: int) -> np.ndarray:
+        if year not in self.years:
+            raise ValueError(f"no census counts for year {year}")
         return self.counts[self.years.index(year)]
 
 
@@ -363,6 +365,7 @@ def validate(grid: ModelGrid, theta: ThetaVector = None, census: CensusData = No
     bounds, calendar years and sex labels. Census-year membership rules are
     only enforced when the grid declares census years or census data is
     supplied, so projection-only grids can leave ``census_years`` empty.
+    Census data must hold every year of ``grid.likelihood_years``.
     """
     out: list = []
     _check_grid(grid, out, require_census=census is not None)
@@ -388,5 +391,7 @@ def validate(grid: ModelGrid, theta: ThetaVector = None, census: CensusData = No
                 out.append(f"census: year {y} is off the grid [{grid.start_year}, {grid.end_year}] step {STEP}")
             elif grid.census_years and y not in grid.census_years:
                 out.append(f"census: year {y} is not declared in grid census_years")
+        out += [f"census: grid census year {y} has no census counts"
+                for y in grid.likelihood_years if y not in census.years]
 
     return ValidationReport(tuple(out))

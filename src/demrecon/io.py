@@ -23,11 +23,10 @@ package version and the parsed grid. Inputs are read as UTF-8; a byte
 that does not decode is a ``ParseError`` naming the file, which the CLI
 reports with exit code 2, as it does a directory where a file should be.
 
-A YAML config's explicit ``grid:``, ``elicitation:`` or ``sampler:``
-section, the classes under ``eta`` and ``alpha`` and the manifest's grid
-refuse unknown keys; a file without the section is read from its top-level
-keys, filtered to the section's. Grid and sampler values are ints or
-strings of one, never a float or a bool.
+A YAML config holds only ``grid:``, ``sampler:`` and ``elicitation:``
+sections, each a mapping; those sections, the classes under ``eta`` and
+``alpha`` and the manifest's grid refuse unknown keys. Grid and sampler
+values are ints or strings of one, never a float or a bool.
 """
 
 from __future__ import annotations
@@ -85,21 +84,19 @@ def _known_keys(path, what, mapping, known) -> dict:
     return mapping
 
 
+SECTIONS = ("grid", "sampler", "elicitation")
+
+
 def _load_section(path, section, known) -> dict:
-    """The ``section:`` mapping of a YAML file, whose keys must all be in
-    known; without one, the top-level keys in known (the top level also
-    holds other sections' keys)."""
+    """The ``section:`` mapping of a YAML file, {} when absent; the file
+    holds only SECTIONS, and the section only keys in known."""
     with _reading(path) as fh:
         try:
             doc = yaml.safe_load(fh)
         except yaml.YAMLError as e:
             raise ParseError(f"{path}: not valid YAML: {e}") from e
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected a mapping at the top level")
-    sub = doc.get(section)
-    if isinstance(sub, dict):
-        return _known_keys(path, section, sub, known)
-    return {k: v for k, v in doc.items() if k in known}
+    doc = _known_keys(path, "top-level", doc, SECTIONS)
+    return _known_keys(path, section, doc.get(section, {}), known)
 
 
 def _int(path, what, value) -> int:
@@ -116,7 +113,7 @@ GRID_KEYS = tuple(f.name for f in fields(ModelGrid))
 
 
 def load_grid(path) -> ModelGrid:
-    """Read a grid from YAML (either top-level keys or under ``grid:``)."""
+    """Read a grid from the ``grid:`` section of a YAML file."""
     return _grid_from_mapping(path, _load_section(path, "grid", GRID_KEYS),
                               ("start_year", "end_year"))
 
@@ -138,7 +135,7 @@ def _grid_from_mapping(path, d, required) -> ModelGrid:
 
 
 def load_elicitation(path) -> Elicitation:
-    """Read elicited errors from YAML (top level or under ``elicitation:``):
+    """Read elicited errors from the ``elicitation:`` section of a YAML file:
     an ``eta`` mapping with every class and an optional ``alpha`` mapping."""
     d = _load_section(path, "elicitation", ("eta", "alpha"))
     eta = _known_keys(path, "eta", d.get("eta", {}), PARAM_CLASSES)
@@ -157,8 +154,7 @@ def load_elicitation(path) -> Elicitation:
 
 
 def load_sampler_settings(path) -> dict:
-    """Optional ``sampler:`` section of a config file; {} when absent. Its
-    unknown keys are an error; top-level keys, beside the grid's, are filtered."""
+    """The optional ``sampler:`` section of a YAML file; {} when absent."""
     d = _load_section(path, "sampler", SAMPLER_SETTINGS)
     return {k: _int(path, f"sampler key {k!r}", v) for k, v in d.items()}
 
@@ -170,9 +166,6 @@ def load_sampler_settings(path) -> dict:
 def _read_matrix(path, index_name="age", columns=None):
     """Read one block CSV: returns (row_labels, col_labels, float matrix).
     The column headers are years, or exactly ``columns`` when given."""
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"{path}: file not found")
     with _reading(path) as fh:
         reader = csv.reader(fh)
         try:

@@ -93,14 +93,13 @@ def log_likelihood_census(trajectory: Trajectory, census: CensusData,
                           sigma2_counts: float, grid: ModelGrid) -> float:
     """Gaussian log likelihood of log census counts around log projections.
 
-    Covers census years strictly after the baseline. The baseline census
+    Covers ``grid.likelihood_years``, the census years strictly after the
+    baseline, and census must hold each of them. The baseline census
     enters through the prior on the baseline counts instead, so it is
     never used twice; a census entry at the baseline year is ignored here.
     """
     total = 0.0
     for year in grid.likelihood_years:
-        if year not in census.years:
-            continue
         proj = trajectory.at(year)
         obs = census.at(year)
         if np.any(proj <= 0):

@@ -168,7 +168,7 @@ def log_posterior(theta: ThetaVector, variances: VarianceParams,
         return float("-inf")
     total = log_prior_theta(theta, initial, variances)
     if census is not None:
-        proj_ok = all(np.all(traj.at(y) > 0) for y in grid.likelihood_years if y in census.years)
+        proj_ok = all(np.all(traj.at(y) > 0) for y in grid.likelihood_years)
         if not proj_ok:
             return float("-inf")
         total += log_likelihood_census(traj, census, variances.counts, grid)
@@ -213,12 +213,8 @@ class ChainState:
                  census: Optional[CensusData], hyper: HyperParams,
                  config: SamplerConfig):
         self.grid = grid
-        self.initial = initial
-        self.census = census
         self.hyper = hyper
-        self.config = config
         K, P = grid.n_ages, grid.n_periods
-        self.fertile_index = grid.fertile_index
 
         # transformed parameters and their prior centres, flat in
         # parameter_names order; class_slices carves each class
@@ -241,10 +237,10 @@ class ChainState:
         self.terms = rate_terms(np.moveaxis(surv, 1, 0), np.moveaxis(mig, 1, 0),
                                 self.nat["srb"])
         half_g, grow, factor0, shares = self.terms
-        fert = self.nat["fertility"]
+        fert, fertile_index = self.nat["fertility"], grid.fertile_index
         self._step_args = [
             (fert[:, p], surv[:, p, :], half_g[p], grow[p], factor0[p], shares[p],
-             self.fertile_index)
+             fertile_index)
             for p in range(P)
         ]
         # flat views for the proposal writes. fertility read from CSV is
@@ -263,14 +259,9 @@ class ChainState:
 
         # census bookkeeping: trajectory rows of the census years, their
         # log observations stacked, and the per-year squared misfit
-        cen_pos, cen_logobs = [], []
-        if census is not None:
-            for year in grid.likelihood_years:
-                if year in census.years:
-                    cen_pos.append(grid.year_index(year))
-                    cen_logobs.append(np.log(census.at(year)))
-        self.cen_pos = np.array(cen_pos, dtype=np.intp)
-        self.cen_logobs = np.array(cen_logobs).reshape(len(cen_pos), K, 2)
+        years = grid.likelihood_years if census is not None else ()
+        self.cen_pos = np.array([grid.year_index(y) for y in years], dtype=np.intp)
+        self.cen_logobs = np.array([np.log(census.at(y)) for y in years]).reshape(-1, K, 2)
         self.n_cen_cells = self.cen_logobs.size
         # per first re-projected row: the first census entry it reaches
         # (census rows ascend, so the reached entries are a suffix), and

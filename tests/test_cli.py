@@ -236,6 +236,25 @@ def test_negative_projection_sample_exit_3(tmp_path):
     assert code == 3
 
 
+def test_grid_census_year_without_counts_exit_2(tmp_path, capsys):
+    """A census year the grid declares must be in the census files: a fit
+    without it would silently drop that census from the likelihood."""
+    grid_yaml, elic_yaml, grid, _ = _desk_inputs(tmp_path)
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--grid", str(grid_yaml),
+                 "--initial-estimates-dir", str(tmp_path / "initial"),
+                 "--elicitation", str(elic_yaml), "--seed", "7", "--out-dir", str(sim)]) == 0
+    census = load_census(sim / "census", grid)
+    assert census.years == (1965, 1975)
+    write_census(sim / "census", CensusData(years=(1975,), counts=census.counts[1:]), grid)
+    assert main(["sample", "--grid", str(grid_yaml),
+                 "--initial-estimates-dir", str(sim / "initial"),
+                 "--census", str(sim / "census"), "--elicitation", str(elic_yaml),
+                 "--iterations", "4", "--burn-in", "2", "--out-dir", str(tmp_path / "run")]) == 2
+    assert "census: grid census year 1965 has no census counts" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_zero_eta_exit_2(tmp_path):
     grid_yaml, elic_yaml, _, _ = _desk_inputs(tmp_path)
     elic_yaml.write_text(
@@ -539,15 +558,16 @@ _UNREADABLE = [(command, target, corruption)
                                        ("sample", "census/census_male.csv"),
                                        ("summarize", "run/samples.csv"),
                                        ("diagnose", "run/manifest.json")]
-               for corruption in ("not_utf8", "directory")]
+               for corruption in ("not_utf8", "directory", "missing")]
 _UNREADABLE += [(command, "out", "file")
                 for command in ("project", "sample", "simulate", "summarize", "diagnose")]
 
 
 @pytest.mark.parametrize("command, target, corruption", _UNREADABLE)
 def test_unreadable_path_exit_2_naming_it(tmp_path, capsys, command, target, corruption):
-    """A file that is not UTF-8 text, a directory where a file should be, or
-    an --out-dir that is a file: exit 2 with the path, not a traceback."""
+    """A file that is not UTF-8 text, a directory where a file should be, a
+    missing file, or an --out-dir that is a file: exit 2 with the path, not a
+    traceback. A missing file of any kind gets the same message."""
     grid_yaml, elic_yaml, grid, _ = _desk_inputs(tmp_path)
     years = grid.likelihood_years
     write_census(tmp_path / "census", CensusData(
@@ -559,6 +579,8 @@ def test_unreadable_path_exit_2_naming_it(tmp_path, capsys, command, target, cor
     elif corruption == "directory":
         bad.unlink()
         bad.mkdir()
+    elif corruption == "missing":
+        bad.unlink()
     else:
         bad.write_text("a file\n")
     if command in ("summarize", "diagnose"):
@@ -568,6 +590,8 @@ def test_unreadable_path_exit_2_naming_it(tmp_path, capsys, command, target, cor
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}") and "Traceback" not in err, err
+    if corruption == "missing":
+        assert err == f"error: {bad}: No such file or directory\n"
 
 
 @pytest.mark.parametrize("command, target, corrupt, key", [

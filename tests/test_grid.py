@@ -114,7 +114,7 @@ def test_census_data_at(desk_grid):
     counts = np.arange(2 * desk_grid.n_ages * 2, dtype=float).reshape(2, desk_grid.n_ages, 2) + 1
     cen = CensusData(years=(1965, 1975), counts=counts)
     assert np.array_equal(cen.at(1975), counts[1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no census counts for year 1970"):
         cen.at(1970)
 
 
@@ -188,6 +188,9 @@ def test_validate_census_year_must_be_declared(desk_grid):
     report = validate(desk_grid, make_theta(desk_grid), cen)
     assert not report.ok
     assert "1970" in str(report)
+    # and the grid's census years after the baseline have no counts
+    assert report.violations[-2:] == ("census: grid census year 1965 has no census counts",
+                                      "census: grid census year 1975 has no census counts")
 
 
 @pytest.mark.parametrize("cls,value,line", [

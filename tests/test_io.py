@@ -2,6 +2,7 @@
 
 import csv
 import io as stdio
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from demrecon import (CensusData, ParseError, PosteriorSample, SamplerConfig,
                       make_manifest, parameter_names, project_full, read_samples,
                       run_chain, sha256_file, validate, write_census, write_samples,
                       write_theta, write_trajectory)
+from demrecon.cli import main
 from demrecon.io import RunManifest, write_rows
 from conftest import make_theta, flat_elicitation
 
@@ -148,12 +150,27 @@ def test_load_grid(tmp_path):
     assert g.census_years == (1960, 1965, 1975)
 
 
-def test_load_grid_top_level_keys(tmp_path):
+def test_load_grid_top_level_keys(tmp_path, capsys, desk_grid):
+    """Grid keys are read only under ``grid:``. At the top level, beside a
+    misspelled section, or under a grid section that is not a mapping they
+    make the command exit 2 naming the key, never a silent default."""
+    keys = ("start_year: 1960\nend_year: 1975\nopen_age: 15\n"
+            "fert_min_age: 10\nfert_max_age: 15\ncensus_years: [1960, 1975]\n")
+    section = "grid:\n" + textwrap.indent(keys, "  ")
     p = tmp_path / "grid.yaml"
-    p.write_text("start_year: 1960\nend_year: 1975\nopen_age: 15\n"
-                 "fert_min_age: 10\nfert_max_age: 15\n"
-                 "census_years: [1960, 1975]\n")
+    p.write_text(section)
     assert load_grid(p).n_periods == 3
+    write_theta(tmp_path / "initial", make_theta(desk_grid, seed=1), desk_grid)
+    for text, message in [
+        (keys, "unknown top-level keys ['start_year', 'end_year'"),
+        (section + "sampeler:\n  iterations: 10\n", "unknown top-level keys ['sampeler']"),
+        ("grid: 5\n", "grid must be a mapping, got 5"),
+    ]:
+        p.write_text(text)
+        assert main(["project", "--grid", str(p), "--initial-estimates-dir",
+                     str(tmp_path / "initial"), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: ") and message in err, err
 
 
 def test_load_grid_missing_key(tmp_path):
@@ -191,12 +208,12 @@ def test_load_sampler_settings(tmp_path):
 
 def test_sampler_section_rejects_unknown_keys(tmp_path):
     """A misspelled key of a sampler section must not silently run the
-    defaults; top-level keys share the file with the grid's and are filtered."""
+    defaults; a grid section in the same file is not the sampler's."""
     p = tmp_path / "settings.yaml"
     p.write_text("sampler:\n  iteration: 10\n  burn_in: 2\n")
     with pytest.raises(ParseError, match=r"unknown sampler keys \['iteration'\]"):
         load_sampler_settings(p)
-    p.write_text("start_year: 1960\nend_year: 1975\niterations: 10\n")
+    p.write_text("grid:\n  start_year: 1960\n  end_year: 1975\nsampler:\n  iterations: 10\n")
     assert load_sampler_settings(p) == {"iterations": 10}
 
 
@@ -205,10 +222,10 @@ def test_sampler_section_rejects_unknown_keys(tmp_path):
      r"unknown grid keys \['census_year'\]"),
     ("elicitation:\n  eta: {counts: 0.1, fertility: 0.1, survival: 0.1, migration: 0.2,"
      " srb: 0.1}\n  alphas: {srb: 3}\n", r"unknown elicitation keys \['alphas'\]"),
-    ("eta: {counts: 0.1, fertility: 0.1, survival: 0.1, migration: 0.2, srb: 0.1}\n"
-     "alpha: {sbr: 3}\n", r"unknown alpha keys \['sbr'\]"),
-    ("eta: {counts: 0.1, fertility: 0.1, survival: 0.1, migration: 0.2, sbr: 0.1}\n",
-     r"unknown eta keys \['sbr'\]"),
+    ("elicitation:\n  eta: {counts: 0.1, fertility: 0.1, survival: 0.1, migration: 0.2,"
+     " srb: 0.1}\n  alpha: {sbr: 3}\n", r"unknown alpha keys \['sbr'\]"),
+    ("elicitation:\n  eta: {counts: 0.1, fertility: 0.1, survival: 0.1, migration: 0.2,"
+     " sbr: 0.1}\n", r"unknown eta keys \['sbr'\]"),
 ], ids=["grid_key", "elicitation_key", "alpha_class", "eta_class"])
 def test_config_sections_reject_unknown_keys_and_classes(tmp_path, text, message):
     p = tmp_path / "config.yaml"
@@ -225,10 +242,10 @@ def test_config_sections_reject_unknown_keys_and_classes(tmp_path, text, message
 ], ids=["float", "bool", "float_census_year"])
 def test_grid_values_must_be_integers(tmp_path, line, message):
     p = tmp_path / "grid.yaml"
-    p.write_text(f"start_year: 1960\nend_year: '1975'\n{line}\n")
+    p.write_text(f"grid:\n  start_year: 1960\n  end_year: '1975'\n  {line}\n")
     with pytest.raises(ParseError, match=message):
         load_grid(p)
-    p.write_text("start_year: 1960\nend_year: '1975'\n")
+    p.write_text("grid:\n  start_year: 1960\n  end_year: '1975'\n")
     assert load_grid(p).end_year == 1975
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import demrecon
+from demrecon import load_elicitation, load_grid, load_sampler_settings
 from demrecon.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,6 +32,27 @@ def test_readme_python_blocks_run(monkeypatch):
     assert ns["traj"].counts.shape == (sample.n_draws, grid.n_periods + 1, grid.n_ages, 2)
     first = ns["project_full"](sample.draws["counts"][0], sample.theta_at(0), grid)
     assert np.array_equal(ns["traj"].counts[0], first.counts)
+
+
+def test_readme_config_examples_load(tmp_path):
+    """The YAML examples of "File formats" are config files as the loaders
+    read them, holding the demo's values."""
+    text = (ROOT / "README.md").read_text()
+    section = re.search(r"## File formats\n(.*?)\n## ", text, flags=re.S).group(1)
+    grid_yaml, elic_yaml = tmp_path / "grid.yaml", tmp_path / "elicitation.yaml"
+    blocks = re.findall(r"```yaml\n(.*?)```", section, flags=re.S)
+    assert len(blocks) == 2
+    grid_yaml.write_text(blocks[0])
+    elic_yaml.write_text(blocks[1])
+    grid = load_grid(grid_yaml)
+    assert (grid.start_year, grid.end_year) == (1960, 1980)
+    assert grid.census_years == (1960, 1970, 1980)
+    assert grid == load_grid(ROOT / "data" / "demo" / "grid.yaml")
+    assert load_sampler_settings(grid_yaml) == {"iterations": 5000, "burn_in": 2500}
+    elic = load_elicitation(elic_yaml)
+    assert elic.eta["migration"] == 0.2
+    assert elic == load_elicitation(ROOT / "data" / "demo" / "elicitation.yaml")
+    assert load_sampler_settings(elic_yaml) == {}
 
 
 def test_readme_api_list_names_exported_functions():
