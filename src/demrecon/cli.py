@@ -27,8 +27,8 @@ from .diagnostics import check_run_length_settings, gelman_rubin, raftery_lewis
 from .grid import validate
 from .priors import ElicitationError, beta_from_elicitation
 from .projection import project_full
-from .sampler import (SAMPLER_SETTINGS, ConfigError, SamplerConfig, SamplingError,
-                      parameter_names, run_chain)
+from .sampler import (SAMPLER_SETTINGS, ConfigError, SamplerConfig, parameter_names,
+                      run_chain)
 from .summaries import COMPARISONS, INDICATOR_NAMES, indicator_years, summary_rows
 
 VALIDATION_EXIT = 2
@@ -64,15 +64,16 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    grid = io.load_grid(args.grid)
+    configs = (args.grid, args.elicitation)
+    grid = io.load_grid(configs)
     _validated(grid)
     theta = io.load_theta(args.initial_estimates_dir, grid)
     census = io.load_census(args.census, grid)
-    elic = io.load_elicitation(args.elicitation)
+    elic = io.load_elicitation(configs)
     _validated(grid, theta, census)
     hyper = beta_from_elicitation(elic, theta)
     flags = {k: v for k in SAMPLER_SETTINGS if (v := getattr(args, k)) is not None}
-    config = SamplerConfig(**{**io.load_sampler_settings(args.grid), **flags})
+    config = SamplerConfig(**{**io.load_sampler_settings(configs), **flags})
     config.check()
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)  # before sampling, so a bad path costs no run
@@ -141,6 +142,9 @@ def _cmd_summarize(args) -> int:
     if not all(0.0 <= p <= 1.0 for p in probs):
         raise _Invalid(f"probabilities {probs} must lie in [0, 1]")
     grid = _sample_grid(args.sample_dir)
+    for name in trends:
+        if len(years := indicator_years(grid, name)) < 2:
+            raise _Invalid(f"trend {name} needs at least two years, has {list(years)}")
     for label, preds in joints:
         for name, year_a, year_b, _ in preds:
             years = indicator_years(grid, name)
@@ -217,12 +221,13 @@ def _cmd_simulate(args) -> int:
 
     seed = args.seed or 0
     SamplerConfig(seed=seed).check()  # the sampler's rule for a seed
-    grid = io.load_grid(args.grid)
+    configs = (args.grid, args.elicitation)
+    grid = io.load_grid(configs)
     _validated(grid)
     if not grid.likelihood_years:
         raise _Invalid(f"{args.grid}: simulate needs a census year after the baseline year")
     center = io.load_theta(args.initial_estimates_dir, grid)
-    elic = io.load_elicitation(args.elicitation)
+    elic = io.load_elicitation(configs)
     _validated(grid, center)
     hyper = beta_from_elicitation(elic, center)
     data = simulate_dataset(grid, center, hyper, seed=seed)
@@ -312,7 +317,7 @@ def main(argv=None) -> int:
         what = "exists and is not a directory" if isinstance(e, FileExistsError) else e.strerror
         print(f"error: {e.filename}: {what}", file=sys.stderr)
         return VALIDATION_EXIT
-    except (SamplingError, RuntimeError) as e:
+    except RuntimeError as e:  # SamplingError among them
         print(f"error: {e}", file=sys.stderr)
         return RUNTIME_EXIT
 

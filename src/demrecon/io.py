@@ -25,8 +25,10 @@ reports with exit code 2, as it does a directory where a file should be.
 
 A YAML config holds only ``grid:``, ``sampler:`` and ``elicitation:``
 sections, each a mapping; those sections, the classes under ``eta`` and
-``alpha`` and the manifest's grid refuse unknown keys. Grid and sampler
-values are ints or strings of one, never a float or a bool.
+``alpha`` and the manifest's grid refuse unknown keys. Of several config
+files, each section is read from the one holding it, and two holding it
+are refused. Grid and sampler values are ints or strings of one, never
+a float or a bool.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import time
 from contextlib import contextmanager
 from itertools import zip_longest
@@ -87,16 +90,26 @@ def _known_keys(path, what, mapping, known) -> dict:
 SECTIONS = ("grid", "sampler", "elicitation")
 
 
-def _load_section(path, section, known) -> dict:
-    """The ``section:`` mapping of a YAML file, {} when absent; the file
-    holds only SECTIONS, and the section only keys in known."""
-    with _reading(path) as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except yaml.YAMLError as e:
-            raise ParseError(f"{path}: not valid YAML: {e}") from e
-    doc = _known_keys(path, "top-level", doc, SECTIONS)
-    return _known_keys(path, section, doc.get(section, {}), known)
+def _load_section(paths, section, known) -> tuple:
+    """(path, mapping): the ``section:`` mapping of one YAML file or several
+    and the file that holds it, or {} and all the files when none does. A
+    file named twice counts once, and two holding the section are refused.
+    Each file holds only SECTIONS, the section only keys in known."""
+    paths = (paths,) if isinstance(paths, (str, os.PathLike)) else paths
+    files = list({os.path.realpath(p): p for p in paths}.values())
+    found = []
+    for path in files:
+        with _reading(path) as fh:
+            try:
+                doc = yaml.safe_load(fh)
+            except yaml.YAMLError as e:
+                raise ParseError(f"{path}: not valid YAML: {e}") from e
+        if section in _known_keys(path, "top-level", doc, SECTIONS):
+            found.append((path, doc[section]))
+    if len(found) > 1:
+        raise ParseError(f"{found[0][0]} and {found[1][0]} both hold a {section}: section")
+    path, d = found[0] if found else (" and ".join(map(str, files)), {})
+    return path, _known_keys(path, section, d, known)
 
 
 def _int(path, what, value) -> int:
@@ -112,10 +125,10 @@ def _int(path, what, value) -> int:
 GRID_KEYS = tuple(f.name for f in fields(ModelGrid))
 
 
-def load_grid(path) -> ModelGrid:
-    """Read a grid from the ``grid:`` section of a YAML file."""
-    return _grid_from_mapping(path, _load_section(path, "grid", GRID_KEYS),
-                              ("start_year", "end_year"))
+def load_grid(paths) -> ModelGrid:
+    """Read a grid from the ``grid:`` section of one or several YAML files."""
+    path, d = _load_section(paths, "grid", GRID_KEYS)
+    return _grid_from_mapping(path, d, ("start_year", "end_year"))
 
 
 def _grid_from_mapping(path, d, required) -> ModelGrid:
@@ -134,10 +147,10 @@ def _grid_from_mapping(path, d, required) -> ModelGrid:
     return ModelGrid(**kwargs)
 
 
-def load_elicitation(path) -> Elicitation:
-    """Read elicited errors from the ``elicitation:`` section of a YAML file:
+def load_elicitation(paths) -> Elicitation:
+    """Read elicited errors from the ``elicitation:`` section of YAML files:
     an ``eta`` mapping with every class and an optional ``alpha`` mapping."""
-    d = _load_section(path, "elicitation", ("eta", "alpha"))
+    path, d = _load_section(paths, "elicitation", ("eta", "alpha"))
     eta = _known_keys(path, "eta", d.get("eta", {}), PARAM_CLASSES)
     alpha = _known_keys(path, "alpha", d.get("alpha", {}), PARAM_CLASSES)
     missing = [c for c in PARAM_CLASSES if c not in eta]
@@ -153,9 +166,9 @@ def load_elicitation(path) -> Elicitation:
         raise ParseError(f"{path}: eta and alpha values must be numbers ({e})") from None
 
 
-def load_sampler_settings(path) -> dict:
-    """The optional ``sampler:`` section of a YAML file; {} when absent."""
-    d = _load_section(path, "sampler", SAMPLER_SETTINGS)
+def load_sampler_settings(paths) -> dict:
+    """The optional ``sampler:`` section of YAML files; {} when absent."""
+    path, d = _load_section(paths, "sampler", SAMPLER_SETTINGS)
     return {k: _int(path, f"sampler key {k!r}", v) for k, v in d.items()}
 
 

@@ -385,16 +385,17 @@ class ChainState:
         log_alpha = dlp + dll
         if math.isnan(log_alpha):
             log_alpha = float("-inf")
+        aprob = math.exp(min(log_alpha, 0.0))
         if logu < log_alpha:
             self.x[i] = x_new
             self.traj[first:] = tail
             if lo < self.quad.size:
                 self.quad[lo:] = new_quads
-            return True, min(1.0, math.exp(min(log_alpha, 0.0)))
+            return True, aprob
         nat_flat[j] = nat_old
         if touched is not None:
             self._refresh_terms(touched)
-        return False, min(1.0, math.exp(log_alpha)) if log_alpha > -math.inf else 0.0
+        return False, aprob
 
     def update_variances(self, rng: np.random.Generator):
         """Gibbs draw of all five variances given the current parameters.

@@ -5,6 +5,10 @@ Everything operates on a TrajectoryMatrix, one scalar indicator per
 draw per period. Quantiles use numpy's default linear interpolation
 (type 7) so results are reproducible bit for bit elsewhere. Trend
 measures regress on the START year of each period.
+
+``_INDICATORS`` owns each named indicator's kind and formula. A rate
+reads the parameter draws; a flow or a stock also reads the projected
+counts. A stock has a value per grid year, the rest per period.
 """
 
 from __future__ import annotations
@@ -16,18 +20,6 @@ import numpy as np
 from .grid import FEMALE, MALE, ModelGrid
 from .projection import project_full
 from .sampler import PosteriorSample
-
-RATE_INDICATORS = ("tfr", "srb", "e0_female", "e0_male", "u5mr_female",
-                   "u5mr_male", "sex_ratio_u5mr", "sex_diff_e0")
-POPULATION_INDICATORS = ("srtp", "sru5", "net_migrants_female", "net_migrants_male")
-INDICATOR_NAMES = RATE_INDICATORS + POPULATION_INDICATORS
-
-
-def indicator_years(grid: ModelGrid, name: str) -> tuple:
-    """Years of an indicator's series: every grid year for the stock
-    series srtp and sru5, the period start years for everything else."""
-    years = grid.stock_years if name in ("srtp", "sru5") else grid.period_years
-    return tuple(int(y) for y in years)
 
 
 @dataclass(frozen=True)
@@ -116,10 +108,7 @@ def joint_event_prob(predicates) -> float:
     n = preds[0].size
     if any(p.size != n for p in preds):
         raise ValueError("predicates must cover the same draws")
-    joint = np.ones(n, dtype=bool)
-    for p in preds:
-        joint &= p
-    return float(joint.mean())
+    return float(np.logical_and.reduce([p.ravel() for p in preds]).mean())
 
 
 def _e0_matrix(survival: np.ndarray, sex: int) -> np.ndarray:
@@ -138,50 +127,49 @@ def _u5mr_matrix(survival: np.ndarray, sex: int) -> np.ndarray:
     return 1000.0 * (1.0 - survival[:, 0, :, sex])
 
 
+def _net_migrants(d, c, sex: int) -> np.ndarray:
+    """Net migrants per year: start-of-period counts times migration, over age."""
+    flows = c[:, :-1, :, sex] * d["migration"][..., sex].transpose(0, 2, 1)
+    return flows.sum(axis=-1) / 5.0
+
+
+# name -> (kind, formula(d, c)); d maps each class to its draws, c is the
+# (draws, P+1, K, 2) projected counts or None for a rate
+_INDICATORS = {
+    "tfr": ("rate", lambda d, c: 5.0 * d["fertility"].sum(axis=1)),
+    "srb": ("rate", lambda d, c: d["srb"]),
+    "e0_female": ("rate", lambda d, c: _e0_matrix(d["survival"], FEMALE)),
+    "e0_male": ("rate", lambda d, c: _e0_matrix(d["survival"], MALE)),
+    "u5mr_female": ("rate", lambda d, c: _u5mr_matrix(d["survival"], FEMALE)),
+    "u5mr_male": ("rate", lambda d, c: _u5mr_matrix(d["survival"], MALE)),
+    "sex_ratio_u5mr": ("rate", lambda d, c: _u5mr_matrix(d["survival"], MALE)
+                       / _u5mr_matrix(d["survival"], FEMALE)),
+    "sex_diff_e0": ("rate", lambda d, c: _e0_matrix(d["survival"], FEMALE)
+                    - _e0_matrix(d["survival"], MALE)),
+    "srtp": ("stock", lambda d, c: c[..., MALE].sum(axis=-1) / c[..., FEMALE].sum(axis=-1)),
+    "sru5": ("stock", lambda d, c: c[..., 0, MALE] / c[..., 0, FEMALE]),
+    "net_migrants_female": ("flow", lambda d, c: _net_migrants(d, c, FEMALE)),
+    "net_migrants_male": ("flow", lambda d, c: _net_migrants(d, c, MALE)),
+}
+INDICATOR_NAMES = tuple(_INDICATORS)
+
+
+def indicator_years(grid: ModelGrid, name: str) -> tuple:
+    """Years of an indicator's series: every grid year for a stock, else period starts."""
+    years = grid.stock_years if _INDICATORS[name][0] == "stock" else grid.period_years
+    return tuple(int(y) for y in years)
+
+
 def indicator_trajectories(sample: PosteriorSample, name: str) -> TrajectoryMatrix:
-    """Evaluate one named indicator on every draw of the sample.
-
-    Rate-based indicators read the parameter draws directly; the
-    population-based ones (srtp, sru5, net migrant counts) re-project
-    all draws in one stacked ``project_full`` call. srtp and sru5 are
-    stock series over all grid years, everything else is a period
-    series.
-    """
-    grid = sample.grid
-    d = sample.draws
-    years = indicator_years(grid, name)
-
-    if name == "tfr":
-        return TrajectoryMatrix(name, 5.0 * d["fertility"].sum(axis=1), years)
-    if name == "srb":
-        return TrajectoryMatrix(name, d["srb"], years)
-    if name in ("e0_female", "e0_male"):
-        sex = FEMALE if name.endswith("female") else MALE
-        return TrajectoryMatrix(name, _e0_matrix(d["survival"], sex), years)
-    if name in ("u5mr_female", "u5mr_male"):
-        sex = FEMALE if name.endswith("female") else MALE
-        return TrajectoryMatrix(name, _u5mr_matrix(d["survival"], sex), years)
-    if name == "sex_ratio_u5mr":
-        vals = _u5mr_matrix(d["survival"], MALE) / _u5mr_matrix(d["survival"], FEMALE)
-        return TrajectoryMatrix(name, vals, years)
-    if name == "sex_diff_e0":
-        vals = _e0_matrix(d["survival"], FEMALE) - _e0_matrix(d["survival"], MALE)
-        return TrajectoryMatrix(name, vals, years)
-
-    if name in POPULATION_INDICATORS:
+    """Evaluate one named indicator on every draw of the sample; a flow
+    or a stock re-projects all draws in one stacked ``project_full`` call."""
+    kind, formula = _INDICATORS[name]
+    counts = None
+    if kind != "rate":
         theta = sample.theta_at(slice(None))
-        traj = project_full(theta.baseline, theta, grid).counts
-        if name == "srtp":
-            vals = traj[..., MALE].sum(axis=-1) / traj[..., FEMALE].sum(axis=-1)
-        elif name == "sru5":
-            vals = traj[..., 0, MALE] / traj[..., 0, FEMALE]
-        else:
-            sex = FEMALE if name.endswith("female") else MALE
-            flows = traj[:, :-1, :, sex] * theta.migration[..., sex].transpose(0, 2, 1)
-            vals = flows.sum(axis=-1) / 5.0
-        return TrajectoryMatrix(name, vals, years)
-
-    raise KeyError(f"unknown indicator {name!r}")
+        counts = project_full(theta.baseline, theta, sample.grid).counts
+    return TrajectoryMatrix(name, formula(sample.draws, counts),
+                            indicator_years(sample.grid, name))
 
 
 def summary_rows(sample: PosteriorSample, indicators, probs=(0.025, 0.5, 0.975),
@@ -198,15 +186,12 @@ def summary_rows(sample: PosteriorSample, indicators, probs=(0.025, 0.5, 0.975),
     """
     rows = []
     probs = tuple(float(p) for p in probs)
-    cache = {}
-
-    def tm(name):
-        if name not in cache:
-            cache[name] = indicator_trajectories(sample, name)
-        return cache[name]
+    named = [*indicators, *(t[0] for t in thresholds), *trends,
+             *(pred[0] for _, preds in joints for pred in preds)]
+    tm = {name: indicator_trajectories(sample, name) for name in dict.fromkeys(named)}
 
     for name in indicators:
-        t = tm(name)
+        t = tm[name]
         qs = marginal_quantiles(t, probs)
         for j, year in enumerate(t.years):
             rows.append({"indicator": name, "year": year, "statistic": "mean",
@@ -219,7 +204,7 @@ def summary_rows(sample: PosteriorSample, indicators, probs=(0.025, 0.5, 0.975),
                          "value": mean_half_width(qs[np.argmin(probs)], qs[np.argmax(probs)])})
 
     for name, direction, value in thresholds:
-        t = tm(name)
+        t = tm[name]
         p = exceedance_prob(t, value, direction)
         stat = f"p({name}{direction}{value:g})"
         for j, year in enumerate(t.years):
@@ -227,10 +212,8 @@ def summary_rows(sample: PosteriorSample, indicators, probs=(0.025, 0.5, 0.975),
                          "value": float(p[j])})
 
     for name in trends:
-        t = tm(name)
-        diff = endpoint_diff(t)
-        slope = ols_slope(t)
-        for label, vals in (("endpoint_diff", diff), ("ols_slope", slope)):
+        t = tm[name]
+        for label, vals in (("endpoint_diff", endpoint_diff(t)), ("ols_slope", ols_slope(t))):
             rows.append({"indicator": name, "year": "", "statistic": f"{label}_mean",
                          "value": float(vals.mean())})
             for p in probs:
@@ -241,10 +224,7 @@ def summary_rows(sample: PosteriorSample, indicators, probs=(0.025, 0.5, 0.975),
                          "value": float(np.mean(vals > 0))})
 
     for label, predicates in joints:
-        arrays = []
-        for name, year_a, year_b, direction in predicates:
-            change = endpoint_diff(tm(name), year_a, year_b)
-            arrays.append(change > 0 if direction == ">" else change < 0)
+        arrays = [COMPARISONS[d](endpoint_diff(tm[n], a, b), 0) for n, a, b, d in predicates]
         rows.append({"indicator": "joint", "year": "", "statistic": label,
                      "value": joint_event_prob(arrays)})
     return rows

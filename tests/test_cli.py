@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demrecon import (FEMALE, CensusData, load_census, make_manifest, parameter_names,
-                      project_full, write_census, write_samples, write_theta)
+from demrecon import (FEMALE, CensusData, ModelGrid, load_census, make_manifest,
+                      parameter_names, project_full, write_census, write_samples,
+                      write_theta)
 from demrecon import cli, sampler
 from demrecon.cli import main
 from conftest import make_theta, sample_from_thetas
@@ -215,6 +216,41 @@ def test_flags_override_file_settings(tmp_path):
     assert manifest["settings"]["burn_in"] == 20
     assert manifest["settings"]["chains"] == 1
     assert manifest["seed"] == 1
+
+
+def _simulate_desk(tmp_path):
+    """Desk inputs and a simulated census; returns the sample argv without
+    the sampler flags and --out-dir, the grid file and the elicitation file."""
+    grid_yaml, elic_yaml, grid, theta = _desk_inputs(tmp_path)
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--grid", str(grid_yaml),
+                 "--initial-estimates-dir", str(tmp_path / "initial"),
+                 "--elicitation", str(elic_yaml), "--seed", "7", "--out-dir", str(sim)]) == 0
+    argv = ["sample", "--grid", str(grid_yaml), "--initial-estimates-dir", str(sim / "initial"),
+            "--census", str(sim / "census"), "--elicitation", str(elic_yaml)]
+    return argv, grid_yaml, elic_yaml
+
+
+def test_sampler_section_read_from_the_elicitation_file(tmp_path, capsys):
+    argv, grid_yaml, elic_yaml = _simulate_desk(tmp_path)
+    elic_yaml.write_text(elic_yaml.read_text() + "sampler:\n  thin: 2\n")
+    run = tmp_path / "run"
+    assert main(argv + ["--iterations", "6", "--burn-in", "2", "--chains", "1",
+                        "--out-dir", str(run)]) == 0
+    assert "(2 draws, 1 chain(s))" in capsys.readouterr().out
+    assert json.loads((run / "manifest.json").read_text())["settings"]["thin"] == 2
+
+
+def test_section_held_by_both_config_files_exit_2(tmp_path, capsys):
+    argv, grid_yaml, elic_yaml = _simulate_desk(tmp_path)
+    for path, thin in ((grid_yaml, 1), (elic_yaml, 2)):
+        path.write_text(path.read_text() + f"sampler:\n  thin: {thin}\n")
+    capsys.readouterr()
+    run = tmp_path / "run"
+    assert main(argv + ["--iterations", "6", "--burn-in", "2", "--out-dir", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert f"{grid_yaml} and {elic_yaml} both hold a sampler: section" in err
+    assert not run.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +520,19 @@ def test_summarize_bad_arguments_exit_2(tmp_path, capsys, desk_grid, flags, mess
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "summary.csv").exists()
+
+
+def test_summarize_trend_needs_two_years_before_reading(tmp_path, capsys):
+    """On a one-period grid a period series has one year and no trend; a
+    stock series has two. The check comes before the sample is read."""
+    grid = ModelGrid(start_year=1960, end_year=1965, open_age=15, fert_min_age=10,
+                     fert_max_age=15, census_years=(1960, 1965))
+    run = _sample_dir(tmp_path / "run", grid, [make_theta(grid, seed=s) for s in range(3)])
+    assert main(["summarize", "--sample-dir", str(run), "--trend", "srtp"]) == 0
+    (run / "samples.csv").unlink()
+    capsys.readouterr()
+    assert main(["summarize", "--sample-dir", str(run), "--trend", "srb"]) == 2
+    assert "trend srb needs at least two years, has [1960]" in capsys.readouterr().err
 
 
 def test_summarize_joint_on_stock_years(tmp_path, desk_grid):

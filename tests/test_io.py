@@ -2,6 +2,7 @@
 
 import csv
 import io as stdio
+import re
 import textwrap
 from pathlib import Path
 
@@ -204,6 +205,21 @@ def test_load_sampler_settings(tmp_path):
     s = load_sampler_settings(p)
     assert s == {"iterations": 500, "burn_in": 100, "thin": 2,
                  "chains": 3, "seed": 42}
+
+
+def test_sections_read_from_whichever_file_holds_them(tmp_path):
+    """Given several config files, each section comes from the one that
+    holds it; a file named twice, however spelled, counts once, and a
+    section no file holds is named against all of them."""
+    grid, other = tmp_path / "grid.yaml", tmp_path / "other.yaml"
+    grid.write_text("grid:\n  start_year: 1960\n  end_year: 1975\n")
+    other.write_text("sampler:\n  thin: 2\n")
+    assert load_sampler_settings((grid, other)) == {"thin": 2}
+    assert load_grid((grid, other)).end_year == 1975
+    assert load_grid((grid, tmp_path / "." / "grid.yaml")).end_year == 1975
+    assert load_sampler_settings((grid, grid)) == {}
+    with pytest.raises(ParseError, match=re.escape(f"{grid} and {other}: eta is missing classes")):
+        load_elicitation((grid, other))
 
 
 def test_sampler_section_rejects_unknown_keys(tmp_path):

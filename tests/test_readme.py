@@ -55,6 +55,13 @@ def test_readme_config_examples_load(tmp_path):
     assert load_sampler_settings(elic_yaml) == {}
 
 
+def test_readme_indicator_list_names_every_indicator():
+    text = (ROOT / "README.md").read_text()
+    section = re.search(r"### Summary indicators\n(.*?)\n## ", text, flags=re.S).group(1)
+    names = tuple(re.findall(r"^- `([a-z0-9_]+)`:", section, flags=re.M))
+    assert names == demrecon.INDICATOR_NAMES
+
+
 def test_readme_api_list_names_exported_functions():
     text = (ROOT / "README.md").read_text()
     para = re.search(r"Lower-level entry points.*?\n\n", text, flags=re.S).group(0)

@@ -7,6 +7,7 @@ from demrecon import (INDICATOR_NAMES, TrajectoryMatrix, endpoint_diff,
                       exceedance_prob, indicator_trajectories, joint_event_prob,
                       marginal_quantiles, mean_half_width, ols_slope,
                       project_full, summary_rows)
+from demrecon.summaries import indicator_years
 from conftest import make_theta, sample_from_thetas
 from oracles import (FEMALE, MALE, e0_oracle, ols_slope_oracle,
                      quantile_type7_oracle, tfr_oracle)
@@ -214,6 +215,20 @@ def test_all_named_indicators_evaluate(desk_sample):
     for name in INDICATOR_NAMES:
         tm = indicator_trajectories(desk_sample, name)
         assert np.all(np.isfinite(tm.values))
+
+
+def test_indicator_names_and_years_are_pinned(desk_grid, desk_sample):
+    """The benchmark's postprocess workload summarizes the indicators in
+    this order, and its recorded reference rows follow it; srtp and sru5
+    are stocks on every grid year."""
+    assert INDICATOR_NAMES == (
+        "tfr", "srb", "e0_female", "e0_male", "u5mr_female", "u5mr_male",
+        "sex_ratio_u5mr", "sex_diff_e0", "srtp", "sru5",
+        "net_migrants_female", "net_migrants_male")
+    for name in INDICATOR_NAMES:
+        years = desk_grid.stock_years if name in ("srtp", "sru5") else desk_grid.period_years
+        assert indicator_years(desk_grid, name) == tuple(int(y) for y in years), name
+        assert indicator_trajectories(desk_sample, name).years == indicator_years(desk_grid, name)
 
 
 # ---------------------------------------------------------------------------
