@@ -317,7 +317,7 @@ def main(argv=None) -> int:
         what = "exists and is not a directory" if isinstance(e, FileExistsError) else e.strerror
         print(f"error: {e.filename}: {what}", file=sys.stderr)
         return VALIDATION_EXIT
-    except RuntimeError as e:  # SamplingError among them
+    except (RuntimeError, MemoryError) as e:  # SamplingError among them
         print(f"error: {e}", file=sys.stderr)
         return RUNTIME_EXIT
 

@@ -160,6 +160,13 @@ class ModelGrid:
             start = out[c].stop
         return out
 
+    def class_views(self, matrix: np.ndarray) -> dict:
+        """Class-keyed views of a (..., n) array with columns in ``parameter_names``
+        order, each shaped leading axes + class shape; later columns are left out."""
+        shapes = self.class_shapes()
+        return {c: matrix[..., sl].reshape(matrix.shape[:-1] + shapes[c])
+                for c, sl in self.class_slices().items()}
+
 
 @dataclass(frozen=True)
 class ThetaVector:
@@ -386,6 +393,8 @@ def validate(grid: ModelGrid, theta: ThetaVector = None, census: CensusData = No
             )
         else:
             _cell_lines("census", census.counts, (census.years, ages, sexes), _POSITIVE, out)
+        out += [f"census: year {y} appears {census.years.count(y)} times"
+                for y in sorted(set(census.years)) if census.years.count(y) > 1]
         for y in census.years:
             if (y - grid.start_year) % STEP != 0 or not (grid.start_year <= y <= grid.end_year):
                 out.append(f"census: year {y} is off the grid [{grid.start_year}, {grid.end_year}] step {STEP}")

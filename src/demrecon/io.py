@@ -89,6 +89,9 @@ def _known_keys(path, what, mapping, known) -> dict:
 
 SECTIONS = ("grid", "sampler", "elicitation")
 
+# libyaml's parser, several times faster, where PyYAML was built with it
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 def _load_section(paths, section, known) -> tuple:
     """(path, mapping): the ``section:`` mapping of one YAML file or several
@@ -101,7 +104,7 @@ def _load_section(paths, section, known) -> tuple:
     for path in files:
         with _reading(path) as fh:
             try:
-                doc = yaml.safe_load(fh)
+                doc = yaml.load(fh, Loader=_YAML_LOADER)
             except yaml.YAMLError as e:
                 raise ParseError(f"{path}: not valid YAML: {e}") from e
         if section in _known_keys(path, "top-level", doc, SECTIONS):
@@ -375,11 +378,9 @@ def read_samples(path, grid: ModelGrid) -> PosteriorSample:
     flat = flat[:len(keys)] if order == list(range(len(keys))) else flat[order]
     chain = np.array([keys[i][0] for i in order], dtype=np.int64)
 
-    n, shapes, slices = len(keys), grid.class_shapes(), grid.class_slices()
-    draws = {c: flat[:, sl].reshape((n,) + shapes[c]) for c, sl in slices.items()}
-    sigma2 = flat[:, slices["srb"].stop:]
-    config = SamplerConfig(iterations=n, burn_in=0, thin=1, chains=int(chain.max()) + 1)
-    return PosteriorSample(grid=grid, draws=draws, sigma2=sigma2, chain=chain,
+    config = SamplerConfig(iterations=len(keys), burn_in=0, thin=1, chains=int(chain.max()) + 1)
+    return PosteriorSample(grid=grid, draws=grid.class_views(flat),
+                           sigma2=flat[:, -len(PARAM_CLASSES):], chain=chain,
                            acceptance={}, config=config)
 
 

@@ -115,7 +115,9 @@ class PosteriorSample:
 
     draws maps each parameter class to an array with a leading draw
     axis, on the natural scale; sigma2 is (n_draws, 5) in PARAM_CLASSES
-    order; chain labels each draw. acceptance maps each class to the
+    order; chain labels each draw. ``run_chain``, ``prior_sample`` and
+    ``io.read_samples`` give both as views of one draw matrix carved by
+    ``ModelGrid.class_views``. acceptance maps each class to the
     post-burn-in acceptance rate per component, per chain.
     """
 
@@ -168,8 +170,7 @@ def log_posterior(theta: ThetaVector, variances: VarianceParams,
         return float("-inf")
     total = log_prior_theta(theta, initial, variances)
     if census is not None:
-        proj_ok = all(np.all(traj.at(y) > 0) for y in grid.likelihood_years)
-        if not proj_ok:
+        if not all(np.all(traj.at(y) > 0) for y in grid.likelihood_years):
             return float("-inf")
         total += log_likelihood_census(traj, census, variances.counts, grid)
     for i, cls in enumerate(PARAM_CLASSES):
@@ -266,12 +267,10 @@ class ChainState:
         # per first re-projected row: the first census entry it reaches
         # (census rows ascend, so the reached entries are a suffix), and
         # those entries' trajectory rows and log observations
-        self._cen_from = []
-        for first in range(P + 1):
-            lo = int(np.searchsorted(self.cen_pos, first))
-            self._cen_from.append((lo, self.cen_pos[lo:], self.cen_logobs[lo:]))
+        self._cen_from = [(lo, self.cen_pos[lo:], self.cen_logobs[lo:])
+                          for lo in np.searchsorted(self.cen_pos, np.arange(P + 1)).tolist()]
         self.quad = self._census_quads(self.traj, 0)
-        if self.quad.size and not np.all(np.isfinite(self.quad)):
+        if not np.all(np.isfinite(self.quad)):
             raise SamplingError("initial estimates give zero projected counts at a census year")
 
         # scan table over the sampled classes in parameter_names order:
@@ -351,7 +350,8 @@ class ChainState:
         """Metropolis step for one scan-table entry.
 
         Returns (accepted, acceptance probability). Mutates the cached
-        state only on acceptance.
+        state only on acceptance; a proposal that breaks positivity has
+        probability 0 and is undone like any other rejection.
         """
         i, first, touched, cls, cls_i, j = self.components[comp]
         x_old = self.x[i]
@@ -368,29 +368,19 @@ class ChainState:
         scratch = self.scratch
         self._reproject_into(scratch, first)
         tail = scratch[first:]
-        if not positivity_indicator(tail):
-            nat_flat[j] = nat_old
-            if touched is not None:
-                self._refresh_terms(touched)
-            return False, 0.0
-
-        lo = self._cen_from[first][0]
-        if lo < self.quad.size:
+        log_alpha = float("-inf")
+        if positivity_indicator(tail):
+            lo = self._cen_from[first][0]
             new_quads = self._census_quads(scratch, first)
             dll = -0.5 * (float(new_quads.sum()) - float(self.quad[lo:].sum())) \
                 / self.sigma2[0]
-        else:
-            dll = 0.0
-
-        log_alpha = dlp + dll
-        if math.isnan(log_alpha):
-            log_alpha = float("-inf")
+            if not math.isnan(dlp + dll):
+                log_alpha = dlp + dll
         aprob = math.exp(min(log_alpha, 0.0))
         if logu < log_alpha:
             self.x[i] = x_new
             self.traj[first:] = tail
-            if lo < self.quad.size:
-                self.quad[lo:] = new_quads
+            self.quad[lo:] = new_quads
             return True, aprob
         nat_flat[j] = nat_old
         if touched is not None:
@@ -427,18 +417,19 @@ def _run_chains(chain_ids: list, config: SamplerConfig, grid: ModelGrid,
                 hyper: HyperParams) -> tuple:
     """Run the given chains one after another.
 
-    Returns their retained draws by class, their variances and their
-    post-burn-in acceptance counts (a row per chain, a column per scalar
-    of theta), each in chain order. Projections that overflow are
+    Returns their retained draws as the rows of one (draws, n_params)
+    matrix in ``parameter_names`` order, and their post-burn-in
+    acceptance counts (a row per chain, a column per scalar of theta),
+    each in chain order. Projections that overflow are
     rejected by the positivity check, so numpy's overflow and invalid
     warnings are silenced here.
     """
     per_chain = (config.iterations - config.burn_in) // config.thin
     total = per_chain * len(chain_ids)
-    shapes, slices = grid.class_shapes(), grid.class_slices()
-    draws = {c: np.empty((total,) + shape) for c, shape in shapes.items()}
-    sig = np.empty((total, len(PARAM_CLASSES)))
-    acc = np.zeros((len(chain_ids), slices["srb"].stop))
+    n_theta = grid.class_slices()["srb"].stop
+    rows = np.empty((total, n_theta + len(PARAM_CLASSES)))
+    draws = grid.class_views(rows)
+    acc = np.zeros((len(chain_ids), n_theta))
 
     streams = np.random.SeedSequence(config.seed).spawn(config.chains)
     pos = 0
@@ -465,11 +456,11 @@ def _run_chains(chain_ids: list, config: SamplerConfig, grid: ModelGrid,
             if config.update_variances:
                 state.update_variances(rng)
             if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
-                for cls in PARAM_CLASSES:
-                    draws[cls][pos] = state.nat[cls]
-                sig[pos] = state.sigma2
+                for cls, view in draws.items():
+                    view[pos] = state.nat[cls]
+                rows[pos, n_theta:] = state.sigma2
                 pos += 1
-    return draws, sig, acc
+    return rows, acc
 
 
 def run_chain(config: SamplerConfig, grid: ModelGrid, initial: InitialEstimates,
@@ -487,6 +478,8 @@ def run_chain(config: SamplerConfig, grid: ModelGrid, initial: InitialEstimates,
     draws equal those of running every chain here, bit for bit. One
     chain, one CPU, another thread running in this process or no
     ``fork`` start method make one group, which starts no process.
+    The groups' draws are joined into one draw matrix, which the
+    sample's draws and sigma2 view.
     """
     config.check()
     # forking a process that runs other threads can copy a lock one of them holds
@@ -502,17 +495,11 @@ def run_chain(config: SamplerConfig, grid: ModelGrid, initial: InitialEstimates,
         with ProcessPoolExecutor(n_groups - 1, mp_context=context) as pool:
             futures = [pool.submit(_run_chains, g, *args) for g in groups[1:]]
             parts = [_run_chains(groups[0], *args)] + [f.result() for f in futures]
-    draws, sig, acc = parts[0]
-    if len(parts) > 1:
-        draws = {c: np.concatenate([p[0][c] for p in parts]) for c in PARAM_CLASSES}
-        sig = np.concatenate([p[1] for p in parts])
-        acc = np.concatenate([p[2] for p in parts])
+    rows, acc = parts[0] if len(parts) == 1 else (np.concatenate(j) for j in zip(*parts))
 
     per_chain = (config.iterations - config.burn_in) // config.thin
     chain_lab = np.repeat(np.arange(config.chains, dtype=np.int64), per_chain)
     acc /= max(config.iterations - config.burn_in, 1)
-    shapes, slices = grid.class_shapes(), grid.class_slices()
-    acceptance = {c: acc[:, sl].reshape((config.chains,) + shapes[c])
-                  for c, sl in slices.items()}
-    return PosteriorSample(grid=grid, draws=draws, sigma2=sig, chain=chain_lab,
-                           acceptance=acceptance, config=config)
+    return PosteriorSample(grid=grid, draws=grid.class_views(rows),
+                           sigma2=rows[:, acc.shape[1]:], chain=chain_lab,
+                           acceptance=grid.class_views(acc), config=config)

@@ -11,8 +11,8 @@ calibrated, which is what makes interval-coverage tests well posed.
 ``prior_sample`` produces the same kind of object as the MCMC sampler
 but drawn directly from the prior, so every posterior summary can also
 be computed under the prior with the same code. It and ``draw_joint``
-share one routine: draw candidates, project up to 512 (``draw_joint``:
-one) as a stack and keep, in draw order, those that pass
+share one routine: draw candidates, project them in stacks of up to
+``CHUNK`` and keep, in draw order, those that pass
 ``positivity_indicator``; so both give the same draws from one stream.
 """
 
@@ -27,6 +27,8 @@ from .priors import HyperParams, InitialEstimates, draw_invgamma, transform, unt
 from .projection import positivity_indicator, project_full
 from .sampler import PosteriorSample, SamplerConfig
 
+CHUNK = 512  # candidates projected as one stack by _first_admissible
+
 
 def variance_draws(hyper: HyperParams, cls: str, rng: np.random.Generator,
                    n: int = 1) -> np.ndarray:
@@ -35,19 +37,19 @@ def variance_draws(hyper: HyperParams, cls: str, rng: np.random.Generator,
 
 
 def _first_admissible(initial: InitialEstimates, grid: ModelGrid, rng: np.random.Generator, n: int,
-                      max_tries: int, hyper: HyperParams, chunk: int = 1):
+                      max_tries: int, hyper: HyperParams):
     """The first n admissible prior candidates in draw order: (sigma2 (n, 5),
-    class-keyed draws with a leading draw axis). A candidate takes from rng
-    its variances from hyper, then one standard-normal block per class. Up
-    to ``chunk`` candidates, never more than are still needed, are projected
-    as one stack and admitted where ``positivity_indicator`` holds. Raises
+    class-keyed draws), views of one (n, n_params) draw matrix. A candidate
+    takes from rng its variances from hyper, then one standard-normal block
+    per class. Up to ``CHUNK`` candidates still needed are projected as one
+    stack and admitted where ``positivity_indicator`` holds. Raises
     RuntimeError after max_tries straight failures."""
     mus = {c: transform(c, v) for c, v in initial.by_class().items()}
-    sig = np.empty((n, len(PARAM_CLASSES)))
-    draws = {c: np.empty((n,) + mu.shape) for c, mu in mus.items()}
+    rows = np.empty((n, sum(mu.size for mu in mus.values()) + len(PARAM_CLASSES)))
+    sig, draws = rows[:, -len(PARAM_CLASSES):], grid.class_views(rows)
     kept = fails = 0
     while kept < n:
-        m = min(n - kept, chunk)
+        m = min(n - kept, CHUNK)
         s = np.empty((m, len(PARAM_CLASSES)))
         z = {c: np.empty((m,) + mu.shape) for c, mu in mus.items()}
         for i in range(m):
@@ -87,7 +89,7 @@ def prior_sample(initial: InitialEstimates, hyper: HyperParams, grid: ModelGrid,
                  n_draws: int, seed: int = 0) -> PosteriorSample:
     """Direct Monte Carlo sample from the prior, packaged like an MCMC run."""
     sig, draws = _first_admissible(initial, grid, np.random.default_rng(seed),
-                                   n_draws, 100000, hyper, chunk=512)
+                                   n_draws, 100000, hyper)
     config = SamplerConfig(iterations=n_draws, burn_in=0, thin=1, chains=1, seed=seed)
     return PosteriorSample(grid=grid, draws=draws, sigma2=sig,
                            chain=np.zeros(n_draws, dtype=np.int64),

@@ -44,6 +44,15 @@ def sample_from_thetas(grid, thetas):
         config=SamplerConfig(iterations=n, burn_in=0))
 
 
+def draw_matrix(sample):
+    """The one matrix that every draws array and sigma2 of a sample view,
+    cut to the sample's rows."""
+    matrix = sample.sigma2.base
+    for a in (*sample.draws.values(), sample.sigma2):
+        assert np.shares_memory(a, matrix)
+    return matrix[:sample.n_draws]
+
+
 def flat_elicitation(eta=0.1):
     return Elicitation(eta={c: eta for c in
                             ("counts", "fertility", "survival", "migration", "srb")})

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demrecon import (FEMALE, CensusData, ModelGrid, load_census, make_manifest,
+from demrecon import (FEMALE, CensusData, ModelGrid, load_census, load_grid, make_manifest,
                       parameter_names, project_full, write_census, write_samples,
                       write_theta)
 from demrecon import cli, sampler
@@ -48,7 +48,6 @@ def _desk_inputs(tmp_path, mig=None, census_years="[1960, 1965, 1975]"):
     elic_yaml.write_text(
         "elicitation:\n  eta:\n    counts: 0.1\n    fertility: 0.1\n"
         "    survival: 0.1\n    migration: 0.2\n    srb: 0.1\n")
-    from demrecon import load_grid
     grid = load_grid(grid_yaml)
     theta = make_theta(grid, seed=1)
     if mig is not None:
@@ -289,6 +288,35 @@ def test_grid_census_year_without_counts_exit_2(tmp_path, capsys):
                  "--iterations", "4", "--burn-in", "2", "--out-dir", str(tmp_path / "run")]) == 2
     assert "census: grid census year 1965 has no census counts" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_repeated_census_year_exit_2(tmp_path, capsys):
+    """A census year given twice would have one of its columns ignored."""
+    argv, grid_yaml, _ = _simulate_desk(tmp_path)
+    grid = load_grid(grid_yaml)
+    census = load_census(tmp_path / "sim" / "census", grid)
+    write_census(tmp_path / "sim" / "census", CensusData(
+        years=census.years + (1975,), counts=np.concatenate([census.counts,
+                                                              3.0 * census.counts[-1:]])), grid)
+    run = tmp_path / "run"
+    assert main(argv + ["--iterations", "4", "--burn-in", "2", "--out-dir", str(run)]) == 2
+    assert "census: year 1975 appears 2 times" in capsys.readouterr().err
+    assert not (run / "samples.csv").exists()
+
+
+def test_unallocatable_draw_matrix_exit_3(tmp_path, capsys):
+    """numpy refuses a retained-draw matrix of exbibytes at once, before
+    any sweep, and the command reports it without a traceback."""
+    sim = tmp_path / "sim"
+    demo = ["--grid", str(DEMO / "grid.yaml"), "--initial-estimates-dir", str(DEMO / "initial"),
+            "--elicitation", str(DEMO / "elicitation.yaml")]
+    assert main(["simulate", *demo, "--seed", "1", "--out-dir", str(sim)]) == 0
+    capsys.readouterr()
+    assert main(["sample", *demo, "--census", str(sim / "census"),
+                 "--iterations", "1000000000000000", "--burn-in", "0", "--chains", "1",
+                 "--out-dir", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_zero_eta_exit_2(tmp_path):

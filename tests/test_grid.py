@@ -93,6 +93,20 @@ def test_parameter_names_pinned_on_tiny_grid():
     assert names[stop:] == [f"sigma2[{c}]" for c in PARAM_CLASSES]
 
 
+def test_class_views_carve_columns_with_leading_axes(desk_grid):
+    """class_views reshapes each class's columns to the leading axes plus
+    the class's shape, as views, and leaves the trailing columns out."""
+    n = len(parameter_names(desk_grid))
+    matrix = np.arange(2 * 3 * n, dtype=float).reshape(2, 3, n)
+    views = desk_grid.class_views(matrix)
+    assert tuple(views) == PARAM_CLASSES
+    for (cls, view), sl in zip(views.items(), desk_grid.class_slices().values()):
+        assert view.shape == (2, 3) + desk_grid.class_shapes()[cls]
+        assert np.shares_memory(view, matrix)
+        assert np.array_equal(view.reshape(2, 3, -1), matrix[..., sl])
+    assert desk_grid.class_views(matrix[0, 0])["srb"].shape == (desk_grid.n_periods,)
+
+
 def test_by_class_round_trip(desk_grid):
     th = make_theta(desk_grid, seed=5)
     arrays = th.by_class()
@@ -191,6 +205,13 @@ def test_validate_census_year_must_be_declared(desk_grid):
     # and the grid's census years after the baseline have no counts
     assert report.violations[-2:] == ("census: grid census year 1965 has no census counts",
                                       "census: grid census year 1975 has no census counts")
+
+
+def test_validate_reports_repeated_census_year(desk_grid):
+    cen = CensusData(years=(1965, 1975, 1975, 1975),
+                     counts=np.ones((4, desk_grid.n_ages, 2)))
+    report = validate(desk_grid, make_theta(desk_grid), cen)
+    assert report.violations == ("census: year 1975 appears 3 times",)
 
 
 @pytest.mark.parametrize("cls,value,line", [

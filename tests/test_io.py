@@ -8,7 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+from demrecon import io as demrecon_io
 from demrecon import (CensusData, ParseError, PosteriorSample, SamplerConfig,
                       beta_from_elicitation, load_census, load_elicitation,
                       load_grid, load_sampler_settings, load_theta,
@@ -17,9 +19,10 @@ from demrecon import (CensusData, ParseError, PosteriorSample, SamplerConfig,
                       write_theta, write_trajectory)
 from demrecon.cli import main
 from demrecon.io import RunManifest, write_rows
-from conftest import make_theta, flat_elicitation
+from conftest import draw_matrix, make_theta, flat_elicitation
 
-DEMO = Path(__file__).resolve().parent.parent / "data" / "demo"
+ROOT = Path(__file__).resolve().parent.parent
+DEMO = ROOT / "data" / "demo"
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +175,32 @@ def test_load_grid_top_level_keys(tmp_path, capsys, desk_grid):
                      str(tmp_path / "initial"), "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {p}: ") and message in err, err
+
+
+def test_yaml_loaders_read_configs_alike(tmp_path, monkeypatch, capsys):
+    """Config files are parsed with libyaml where PyYAML has it and with the
+    pure-Python loader elsewhere. Both read the demo files and the README
+    examples alike, and both make malformed YAML exit 2."""
+    assert demrecon_io._YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    text = (ROOT / "README.md").read_text()
+    section = re.search(r"## File formats\n(.*?)\n## ", text, flags=re.S).group(1)
+    readme = [tmp_path / "grid.yaml", tmp_path / "elicitation.yaml"]
+    for path, block in zip(readme, re.findall(r"```yaml\n(.*?)```", section, flags=re.S)):
+        path.write_text(block)
+    write_theta(tmp_path / "initial", make_theta(load_grid(readme[0])), load_grid(readme[0]))
+    bad = tmp_path / "bad.yaml"
+    results = []
+    for loader in (yaml.SafeLoader, demrecon_io._YAML_LOADER):
+        monkeypatch.setattr(demrecon_io, "_YAML_LOADER", loader)
+        results.append([(load_grid(g), load_elicitation(e), load_sampler_settings(g),
+                         load_sampler_settings(e))
+                        for g, e in ((DEMO / "grid.yaml", DEMO / "elicitation.yaml"), readme)])
+        for malformed in ("grid: [1960,\n", "grid:\n  start_year: 1960\n   end_year: 1975\n"):
+            bad.write_text(malformed)
+            assert main(["project", "--grid", str(bad), "--initial-estimates-dir",
+                         str(tmp_path / "initial"), "--out-dir", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {bad}: not valid YAML")
+    assert all(r == results[0] for r in results)
 
 
 def test_load_grid_missing_key(tmp_path):
@@ -381,6 +410,20 @@ def test_samples_file_bytes_are_csv_writer_of_repr(tmp_path, desk_grid):
         w.writerow([c, k] + [repr(v) for v in row])
     assert p.read_bytes() == buf.getvalue().encode()
     assert read_samples(p, desk_grid).flat().tobytes() == sample.flat().tobytes()
+
+
+@pytest.mark.parametrize("order", ["written", "shuffled"])
+def test_read_samples_gives_views_of_one_draw_matrix(tmp_path, desk_grid, order):
+    sample, p, records = _two_chain_samples(tmp_path, desk_grid)
+    rows = records[1:]
+    if order == "shuffled":
+        rows = [rows[i] for i in np.random.default_rng(2).permutation(len(rows))]
+    _write_records(p, [records[0]] + rows)
+    back = read_samples(p, desk_grid)
+    matrix = draw_matrix(back)
+    assert matrix.shape == (sample.n_draws, len(parameter_names(desk_grid)))
+    assert np.array_equal(back.flat(), matrix)
+    assert np.array_equal(matrix, sample.flat())
 
 
 @pytest.mark.parametrize("order", ["shuffled", "interleaved_chains"])

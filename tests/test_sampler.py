@@ -22,7 +22,7 @@ from demrecon import (MALE, CensusData, ConfigError, PARAM_CLASSES,
                       simulate_dataset, transform, variance_posterior)
 from demrecon.projection import rate_terms
 from demrecon.sampler import ChainState
-from conftest import make_theta, flat_elicitation
+from conftest import draw_matrix, make_theta, flat_elicitation
 from oracles import invgamma_cdf_oracle, log_posterior_oracle, prior_draws_oracle
 
 DEMO = Path(__file__).resolve().parent.parent / "data" / "demo"
@@ -622,6 +622,25 @@ def test_one_group_starts_no_process(desk_grid, desk_hyper, monkeypatch, case):
     assert sample.chain_ids() == list(range(chains))
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_draws_and_sigma2_are_views_of_one_draw_matrix(desk_grid, desk_hyper, monkeypatch,
+                                                       cpus):
+    """run_chain, from one process or joined from chain groups, and
+    prior_sample keep their draws as the rows of one matrix in
+    parameter_names order; acceptance has a leading chain axis."""
+    _set_cpus(monkeypatch, cpus)
+    initial = make_theta(desk_grid, seed=1)
+    config = SamplerConfig(iterations=8, burn_in=4, chains=3, seed=2)
+    fit = run_chain(config, desk_grid, initial, _census_from(initial, desk_grid), desk_hyper)
+    prior = prior_sample(initial, desk_hyper, desk_grid, 5, seed=1)
+    for sample in (fit, prior):
+        matrix = draw_matrix(sample)
+        assert matrix.shape == (sample.n_draws, len(parameter_names(desk_grid)))
+        assert _same_bits(sample.flat(), matrix)
+    for cls, shape in desk_grid.class_shapes().items():
+        assert fit.acceptance[cls].shape == (3,) + shape
+
+
 # SHA-256 of flat() + chain of a 2-chain, 6-sweep demo run, per start
 RUN_CHAIN_DIGESTS = {
     "memory": "1d0fdf004f243b371968fbcf36e4b82713085c7e080ffa65d36108ded9f81f12",
@@ -654,6 +673,25 @@ def test_run_chain_draws_match_recorded_digest(start):
     h = hashlib.sha256(np.ascontiguousarray(sample.flat()).tobytes())
     h.update(sample.chain.astype(np.int64).tobytes())
     assert h.hexdigest() == RUN_CHAIN_DIGESTS[start]
+
+
+# SHA-256 of flat() + chain of the "memory" run above without a census
+CENSUS_FREE_DIGEST = "9c9ac1b35523141848f912f0032f6263da144a19e3791935c6a0f5d87e7d52c3"
+
+
+def test_census_free_run_chain_draws_match_recorded_digest():
+    """A state without a census makes the same accept decisions from its
+    empty census misfit as from none."""
+    grid = load_grid(DEMO / "grid.yaml")
+    loaded = load_theta(DEMO / "initial", grid)
+    hyper = beta_from_elicitation(load_elicitation(DEMO / "elicitation.yaml"), loaded)
+    initial = ThetaVector.from_classes(
+        {c: np.ascontiguousarray(v) for c, v in loaded.by_class().items()})
+    config = SamplerConfig(iterations=6, burn_in=3, chains=2, seed=0)
+    sample = run_chain(config, grid, initial, None, hyper)
+    h = hashlib.sha256(np.ascontiguousarray(sample.flat()).tobytes())
+    h.update(sample.chain.astype(np.int64).tobytes())
+    assert h.hexdigest() == CENSUS_FREE_DIGEST
 
 
 @pytest.mark.xfail(strict=True, reason=(
