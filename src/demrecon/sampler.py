@@ -24,14 +24,18 @@ so each update re-projects only from the first affected period. The
 suffix states come from the same step function as a full projection
 and are bitwise identical to one.
 
-``ChainState`` keeps what each re-projected step needs ready: the
-``rate_terms`` of every period (period as the leading axis) and one
-argument tuple of views per period for the step kernel. A proposal
-rewrites only the cached entries its scalar feeds (g/2, 1 + g/2 and the
-age-0 factor for migration, the factor for age-0 survival, the birth
-shares for srb) and a rejection restores them, so the cache always
-equals ``rate_terms`` of the current rates, bit for bit. The census
-misfit of every census year a proposal reaches is one vectorised
+``ChainState`` keeps what each re-projected step needs ready, built
+once as tables of views: the ``rate_terms`` of every period (period as
+the batch axis), a period-major copy of survival, a rates tuple of
+views per period over both, the row views of its trajectory and of its
+scratch buffer, and one work buffer. A step reads its source row's
+views and writes its destination row's in place, so re-projecting a
+suffix slices and allocates nothing. A proposal rewrites only the
+cached entries its scalar feeds (g/2, 1 + g/2 and the age-0 factor for
+migration, the survival copy and at age 0 the factor for survival, the
+birth shares for srb) and a rejection restores them, so the cache
+always equals ``rate_terms`` of the current rates, bit for bit. The
+census misfit of every census year a proposal reaches is one vectorised
 expression over the stacked log observations of those years.
 
 Chains share only their inputs, and each has its own RNG stream spawned
@@ -60,8 +64,8 @@ import numpy as np
 from .grid import PARAM_CLASSES, CensusData, ModelGrid, ThetaVector, VarianceParams
 from .priors import (HyperParams, InitialEstimates, draw_invgamma, log_invgamma,
                      log_likelihood_census, log_prior_theta, transform)
-from .projection import (Trajectory, _step_counts, positivity_indicator, project_full,
-                         rate_terms)
+from .projection import (Trajectory, _rate_views, _row_views, _step_counts, _step_work,
+                         positivity_indicator, project_full, rate_terms)
 
 # acceptance rate the burn-in adaptation steers each proposal scale toward
 TARGET_ACCEPT = 0.44
@@ -205,6 +209,12 @@ class ChainState:
     order), their natural values, the cached trajectory and the census fit
     statistics.
 
+    The step kernel's arguments are tables built here once: the
+    ``_rate_views`` of each period over the cached rate terms and the
+    natural rates, the ``_row_views`` of every row of ``traj`` and of
+    ``scratch``, and one ``_step_work`` buffer. A re-projection passes
+    table entries to ``_step_counts`` and nothing else.
+
     The cached pieces are kept consistent by ``update_component`` and
     ``update_variances``; everything else should treat instances as
     read-only.
@@ -231,19 +241,20 @@ class ChainState:
         # start the variances at their prior modes (deterministic)
         self.sigma2 = np.array([hyper.beta[c] / (hyper.alpha[c] + 1.0) for c in PARAM_CLASSES])
 
-        # rate terms by period, and one prebuilt argument tuple of views per
-        # period for the step kernel; a proposal refreshes only the entries
-        # it touches (see _refresh_terms)
-        surv, mig = self.nat["survival"], self.nat["migration"]
-        self.terms = rate_terms(np.moveaxis(surv, 1, 0), np.moveaxis(mig, 1, 0),
+        # rate terms by period, and the views the step kernel reads and
+        # writes, built once: one rates tuple per period (a proposal
+        # refreshes only the terms it touches, see _refresh_terms), the
+        # rows of traj and of scratch, and one work buffer. Survival is
+        # also kept period-major, so that the (K+1, 2) survival of a
+        # period that the kernel reads is contiguous.
+        self.surv_by_period = np.ascontiguousarray(np.moveaxis(self.nat["survival"], 1, 0))
+        self.terms = rate_terms(self.surv_by_period, np.moveaxis(self.nat["migration"], 1, 0),
                                 self.nat["srb"])
-        half_g, grow, factor0, shares = self.terms
-        fert, fertile_index = self.nat["fertility"], grid.fertile_index
-        self._step_args = [
-            (fert[:, p], surv[:, p, :], half_g[p], grow[p], factor0[p], shares[p],
-             fertile_index)
-            for p in range(P)
-        ]
+        fert, fi = self.nat["fertility"], grid.fertile_index
+        grow_half, factor0, shares = self.terms
+        self._rates = [_rate_views(self.surv_by_period[p], fert[:, p],
+                                   (grow_half[:, p], factor0[p], shares[p]), fi)
+                       for p in range(P)]
         # flat views for the proposal writes. fertility read from CSV is
         # Fortran-ordered, so its reshape is a copy and the write never
         # reaches nat (ROADMAP item 1); that layout is carried as is.
@@ -251,7 +262,10 @@ class ChainState:
 
         self.traj = np.empty((P + 1, K, 2))
         self.scratch = np.empty_like(self.traj)
-        self._reproject_into(self.traj, 0)
+        self._traj_rows = [_row_views(row, fi) for row in self.traj]
+        self._scratch_rows = [_row_views(row, fi) for row in self.scratch]
+        self._work = _step_work((), K, fi)
+        self._reproject_into(self._traj_rows, 0)
         if not positivity_indicator(self.traj):
             raise SamplingError(
                 "initial estimates project to a negative or non-finite count;"
@@ -292,51 +306,55 @@ class ChainState:
 
     @staticmethod
     def _feeds(cls: str, pos: tuple) -> tuple:
-        """(first trajectory row, rate terms) of the component at array
+        """(first trajectory row, cached terms) of the component at array
         position pos of a class: the row after its period (0 for baseline
-        counts), and (kind, period, age, sex) of the cached rate terms it
-        feeds or None. Migration feeds half_g and grow (and the age-0
-        factor at age 0), age-0 survival the factor, srb the birth shares."""
+        counts), and (kind, period, age, sex) of the cached terms it feeds
+        or None. Migration feeds the stacked (1 + g/2, g/2), survival its
+        period-major copy, both the age-0 factor at age 0, and srb the
+        birth shares."""
         if cls == "counts":
             return 0, None
         if cls == "srb":
             return pos[0] + 1, ("srb", pos[0], 0, 0)
         a, p = pos[:2]
-        if cls == "migration" or (cls == "survival" and a == 0):
+        if cls in ("migration", "survival"):
             return p + 1, (cls, p, a, pos[2])
         return p + 1, None
 
     def _refresh_terms(self, touched):
-        """Recompute the cached rate terms that one component feeds from
-        the current natural values, with the arithmetic of ``rate_terms``."""
+        """Recompute the cached terms that one component feeds from the
+        current natural values, with the arithmetic of ``rate_terms``."""
         kind, p, a, sex = touched
-        half_g, grow, factor0, shares = self.terms
+        grow_half, factor0, shares = self.terms
         if kind == "srb":
             srb = self.nat["srb"][p]
             shares[p, 0] = 1.0 / (1.0 + srb)
             shares[p, 1] = srb / (1.0 + srb)
             return
-        if kind == "migration":
+        if kind == "survival":
+            self.surv_by_period[p, a, sex] = self.nat["survival"][a, p, sex]
+        else:
             hg = 0.5 * self.nat["migration"][a, p, sex]
-            half_g[p, a, sex] = hg
-            grow[p, a, sex] = 1.0 + hg
-            if a:
-                return
-        factor0[p, sex] = (self.nat["survival"][0, p, sex] * grow[p, 0, sex]
-                           + half_g[p, 0, sex])
+            grow_half[1, p, a, sex] = hg
+            grow_half[0, p, a, sex] = 1.0 + hg
+        if a == 0:
+            factor0[p, sex] = (self.surv_by_period[p, 0, sex] * grow_half[0, p, 0, sex]
+                               + grow_half[1, p, 0, sex])
 
-    def _reproject_into(self, buf: np.ndarray, first: int):
-        """Recompute trajectory rows first..P into buf from current rates."""
+    def _reproject_into(self, rows: list, first: int):
+        """Recompute trajectory rows first..P into rows, the row views of
+        traj or of scratch, from current rates."""
         if first == 0:
-            buf[0] = self.nat["counts"]
-            prev = buf[0]
+            np.copyto(rows[0][0], self.nat["counts"])
+            src = rows[0]
             first = 1
         else:
-            prev = self.traj[first - 1]
-        args = self._step_args
-        for i in range(first, self.grid.n_periods + 1):
-            prev = _step_counts(prev, *args[i - 1])
-            buf[i] = prev
+            src = self._traj_rows[first - 1]
+        rates, work = self._rates, self._work
+        for i in range(first, len(rows)):
+            dst = rows[i]
+            _step_counts(src, dst, rates[i - 1], work)
+            src = dst
 
     def _census_quads(self, traj: np.ndarray, first: int) -> np.ndarray:
         """Squared log misfit of every census year at or after row first,
@@ -366,7 +384,7 @@ class ChainState:
             self._refresh_terms(touched)
 
         scratch = self.scratch
-        self._reproject_into(scratch, first)
+        self._reproject_into(self._scratch_rows, first)
         tail = scratch[first:]
         log_alpha = float("-inf")
         if positivity_indicator(tail):

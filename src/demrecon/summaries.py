@@ -160,14 +160,19 @@ def indicator_years(grid: ModelGrid, name: str) -> tuple:
     return tuple(int(y) for y in years)
 
 
-def indicator_trajectories(sample: PosteriorSample, name: str) -> TrajectoryMatrix:
-    """Evaluate one named indicator on every draw of the sample; a flow
-    or a stock re-projects all draws in one stacked ``project_full`` call."""
+def _projected_counts(sample: PosteriorSample) -> np.ndarray:
+    """(draws, P+1, K, 2) counts of every draw, in one stacked ``project_full`` call."""
+    theta = sample.theta_at(slice(None))
+    return project_full(theta.baseline, theta, sample.grid).counts
+
+
+def indicator_trajectories(sample: PosteriorSample, name: str, counts=None) -> TrajectoryMatrix:
+    """Evaluate one named indicator on every draw of the sample. A flow
+    or a stock reads the sample's projected counts: counts when given,
+    else one stacked ``project_full`` of all draws."""
     kind, formula = _INDICATORS[name]
-    counts = None
-    if kind != "rate":
-        theta = sample.theta_at(slice(None))
-        counts = project_full(theta.baseline, theta, sample.grid).counts
+    if kind != "rate" and counts is None:
+        counts = _projected_counts(sample)
     return TrajectoryMatrix(name, formula(sample.draws, counts),
                             indicator_years(sample.grid, name))
 
@@ -186,9 +191,12 @@ def summary_rows(sample: PosteriorSample, indicators, probs=(0.025, 0.5, 0.975),
     """
     rows = []
     probs = tuple(float(p) for p in probs)
-    named = [*indicators, *(t[0] for t in thresholds), *trends,
-             *(pred[0] for _, preds in joints for pred in preds)]
-    tm = {name: indicator_trajectories(sample, name) for name in dict.fromkeys(named)}
+    named = dict.fromkeys([*indicators, *(t[0] for t in thresholds), *trends,
+                           *(pred[0] for _, preds in joints for pred in preds)])
+    # the flows and stocks share one projection of the draws
+    counts = (_projected_counts(sample)
+              if any(_INDICATORS[name][0] != "rate" for name in named) else None)
+    tm = {name: indicator_trajectories(sample, name, counts) for name in named}
 
     for name in indicators:
         t = tm[name]

@@ -1,15 +1,18 @@
 """Projection engine against scalar-loop oracles and exact cohort identities."""
 
 import dataclasses
+import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demrecon import (FEMALE, MALE, ModelGrid, ThetaVector, positivity_indicator,
-                      project_full, total_births)
-from conftest import make_theta
+from demrecon import (FEMALE, MALE, ModelGrid, ThetaVector, beta_from_elicitation,
+                      load_elicitation, load_grid, load_theta, positivity_indicator,
+                      prior_sample, project_full, total_births)
+from conftest import flat_elicitation, make_theta
 from oracles import project_oracle, step_oracle, births_oracle
 
 
@@ -299,3 +302,32 @@ def test_stacked_trajectory_at_and_first_negative(desk_grid, desk_theta):
     alone = project_full(bad.baseline, bad, desk_grid)
     assert np.array_equal(traj.at(1965)[1], alone.at(1965))
     assert traj.first_negative() == (1965, 10, "male")
+
+
+DEMO = Path(__file__).resolve().parent.parent / "data" / "demo"
+
+# SHA-256 of project_full(...).counts for 300 stacked prior draws (seed 0)
+PRIOR_PROJECTION_DIGESTS = {
+    "demo": "663ace698117feb4f4d736cc64e01814aaf549b6a91c318260f59539e8fad2fd",
+    "fert_min_age_0": "bff4dabd312d4242c9132fa937175ea50742a73e579a2ff95fa38b691305b24b",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRIOR_PROJECTION_DIGESTS))
+def test_stacked_prior_projection_matches_recorded_digest(case):
+    """The projected counts of stacked prior draws are pinned bit for bit,
+    on the demo grid and on a grid whose first fertile group is [0, 5),
+    which has no younger group to survive in from."""
+    if case == "demo":
+        grid = load_grid(DEMO / "grid.yaml")
+        initial = load_theta(DEMO / "initial", grid)
+        hyper = beta_from_elicitation(load_elicitation(DEMO / "elicitation.yaml"), initial)
+    else:
+        grid = dataclasses.replace(STACK_GRIDS["demo"], fert_min_age=0)
+        initial = make_theta(grid, seed=2)
+        hyper = beta_from_elicitation(flat_elicitation(), initial)
+    theta = prior_sample(initial, hyper, grid, 300, seed=0).theta_at(slice(None))
+    counts = project_full(theta.baseline, theta, grid).counts
+    assert counts.shape == (300, grid.n_periods + 1, grid.n_ages, 2)
+    digest = hashlib.sha256(np.ascontiguousarray(counts).tobytes()).hexdigest()
+    assert digest == PRIOR_PROJECTION_DIGESTS[case]

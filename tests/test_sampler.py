@@ -354,6 +354,7 @@ def test_cached_terms_trajectory_and_quads_stay_exact(full_grid, fert_min_age):
                 outcomes["metropolis"] += 1
             for got, want in zip(state.terms, _fresh_rate_terms(state)):
                 assert _same_bits(got, want)
+            assert _same_bits(state.surv_by_period, np.moveaxis(state.nat["survival"], 1, 0))
             fresh = project_full(state.theta().baseline, state.theta(), grid).counts
             assert _same_bits(state.traj, fresh)
             assert _same_bits(state.quad, _census_quads_by_year(state, fresh))
@@ -382,7 +383,7 @@ def test_update_rejection_restores_state(desk_grid, desk_hyper):
     nat_before = {c: state.nat[c].copy() for c in PARAM_CLASSES}
     traj_before = state.traj.copy()
     quad_before = state.quad.copy()
-    terms_before = [t.copy() for t in state.terms]
+    terms_before = [t.copy() for t in (*state.terms, state.surv_by_period)]
     # logu = 0 can only accept when the proposal strictly improves;
     # a huge step into the tail will not. Besides a baseline count, try
     # one entry of each class that feeds the cached rate terms: srb,
@@ -400,7 +401,7 @@ def test_update_rejection_restores_state(desk_grid, desk_hyper):
             assert np.array_equal(state.nat[c], nat_before[c])
         assert np.array_equal(state.traj, traj_before)
         assert np.array_equal(state.quad, quad_before)
-        for got, want in zip(state.terms, terms_before):
+        for got, want in zip((*state.terms, state.surv_by_period), terms_before):
             assert _same_bits(got, want)
 
 

@@ -6,7 +6,7 @@ import pytest
 from demrecon import (INDICATOR_NAMES, TrajectoryMatrix, endpoint_diff,
                       exceedance_prob, indicator_trajectories, joint_event_prob,
                       marginal_quantiles, mean_half_width, ols_slope,
-                      project_full, summary_rows)
+                      project_full, summaries, summary_rows)
 from demrecon.summaries import indicator_years
 from conftest import make_theta, sample_from_thetas
 from oracles import (FEMALE, MALE, e0_oracle, ols_slope_oracle,
@@ -229,6 +229,37 @@ def test_indicator_names_and_years_are_pinned(desk_grid, desk_sample):
         years = desk_grid.stock_years if name in ("srtp", "sru5") else desk_grid.period_years
         assert indicator_years(desk_grid, name) == tuple(int(y) for y in years), name
         assert indicator_trajectories(desk_sample, name).years == indicator_years(desk_grid, name)
+
+
+def test_summary_rows_projects_once_for_every_flow_and_stock(desk_sample, monkeypatch):
+    """The flows and stocks of one summary share one stacked projection;
+    each named series is still one ``indicator_trajectories`` call, and
+    its values equal those from evaluating the name alone, bit for bit."""
+    alone = {name: indicator_trajectories(desk_sample, name).values
+             for name in INDICATOR_NAMES}
+    projections, evaluated = [], []
+    real_project, real_evaluate = summaries.project_full, summaries.indicator_trajectories
+
+    def project(*args):
+        projections.append(1)
+        return real_project(*args)
+
+    def evaluate(sample, name, *args):
+        tm = real_evaluate(sample, name, *args)
+        evaluated.append(tm)
+        return tm
+
+    monkeypatch.setattr(summaries, "project_full", project)
+    monkeypatch.setattr(summaries, "indicator_trajectories", evaluate)
+    summary_rows(desk_sample, INDICATOR_NAMES)
+    assert len(projections) == 1
+    assert [tm.name for tm in evaluated] == list(INDICATOR_NAMES)
+    for tm in evaluated:
+        assert tm.values.tobytes() == alone[tm.name].tobytes(), tm.name
+
+    projections.clear()
+    summary_rows(desk_sample, ["tfr", "srb"])
+    assert projections == []
 
 
 # ---------------------------------------------------------------------------
