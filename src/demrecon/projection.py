@@ -38,6 +38,14 @@ of its scratch buffer. When the first fertile group is [0, 5), the
 survivors-in term of that group is a zero that the work buffer holds,
 so the same kernel serves that case.
 
+The kernel also takes a row for the period's births by sex, b * shares,
+and a flag that says whether to compute them into it or read them from
+it. Births read only the source row's female counts at the fertile ages
+and the group below them, and the period's fertility, female survival
+into the fertile ages and srb, so a caller whose change reaches none of
+these may reuse them; the sampler does (see its module docstring).
+``project_full`` always computes them.
+
 Exact arithmetic notes, relied on by tests: the aged survivor at
 destination a+5 is computed as count[a] * (1 + g[a]/2) * s[a+5], and the
 open group accumulates as (survivors from open_age-5) + (retained open
@@ -178,7 +186,8 @@ def _step_work(shape: tuple, n_ages: int, fertile_index: np.ndarray) -> tuple:
             mig[..., :-1, :], mig[..., -1, :], _births_work(shape, fertile_index))
 
 
-def _step_counts(src: tuple, dst: tuple, rates: tuple, work: tuple) -> np.ndarray:
+def _step_counts(src: tuple, dst: tuple, rates: tuple, work: tuple,
+                 births: np.ndarray, fresh: bool) -> np.ndarray:
     """One projection step; the hot path used by the sampler.
 
     src and dst are ``_row_views`` of two rows of counts (..., K, 2),
@@ -187,11 +196,17 @@ def _step_counts(src: tuple, dst: tuple, rates: tuple, work: tuple) -> np.ndarra
     on every argument (stacked draws). Writes the step of src into dst
     and returns dst's row; each draw's slice equals the step of that
     draw alone, bit for bit.
+
+    births (..., 2) is the period's births by sex, total births times the
+    birth shares: computed from src and the rates into it when fresh,
+    read from it otherwise. Age 0 is births * factor0 either way, the
+    arithmetic of (b * shares) * factor0, so a reused row gives the
+    result of a fresh one bit for bit.
     """
     row, _, _, _, n_fert, n_younger = src
     out, out_aged, out_open, out0, _, _ = dst
     grow_half, s_next, s_fert, fertility, shares, factor0 = rates
-    w, aged, aged_head, aged_into_open, aged_open, mig_head, mig_open, births = work
+    w, aged, aged_head, aged_into_open, aged_open, mig_head, mig_open, b_work = work
     # (count * (1 + g/2), count * g/2) in one multiply; then survivors
     # age one group (row a holds the survivors of group a), and the open
     # group also retains its members, added to the survivors into it
@@ -202,9 +217,9 @@ def _step_counts(src: tuple, dst: tuple, rates: tuple, work: tuple) -> np.ndarra
     np.add(aged_head, mig_head, out=out_aged)
     np.add(out_open, mig_open, out=out_open)
 
-    b = _births(n_fert, n_younger, s_fert, fertility, births)
-    np.multiply(b, shares, out=out0)
-    np.multiply(out0, factor0, out=out0)
+    if fresh:
+        np.multiply(_births(n_fert, n_younger, s_fert, fertility, b_work), shares, out=births)
+    np.multiply(births, factor0, out=out0)
     return out
 
 
@@ -259,12 +274,12 @@ def project_full(baseline: np.ndarray, theta: ThetaVector, grid: ModelGrid) -> T
     traj = np.empty(shape + (P + 1, K, 2))
     traj[..., 0, :, :] = baseline
     rows = [_row_views(traj[..., t, :, :], fi) for t in range(P + 1)]
-    work = _step_work(shape, K, fi)
+    work, births = _step_work(shape, K, fi), np.empty(shape + (2,))
     for p in range(P):
         surv = theta.survival[..., p, :]
         terms = rate_terms(surv, theta.migration[..., p, :], theta.srb[..., p])
         _step_counts(rows[p], rows[p + 1],
-                     _rate_views(surv, theta.fertility[..., p], terms, fi), work)
+                     _rate_views(surv, theta.fertility[..., p], terms, fi), work, births, True)
     return Trajectory(counts=traj, years=tuple(grid.stock_years))
 
 

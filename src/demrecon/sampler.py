@@ -34,8 +34,18 @@ suffix slices and allocates nothing. A proposal rewrites only the
 cached entries its scalar feeds (g/2, 1 + g/2 and the age-0 factor for
 migration, the survival copy and at age 0 the factor for survival, the
 birth shares for srb) and a rejection restores them, so the cache
-always equals ``rate_terms`` of the current rates, bit for bit. The
-census misfit of every census year a proposal reaches is one vectorised
+always equals ``rate_terms`` of the current rates, bit for bit.
+
+Births come from female counts at the fertile ages only, and each step
+moves every cohort one age group up, so most proposals cannot change
+them. ``ChainState`` keeps each period's births by sex next to its
+trajectory, and its scan table marks the entries that feed them:
+fertility, srb, and the female count, survival and migration entries
+whose youngest changed age group in their first re-projected row is at
+or below the last fertile group (see ``ChainState._feeds``). A feeding
+entry's re-projection computes births into a scratch row, copied to the
+cache when it is accepted; every other entry's steps read the cache.
+The census misfit of every census year a proposal reaches is one vectorised
 expression over the stacked log observations of those years.
 
 Chains share only their inputs, and each has its own RNG stream spawned
@@ -61,7 +71,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .grid import PARAM_CLASSES, CensusData, ModelGrid, ThetaVector, VarianceParams
+from .grid import FEMALE, PARAM_CLASSES, CensusData, ModelGrid, ThetaVector, VarianceParams
 from .priors import (HyperParams, InitialEstimates, draw_invgamma, log_invgamma,
                      log_likelihood_census, log_prior_theta, transform)
 from .projection import (Trajectory, _rate_views, _row_views, _step_counts, _step_work,
@@ -212,8 +222,10 @@ class ChainState:
     The step kernel's arguments are tables built here once: the
     ``_rate_views`` of each period over the cached rate terms and the
     natural rates, the ``_row_views`` of every row of ``traj`` and of
-    ``scratch``, and one ``_step_work`` buffer. A re-projection passes
-    table entries to ``_step_counts`` and nothing else.
+    ``scratch``, one ``_step_work`` buffer, and the rows of the births by
+    sex of ``traj`` (``births``) and of ``scratch`` (``scratch_births``).
+    A re-projection passes table entries to ``_step_counts`` and nothing
+    else.
 
     The cached pieces are kept consistent by ``update_component`` and
     ``update_variances``; everything else should treat instances as
@@ -265,7 +277,12 @@ class ChainState:
         self._traj_rows = [_row_views(row, fi) for row in self.traj]
         self._scratch_rows = [_row_views(row, fi) for row in self.scratch]
         self._work = _step_work((), K, fi)
-        self._reproject_into(self._traj_rows, 0)
+        # births by sex of each period of traj, and of scratch
+        self.births = np.empty((P, 2))
+        self.scratch_births = np.empty_like(self.births)
+        self._births_rows = list(self.births)
+        self._scratch_births_rows = list(self.scratch_births)
+        self._reproject_into(self._traj_rows, self._births_rows, 0, True)
         if not positivity_indicator(self.traj):
             raise SamplingError(
                 "initial estimates project to a negative or non-finite count;"
@@ -283,19 +300,22 @@ class ChainState:
         # those entries' trajectory rows and log observations
         self._cen_from = [(lo, self.cen_pos[lo:], self.cen_logobs[lo:])
                           for lo in np.searchsorted(self.cen_pos, np.arange(P + 1)).tolist()]
-        self.quad = self._census_quads(self.traj, 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.quad = self._census_quads(self.traj, 0)
         if not np.all(np.isfinite(self.quad)):
             raise SamplingError("initial estimates give zero projected counts at a census year")
 
         # scan table over the sampled classes in parameter_names order:
         # (flat index, first trajectory row affected, rate terms fed or
-        # None, class, its index in PARAM_CLASSES, index within the class)
+        # None, class, its index in PARAM_CLASSES, index within the class,
+        # whether it feeds births)
         self.components = []
         for ci, (cls, axes) in enumerate(grid.class_axes().items()):
             if cls in config.sample_classes:
                 start = self.slices[cls].start
                 for j, pos in enumerate(np.ndindex(*map(len, axes))):
-                    self.components.append((start + j, *self._feeds(cls, pos), cls, ci, j))
+                    first, touched, fresh = self._feeds(cls, pos)
+                    self.components.append((start + j, first, touched, cls, ci, j, fresh))
         self.n_components = len(self.components)
 
         # proposal scales start at sqrt(beta/alpha), the scale of the
@@ -304,22 +324,34 @@ class ChainState:
             np.full(sl.stop - sl.start, math.log(math.sqrt(hyper.beta[c] / hyper.alpha[c])))
             for c, sl in self.slices.items()])
 
-    @staticmethod
-    def _feeds(cls: str, pos: tuple) -> tuple:
-        """(first trajectory row, cached terms) of the component at array
-        position pos of a class: the row after its period (0 for baseline
-        counts), and (kind, period, age, sex) of the cached terms it feeds
-        or None. Migration feeds the stacked (1 + g/2, g/2), survival its
+    def _feeds(self, cls: str, pos: tuple) -> tuple:
+        """(first trajectory row, cached terms, births) of the component at
+        array position pos of a class: the row after its period (0 for
+        baseline counts), (kind, period, age, sex) of the cached terms it
+        feeds or None, and whether it can change births.
+
+        Migration feeds the stacked (1 + g/2, g/2), survival its
         period-major copy, both the age-0 factor at age 0, and srb the
-        birth shares."""
+        birth shares. Fertility and srb feed births. A count, survival or
+        migration entry feeds them when it is female and the youngest age
+        group it changes in its first row is at or below the last fertile
+        group: count a changes group a, survival a the survivors into
+        group a and migration a the migrants arriving in a+1, each capped
+        at the open group, and at age 0 both change group 0 through the
+        age-0 factor. Cohorts only age from there, so a younger fertile
+        group never sees the change."""
         if cls == "counts":
-            return 0, None
-        if cls == "srb":
-            return pos[0] + 1, ("srb", pos[0], 0, 0)
-        a, p = pos[:2]
-        if cls in ("migration", "survival"):
-            return p + 1, (cls, p, a, pos[2])
-        return p + 1, None
+            a, sex = pos
+            first, touched, youngest = 0, None, a
+        elif cls == "srb":
+            return pos[0] + 1, ("srb", pos[0], 0, 0), True
+        elif cls == "fertility":
+            return pos[1] + 1, None, True
+        else:
+            a, p, sex = pos
+            first, touched = p + 1, (cls, p, a, sex)
+            youngest = min(a + (cls == "migration"), self.grid.n_ages - 1) if a else 0
+        return first, touched, sex == FEMALE and youngest <= int(self.grid.fertile_index[-1])
 
     def _refresh_terms(self, touched):
         """Recompute the cached terms that one component feeds from the
@@ -341,9 +373,11 @@ class ChainState:
             factor0[p, sex] = (self.surv_by_period[p, 0, sex] * grow_half[0, p, 0, sex]
                                + grow_half[1, p, 0, sex])
 
-    def _reproject_into(self, rows: list, first: int):
+    def _reproject_into(self, rows: list, births: list, first: int, fresh: bool):
         """Recompute trajectory rows first..P into rows, the row views of
-        traj or of scratch, from current rates."""
+        traj or of scratch, from current rates. births holds the rows of
+        each period's births by sex: when fresh, each step computes its
+        period's into them, otherwise it reads them from there."""
         if first == 0:
             np.copyto(rows[0][0], self.nat["counts"])
             src = rows[0]
@@ -353,16 +387,15 @@ class ChainState:
         rates, work = self._rates, self._work
         for i in range(first, len(rows)):
             dst = rows[i]
-            _step_counts(src, dst, rates[i - 1], work)
+            _step_counts(src, dst, rates[i - 1], work, births[i - 1], fresh)
             src = dst
 
     def _census_quads(self, traj: np.ndarray, first: int) -> np.ndarray:
         """Squared log misfit of every census year at or after row first,
         against a trajectory buffer."""
         _, rows, logobs = self._cen_from[first]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = logobs - np.log(traj[rows])
-        return (r * r).sum(axis=(1, 2))
+        r = logobs - np.log(traj[rows])
+        return np.add.reduce(r * r, axis=(1, 2))
 
     def update_component(self, comp: int, scale: float, z: float, logu: float) -> tuple:
         """Metropolis step for one scan-table entry.
@@ -371,7 +404,7 @@ class ChainState:
         state only on acceptance; a proposal that breaks positivity has
         probability 0 and is undone like any other rejection.
         """
-        i, first, touched, cls, cls_i, j = self.components[comp]
+        i, first, touched, cls, cls_i, j, fresh = self.components[comp]
         x_old = self.x[i]
         x_new = x_old + scale * z
         mu = self.mu[i]
@@ -384,14 +417,16 @@ class ChainState:
             self._refresh_terms(touched)
 
         scratch = self.scratch
-        self._reproject_into(self._scratch_rows, first)
+        self._reproject_into(self._scratch_rows,
+                             self._scratch_births_rows if fresh else self._births_rows,
+                             first, fresh)
         tail = scratch[first:]
         log_alpha = float("-inf")
         if positivity_indicator(tail):
             lo = self._cen_from[first][0]
             new_quads = self._census_quads(scratch, first)
-            dll = -0.5 * (float(new_quads.sum()) - float(self.quad[lo:].sum())) \
-                / self.sigma2[0]
+            dll = -0.5 * (float(np.add.reduce(new_quads))
+                          - float(np.add.reduce(self.quad[lo:]))) / self.sigma2[0]
             if not math.isnan(dlp + dll):
                 log_alpha = dlp + dll
         aprob = math.exp(min(log_alpha, 0.0))
@@ -399,6 +434,9 @@ class ChainState:
             self.x[i] = x_new
             self.traj[first:] = tail
             self.quad[lo:] = new_quads
+            if fresh:
+                period = max(first - 1, 0)
+                self.births[period:] = self.scratch_births[period:]
             return True, aprob
         nat_flat[j] = nat_old
         if touched is not None:
@@ -429,7 +467,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _run_chains(chain_ids: list, config: SamplerConfig, grid: ModelGrid,
                 initial: InitialEstimates, census: Optional[CensusData],
                 hyper: HyperParams) -> tuple:
@@ -439,8 +477,10 @@ def _run_chains(chain_ids: list, config: SamplerConfig, grid: ModelGrid,
     matrix in ``parameter_names`` order, and their post-burn-in
     acceptance counts (a row per chain, a column per scalar of theta),
     each in chain order. Projections that overflow are
-    rejected by the positivity check, so numpy's overflow and invalid
-    warnings are silenced here.
+    rejected by the positivity check, and a zero projected count at a
+    census year gives an infinite misfit that the Metropolis step
+    rejects, so numpy's overflow, invalid and divide warnings are
+    silenced here.
     """
     per_chain = (config.iterations - config.burn_in) // config.thin
     total = per_chain * len(chain_ids)

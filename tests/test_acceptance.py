@@ -5,6 +5,9 @@ Tolerances are stated inline next to each assertion.
 """
 
 import math
+import multiprocessing
+import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from demrecon import (CensusData, ChainState, Elicitation, ModelGrid,
                       project_full, raftery_lewis, run_chain, simulate_dataset,
                       summary_rows, total_births, transform, variance_posterior,
                       variance_draws)
+from demrecon.sampler import _usable_cpus
 from conftest import make_theta, flat_elicitation, sample_from_thetas
 from oracles import (FEMALE, MALE, invgamma_cdf_oracle, project_oracle,
                      t_quantile_oracle)
@@ -205,6 +209,66 @@ def test_criterion_07_reduced_model_matches_quadrature():
     assert abs(mcmc_mean - quad_mean) / quad_mean < 0.02
 
 
+def _calibration_fit(rep, iterations=4000, burn_in=1600):
+    """Replicate rep of criterion 08: a desk-scale dataset simulated with
+    seed 100 + rep and its one-chain fit (thinned by 3) with that seed."""
+    grid = _desk_grid()
+    initial = make_theta(grid, seed=1)
+    classes = ("counts", "fertility", "survival", "migration", "srb")
+    elic = Elicitation(eta={c: 0.1 for c in classes},
+                       alpha={c: 2.0 for c in classes})
+    hyper = beta_from_elicitation(elic, initial)
+    data = simulate_dataset(grid, initial, hyper, seed=100 + rep)
+    config = SamplerConfig(iterations=iterations, burn_in=burn_in, thin=3,
+                           chains=1, seed=100 + rep)
+    return data, run_chain(config, grid, data.initial, data.census, hyper)
+
+
+def _calibration_hits(rep):
+    """Whether replicate rep's 95% intervals for the first-period SRB and
+    TFR cover the generating truth, as (0 or 1, 0 or 1)."""
+    data, sample = _calibration_fit(rep)
+    srb_draws = sample.draws["srb"][:, 0]
+    tfr_draws = 5.0 * sample.draws["fertility"][:, :, 0].sum(axis=1)
+    srb_true = data.theta_true.srb[0]
+    tfr_true = 5.0 * data.theta_true.fertility[:, 0].sum()
+    lo, hi = np.quantile(srb_draws, [0.025, 0.975])
+    srb_hit = int(lo <= srb_true <= hi)
+    lo, hi = np.quantile(tfr_draws, [0.025, 0.975])
+    return srb_hit, int(lo <= tfr_true <= hi)
+
+
+def _short_fit_draws(rep):
+    return _calibration_fit(rep, iterations=40, burn_in=16)[1].flat()
+
+
+def _map_replicates(fn, reps, workers):
+    """fn of each replicate, in order. Up to workers forked processes run
+    them where the fork start method exists and this process runs no
+    other thread, the conditions of ``run_chain``'s chain groups;
+    otherwise they run here one after another. A replicate is a seeded
+    fit that shares nothing with the others, so either way gives the
+    same results."""
+    reps = list(reps)
+    workers = min(workers, len(reps))
+    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1):
+        return [fn(rep) for rep in reps]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, reps))
+
+
+def test_calibration_replicates_give_the_same_draws_in_a_worker():
+    """A short criterion-08 fit run in a forked worker returns the draws
+    of the same fit run in this process, bit for bit."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork start method: the replicates run in this process")
+    here = [_short_fit_draws(rep) for rep in (0, 1)]
+    there = _map_replicates(_short_fit_draws, (0, 1), workers=2)
+    assert multiprocessing.active_children() == []
+    assert [d.tobytes() for d in there] == [d.tobytes() for d in here]
+
+
 @pytest.mark.slow
 def test_criterion_08_desk_scale_calibration():
     """Twenty synthetic desk-scale reconstructions (K=4, 3 periods): the
@@ -217,28 +281,13 @@ def test_criterion_08_desk_scale_calibration():
     climb out of the small-variance region; a spot check shows those
     chains do cover once long enough, so the shorter-tailed setting tests
     the same calibration property at a minutes-scale runtime.
+
+    The replicates run in forked workers, one per usable CPU, where
+    ``_map_replicates`` can fork.
     """
-    grid = _desk_grid()
-    initial = make_theta(grid, seed=1)
-    classes = ("counts", "fertility", "survival", "migration", "srb")
-    elic = Elicitation(eta={c: 0.1 for c in classes},
-                       alpha={c: 2.0 for c in classes})
-    hyper = beta_from_elicitation(elic, initial)
-    srb_hits = tfr_hits = 0
     n_rep = 20
-    for rep in range(n_rep):
-        data = simulate_dataset(grid, initial, hyper, seed=100 + rep)
-        config = SamplerConfig(iterations=4000, burn_in=1600, thin=3,
-                               chains=1, seed=100 + rep)
-        sample = run_chain(config, grid, data.initial, data.census, hyper)
-        srb_draws = sample.draws["srb"][:, 0]
-        tfr_draws = 5.0 * sample.draws["fertility"][:, :, 0].sum(axis=1)
-        srb_true = data.theta_true.srb[0]
-        tfr_true = 5.0 * data.theta_true.fertility[:, 0].sum()
-        lo, hi = np.quantile(srb_draws, [0.025, 0.975])
-        srb_hits += int(lo <= srb_true <= hi)
-        lo, hi = np.quantile(tfr_draws, [0.025, 0.975])
-        tfr_hits += int(lo <= tfr_true <= hi)
+    hits = _map_replicates(_calibration_hits, range(n_rep), workers=_usable_cpus())
+    srb_hits, tfr_hits = (sum(h) for h in zip(*hits))
     assert srb_hits >= 17, f"SRB intervals covered truth in {srb_hits}/20"
     assert tfr_hits >= 17, f"TFR intervals covered truth in {tfr_hits}/20"
 

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from demrecon import (MALE, CensusData, ConfigError, PARAM_CLASSES,
+from demrecon import (FEMALE, MALE, CensusData, ConfigError, ModelGrid, PARAM_CLASSES,
                       SamplerConfig, SamplingError, ThetaVector, Trajectory,
                       VarianceParams, beta_from_elicitation, gelman_rubin,
                       load_elicitation, load_grid, load_theta, log_posterior,
                       parameter_names, positivity_indicator, prior_sample,
                       project_full, run_chain, sampler, simulate,
-                      simulate_dataset, transform, variance_posterior)
+                      simulate_dataset, total_births, transform, variance_posterior)
 from demrecon.projection import rate_terms
 from demrecon.sampler import ChainState
 from conftest import draw_matrix, make_theta, flat_elicitation
@@ -310,6 +310,14 @@ def _fresh_rate_terms(state):
                       np.moveaxis(nat["migration"], 1, 0), nat["srb"])
 
 
+def _period_births(grid, theta, counts):
+    """Total births of each period from a trajectory's counts, one
+    ``total_births`` call per period."""
+    return [total_births(counts[p, :, FEMALE], theta.survival[:, p, FEMALE],
+                         theta.fertility[:, p], grid.fertile_index)
+            for p in range(grid.n_periods)]
+
+
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -327,13 +335,32 @@ def test_update_preserves_trajectory_cache(desk_grid, desk_hyper):
         assert got == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("fert_min_age", [15, 0])
-def test_cached_terms_trajectory_and_quads_stay_exact(full_grid, fert_min_age):
+# Grids by the shape of their fertile span: the demo's, inside the age
+# range; one that starts at [0, 5); the desk grid's, whose last fertile
+# group is the open group; a single fertile group; and a span that ends
+# one group below the open group.
+_DEMO_GRID = ModelGrid(start_year=1960, end_year=1980, open_age=80, fert_min_age=15,
+                       fert_max_age=45, census_years=(1960, 1980))
+_DESK_GRID = ModelGrid(start_year=1960, end_year=1975, open_age=15, fert_min_age=10,
+                       fert_max_age=15, census_years=(1960, 1965, 1975))
+SPAN_GRIDS = {
+    "demo": _DEMO_GRID,
+    "fert_min_age_0": dataclasses.replace(_DEMO_GRID, fert_min_age=0),
+    "open_fertile": _DESK_GRID,
+    "one_fertile": dataclasses.replace(_DEMO_GRID, fert_min_age=30, fert_max_age=30),
+    "below_open": dataclasses.replace(_DESK_GRID, fert_min_age=5, fert_max_age=10),
+}
+
+
+# ids: the first fertile age on the demo grid, or the desk shape
+@pytest.mark.parametrize("name", [pytest.param("demo", id="15"),
+                                  pytest.param("fert_min_age_0", id="0"), "open_fertile"])
+def test_cached_terms_trajectory_and_quads_stay_exact(name):
     """After every update (accepted, rejected by the Metropolis draw, or
-    rejected for a negative count) the cached rate terms, trajectory and
-    census misfits equal a fresh computation from the current rates, bit
-    for bit."""
-    grid = dataclasses.replace(full_grid, fert_min_age=fert_min_age)
+    rejected for a negative count) the cached rate terms, trajectory,
+    births by sex and census misfits equal a fresh computation from the
+    current rates, bit for bit."""
+    grid = SPAN_GRIDS[name]
     hyper = beta_from_elicitation(flat_elicitation(), make_theta(grid, seed=1))
     state, _, _ = _state(grid, hyper, seed=1)
     rng = np.random.default_rng(11)
@@ -358,7 +385,43 @@ def test_cached_terms_trajectory_and_quads_stay_exact(full_grid, fert_min_age):
             fresh = project_full(state.theta().baseline, state.theta(), grid).counts
             assert _same_bits(state.traj, fresh)
             assert _same_bits(state.quad, _census_quads_by_year(state, fresh))
+            shares = _fresh_rate_terms(state)[2]
+            births = _period_births(grid, state.theta(), state.traj)
+            assert _same_bits(state.births, [b * s for b, s in zip(births, shares)])
     assert min(outcomes.values()) > 0, outcomes
+
+
+# scan-table entries that feed births, per grid: fertility, srb, and the
+# female counts, survival and migration entries whose youngest changed
+# age group is at or below the last fertile group f. On the demo (K=17,
+# P=4, f=9): 10 counts, 28 fertility, 4 srb, 40 survival, 36 migration.
+FEEDING_ENTRIES = {"demo": 118, "fert_min_age_0": 130, "open_fertile": 40,
+                   "one_fertile": 67, "below_open": 27}
+
+
+@pytest.mark.parametrize("name", SPAN_GRIDS)
+def test_entries_marked_not_feeding_leave_every_births_unchanged(name):
+    """Perturbing any scan-table entry that is marked as not feeding births
+    leaves every period's total births of a full projection bit for bit
+    as they were, so the sampler may reuse its cached births for it."""
+    grid = SPAN_GRIDS[name]
+    theta = make_theta(grid, seed=2)
+    hyper = beta_from_elicitation(flat_elicitation(), theta)
+    state = ChainState(grid, theta, None, hyper, SamplerConfig())
+    natural = np.concatenate([v.ravel() for v in theta.by_class().values()])
+
+    def births(vec):
+        th = ThetaVector.from_classes(grid.class_views(vec))
+        counts = project_full(th.baseline, th, grid).counts
+        return [b.tobytes() for b in _period_births(grid, th, counts)]
+
+    base, names = births(natural), parameter_names(grid)
+    for i, *_, feeds in state.components:
+        if not feeds:
+            vec = natural.copy()
+            vec[i] = 0.5 * vec[i] + 0.01
+            assert births(vec) == base, names[i]
+    assert sum(entry[-1] for entry in state.components) == FEEDING_ENTRIES[name]
 
 
 def test_update_delta_matches_posterior_difference(desk_grid, desk_hyper):
@@ -678,6 +741,21 @@ def test_run_chain_draws_match_recorded_digest(start):
 
 # SHA-256 of flat() + chain of the "memory" run above without a census
 CENSUS_FREE_DIGEST = "9c9ac1b35523141848f912f0032f6263da144a19e3791935c6a0f5d87e7d52c3"
+
+
+# SHA-256 of flat() + chain of one 40-sweep chain on the desk grid, whose
+# open group is fertile; the demo grid's digests above never run a step
+# in which the open group feeds births
+DESK_RUN_CHAIN_DIGEST = "0b3e4b3cdb5df76d913aade2bce8fbf8e301a947faa8b729382ebcb758ddccb4"
+
+
+def test_desk_run_chain_draws_match_recorded_digest(desk_grid, desk_theta, desk_hyper):
+    census = simulate_dataset(desk_grid, desk_theta, desk_hyper, seed=5).census
+    config = SamplerConfig(iterations=40, burn_in=20, chains=1, seed=0)
+    sample = run_chain(config, desk_grid, desk_theta, census, desk_hyper)
+    h = hashlib.sha256(np.ascontiguousarray(sample.flat()).tobytes())
+    h.update(sample.chain.astype(np.int64).tobytes())
+    assert h.hexdigest() == DESK_RUN_CHAIN_DIGEST
 
 
 def test_census_free_run_chain_draws_match_recorded_digest():
