@@ -173,32 +173,39 @@ def _cmd_diagnose(args) -> int:
         raise _Invalid(f"--q {args.q:g} --r {args.r:g} --s {args.s:g}: {e}") from None
     grid = _sample_grid(args.sample_dir)
     names = parameter_names(grid)
+    column = {n: i for i, n in enumerate(names)}
     wanted = args.parameter or names
-    unknown = [n for n in wanted if n not in names]
+    unknown = [n for n in wanted if n not in column]
     if unknown:
         raise _Invalid(f"unknown parameters {unknown[:5]}")
     sample = io.read_samples(Path(args.sample_dir) / "samples.csv", grid)
     flat = sample.flat()
-    cols = {n: flat[:, i] for i, n in enumerate(names)}
-    per_chain = [sample.chain == c for c in sample.chain_ids()]
-    n = min(int(np.sum(m)) for m in per_chain)
+    # read_samples sorts rows by (chain, draw): each chain is one block of rows
+    _, starts, lengths = np.unique(sample.chain, return_index=True, return_counts=True)
+    first = flat[:lengths[0]]
+    gr, gr_note = None, ""
+    if len(starts) >= 2:
+        n = lengths.min()
+        cols = [column[p] for p in args.parameter] if args.parameter else slice(None)
+        try:
+            gr = gelman_rubin([flat[a:a + n, cols] for a in starts])
+        except ValueError as e:
+            gr_note = str(e)
 
     rows = []
-    for name in wanted:
-        series = cols[name]
+    for k, name in enumerate(wanted):
         row = {"parameter": name, "nmin": "", "burn_in": "", "n_required": "",
                "thin": "", "dependence": "", "gelman_rubin": "", "note": ""}
         try:
-            rep = raftery_lewis(series[per_chain[0]], q=args.q, r=args.r, s=args.s)
+            rep = raftery_lewis(first[:, column[name]], q=args.q, r=args.r, s=args.s)
             row.update(nmin=rep.nmin, burn_in=rep.burn_in, n_required=rep.n_required,
                        thin=rep.thin, dependence=f"{rep.dependence:.4g}")
         except ValueError as e:
             row["note"] = str(e)
-        if len(per_chain) >= 2:
-            try:
-                row["gelman_rubin"] = f"{gelman_rubin([series[m][:n] for m in per_chain]):.4g}"
-            except ValueError as e:
-                row["note"] = (row["note"] + "; " if row["note"] else "") + str(e)
+        if gr is not None:
+            row["gelman_rubin"] = f"{gr[k]:.4g}"
+        elif gr_note:
+            row["note"] = (row["note"] + "; " if row["note"] else "") + gr_note
         rows.append(row)
 
     out = Path(args.out_dir or args.sample_dir)

@@ -17,6 +17,9 @@ with a = P(0 -> 1), b = P(1 -> 0), z the standard normal quantile at
 reported burn-in and required length are m**k and n**k for thinning k.
 The dependence factor is N / Nmin; values near 1 mean the chain mixes
 like an iid sequence over the event of interest.
+
+``gelman_rubin`` takes chains with an optional trailing parameter axis,
+(n, m), and then returns one R-hat per parameter from one pass.
 """
 
 from __future__ import annotations
@@ -37,11 +40,20 @@ class RunLengthReport:
     dependence: float
 
 
+def _run_counts(z: np.ndarray, width: int) -> np.ndarray:
+    """How often each run of ``width`` successive states occurs in the
+    binary chain z, as a (2,) * width table: pairs for 2, triples for 3."""
+    n = z.size - width + 1
+    code = z[:n]
+    for lag in range(1, width):
+        code = 2 * code + z[lag:lag + n]
+    return np.bincount(code, minlength=2 ** width).reshape((2,) * width)
+
+
 def _g2_second_vs_first(z: np.ndarray) -> float:
     """Likelihood-ratio statistic of a second-order binary Markov fit
     against a first-order one, from the chain's triple counts."""
-    triples = np.zeros((2, 2, 2))
-    np.add.at(triples, (z[:-2], z[1:-1], z[2:]), 1.0)
+    triples = _run_counts(z, 3)
     g2 = 0.0
     for i in range(2):
         for j in range(2):
@@ -92,8 +104,7 @@ def raftery_lewis(chain, q: float = 0.025, r: float = 0.005, s: float = 0.95,
             break
         kthin += 1
 
-    pairs = np.zeros((2, 2))
-    np.add.at(pairs, (zt[:-1], zt[1:]), 1.0)
+    pairs = _run_counts(zt, 2)
     from0, from1 = pairs[0].sum(), pairs[1].sum()
     if from0 == 0 or from1 == 0:
         raise ValueError("binarized chain never leaves one state; cannot estimate transitions")
@@ -119,23 +130,34 @@ def raftery_lewis(chain, q: float = 0.025, r: float = 0.005, s: float = 0.95,
                            thin=kthin, dependence=n_req / nmin)
 
 
-def gelman_rubin(chains) -> float:
-    """Potential scale reduction factor for one scalar across chains.
+def gelman_rubin(chains):
+    """Potential scale reduction factor across chains, one per parameter.
 
-    chains is a sequence of equal-length 1-d arrays, one per chain.
+    chains is a sequence of arrays of one shape, one per chain: (n,) for
+    one scalar, or (n, m) for m parameters with draws along the first
+    axis. Returns a float for (n,) chains and an (m,) array otherwise.
     Values near 1 indicate the chains sample the same distribution;
     above about 1.1 they have not converged (inf: constant chains apart).
+    Each chain is shifted by its first draw and the chain means by the
+    first mean before the variances are taken, so a parameter constant
+    within every chain has variances exactly 0.
     """
-    seqs = [np.asarray(c, dtype=np.float64).ravel() for c in chains]
+    seqs = [np.asarray(c, dtype=np.float64) for c in chains]
     if len(seqs) < 2:
         raise ValueError("need at least two chains")
-    n = seqs[0].size
-    if n < 2 or any(s.size != n for s in seqs):
-        raise ValueError("chains must share one length of at least 2")
-    means = np.array([s.mean() for s in seqs])
-    w = float(np.mean([s.var(ddof=1) for s in seqs]))
-    b_over_n = float(means.var(ddof=1))
-    if w == 0.0:
-        return 1.0 if b_over_n == 0.0 else math.inf
-    v_hat = (n - 1.0) / n * w + b_over_n
-    return float(math.sqrt(v_hat / w))
+    shape = seqs[0].shape
+    if len(shape) not in (1, 2) or shape[0] < 2 or any(s.shape != shape for s in seqs):
+        raise ValueError("chains must share one shape, (n,) or (n, m), with n >= 2")
+    n = shape[0]
+    means, w = [], 0.0
+    for s in seqs:
+        d = s - s[0]
+        means.append(s[0] + d.mean(axis=0))
+        w = w + d.var(axis=0, ddof=1)
+    w = w / len(seqs)
+    means = np.array(means)
+    b_over_n = (means - means[0]).var(axis=0, ddof=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt(((n - 1.0) / n * w + b_over_n) / w)
+    r = np.where(w == 0.0, np.where(b_over_n == 0.0, 1.0, math.inf), r)
+    return float(r) if r.ndim == 0 else r

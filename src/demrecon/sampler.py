@@ -160,9 +160,6 @@ class PosteriorSample:
         cols.append(self.sigma2)
         return np.concatenate(cols, axis=1)
 
-    def chain_ids(self) -> list:
-        return sorted(set(int(c) for c in self.chain))
-
 
 def parameter_names(grid: ModelGrid) -> list:
     """Scalar parameter names in the order used by ``PosteriorSample.flat``:

@@ -264,3 +264,25 @@ def prior_draws_oracle(initial, hyper, grid, rng, n_draws):
         sig.append(v)
         thetas.append(theta)
     return sig, thetas, tried
+
+
+# ---------------------------------------------------------------------------
+# diagnostics
+
+
+def binary_run_counts_oracle(z, width):
+    """Tally of a binary chain's runs of ``width`` successive states (pairs
+    for 2, triples for 3), one window at a time, as nested lists indexed
+    by the states in chain order."""
+    states = [int(v) for v in z]
+    counts = {}
+    for t in range(len(states) - width + 1):
+        key = tuple(states[t:t + width])
+        counts[key] = counts.get(key, 0) + 1
+
+    def table(prefix):
+        if len(prefix) == width:
+            return counts.get(prefix, 0)
+        return [table(prefix + (s,)) for s in (0, 1)]
+
+    return table(())

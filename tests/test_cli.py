@@ -2,6 +2,7 @@
 exit codes and reproducibility."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -17,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demrecon import (FEMALE, CensusData, ModelGrid, load_census, load_grid, make_manifest,
-                      parameter_names, project_full, write_census, write_samples,
-                      write_theta)
+from demrecon import (FEMALE, CensusData, ModelGrid, gelman_rubin, load_census, load_grid,
+                      make_manifest, parameter_names, project_full, write_census,
+                      write_samples, write_theta)
 from demrecon import cli, sampler
 from demrecon.cli import main
 from conftest import make_theta, sample_from_thetas
@@ -592,6 +593,70 @@ def test_diagnose_period_two_chain_is_a_note(tmp_path, desk_grid):
     with open(run / "diagnostics.csv") as fh:
         (row,) = csv.DictReader(fh)
     assert "period 2" in row["note"]
+
+
+def _counting(monkeypatch, name):
+    """Replace ``cli.<name>`` by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_diagnose_one_gelman_rubin_call_over_unequal_chains(tmp_path, monkeypatch, desk_grid):
+    """Three chains of 30, 22 and 41 draws, their rows interleaved in the
+    file: each R-hat cell is the scalar R-hat of its column over the first
+    22 draws of every chain, from one batched call."""
+    lengths = {0: 30, 1: 22, 2: 41}
+    labels = np.repeat(list(lengths), list(lengths.values()))
+    np.random.default_rng(16).shuffle(labels)
+    thetas = [make_theta(desk_grid, seed=s) for s in range(labels.size)]
+    for i in np.flatnonzero(labels == 2):  # one chain sits higher in srb
+        thetas[i] = thetas[i].replace(srb=thetas[i].srb + 0.05)
+    sample = dataclasses.replace(sample_from_thetas(desk_grid, thetas), chain=labels)
+    run = tmp_path / "run"
+    run.mkdir()
+    write_samples(run / "samples.csv", sample)
+    make_manifest(0, {}, desk_grid, None, None, [], 0.0).write(run / "manifest.json")
+    wanted = ["srb[1965]", "baseline[5,male]", "sigma2[migration]", "survival[10,1970,female]"]
+    gr_calls = _counting(monkeypatch, "gelman_rubin")
+    rl_calls = _counting(monkeypatch, "raftery_lewis")
+    argv = ["diagnose", "--sample-dir", str(run), "--r", "0.1"]
+    assert main(argv + [a for p in wanted for a in ("--parameter", p)]) == 0
+    assert len(gr_calls) == 1 and len(rl_calls) == len(wanted)
+    with open(run / "diagnostics.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["parameter"] for r in rows] == wanted
+
+    flat = sample.flat()
+    names = parameter_names(desk_grid)
+    for row in rows:
+        col = flat[:, names.index(row["parameter"])]
+        want = gelman_rubin([col[labels == c][:22] for c in lengths])
+        assert row["gelman_rubin"] == f"{want:.4g}"
+    assert rows[wanted.index("sigma2[migration]")]["gelman_rubin"] == "1"
+    assert float(rows[0]["gelman_rubin"]) > 1.1
+
+    gr_calls.clear()
+    assert main(argv) == 0
+    assert len(gr_calls) == 1 and len(rl_calls) == len(wanted) + len(names)
+
+
+def test_diagnose_one_chain_makes_no_gelman_rubin_call(tmp_path, monkeypatch, desk_grid):
+    run = _sample_dir(tmp_path / "run", desk_grid, [make_theta(desk_grid, seed=s)
+                                                     for s in range(20)])
+    gr_calls = _counting(monkeypatch, "gelman_rubin")
+    rl_calls = _counting(monkeypatch, "raftery_lewis")
+    assert main(["diagnose", "--sample-dir", str(run), "--r", "0.1",
+                 "--parameter", "srb[1960]", "--parameter", "srb[1965]"]) == 0
+    assert gr_calls == [] and len(rl_calls) == 2
+    with open(run / "diagnostics.csv") as fh:
+        assert [r["gelman_rubin"] for r in csv.DictReader(fh)] == ["", ""]
 
 
 def test_parser_built_once_keeps_no_state_between_calls(tmp_path, desk_grid):

@@ -8,6 +8,8 @@ import pytest
 from scipy.stats import norm
 
 from demrecon import RunLengthReport, gelman_rubin, raftery_lewis
+from demrecon.diagnostics import _run_counts
+from oracles import binary_run_counts_oracle
 
 
 def _two_state_report(x, q=0.025, r=0.005, s=0.95, eps=0.001, kthin=1):
@@ -138,12 +140,16 @@ def test_gelman_rubin_hand_value():
 
 
 def test_gelman_rubin_input_validation():
-    with pytest.raises(ValueError):
-        gelman_rubin([np.arange(4.0)])
-    with pytest.raises(ValueError):
-        gelman_rubin([np.arange(4.0), np.arange(5.0)])
-    with pytest.raises(ValueError):
-        gelman_rubin([np.array([1.0]), np.array([2.0])])
+    for chains in ([np.arange(4.0)],
+                   [np.arange(4.0), np.arange(5.0)],
+                   [np.array([1.0]), np.array([2.0])],
+                   [np.zeros((5, 3))],
+                   [np.zeros((5, 3)), np.zeros((5, 2))],
+                   [np.zeros((5, 3)), np.zeros((6, 3))],
+                   [np.zeros((1, 3)), np.zeros((1, 3))],
+                   [np.zeros((5, 3, 2)), np.zeros((5, 3, 2))]):
+        with pytest.raises(ValueError):
+            gelman_rubin(chains)
 
 
 def test_gelman_rubin_constant_chains():
@@ -166,6 +172,74 @@ def test_gelman_rubin_is_scale_invariant_near_overflow():
         warnings.simplefilter("error")
         got = gelman_rubin([1e160 * c for c in chains])
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("chain", ["random", "all_zero", "alternating"])
+@pytest.mark.parametrize("width", [2, 3])
+def test_run_counts_match_tally(chain, width):
+    """The pair and triple tables of the run-length diagnostic, at every
+    thinning its search tries, against a window-by-window tally."""
+    z = {"random": (np.random.default_rng(12).random(997) < 0.3).astype(np.intp),
+         "all_zero": np.zeros(500, dtype=np.intp),
+         "alternating": np.tile(np.array([0, 1], dtype=np.intp), 250)}[chain]
+    for k in (1, 2, 3, 7):
+        zt = z[::k]
+        got = _run_counts(zt, width)
+        assert got.shape == (2,) * width
+        assert got.tolist() == binary_run_counts_oracle(zt, width)
+        assert got.sum() == zt.size - width + 1
+
+
+def test_gelman_rubin_columns_match_scalar_calls():
+    """A block of m parameters gives, column by column, what one call per
+    parameter gives, to the digits diagnose writes."""
+    rng = np.random.default_rng(13)
+    for n_chains, n, m in [(2, 1000, 351), (3, 57, 20), (4, 4, 9), (5, 300, 3)]:
+        shift = rng.normal(0.0, 0.05, (n_chains, 1, m))
+        scale = 10.0 ** rng.uniform(-6, 6, m)
+        chains = list((rng.standard_normal((n_chains, n, m)) + shift) * scale)
+        got = gelman_rubin(chains)
+        assert isinstance(got, np.ndarray) and got.shape == (m,)
+        for j in range(m):
+            want = gelman_rubin([c[:, j] for c in chains])
+            assert isinstance(want, float)
+            assert got[j] == pytest.approx(want, rel=1e-13)
+            assert f"{got[j]:.4g}" == f"{want:.4g}"
+
+
+def test_gelman_rubin_edge_columns_in_one_block():
+    """Constant columns, at one value or stuck at different values per
+    chain, next to an ordinary column: each gives its own verdict."""
+    rng = np.random.default_rng(14)
+    n = 1000
+    chains = []
+    for c in range(3):
+        block = np.empty((n, 4))
+        block[:, 0] = rng.standard_normal(n)
+        block[:, 1] = 0.1  # n copies of 0.1 do not sum to n * 0.1 exactly
+        block[:, 2] = 123.456
+        block[:, 3] = 0.3 * c + 0.1  # one value per chain, different values
+        chains.append(block)
+    got = gelman_rubin(chains)
+    assert 0.99 < got[0] < 1.02
+    assert got[1] == 1.0 and got[2] == 1.0
+    assert got[3] == math.inf
+    assert [gelman_rubin([c[:, j] for c in chains]) for j in range(4)] == pytest.approx(got.tolist())
+
+
+def test_gelman_rubin_block_overflow_stays_nan():
+    """A column whose deviations overflow when squared is nan, also in a
+    block; the other columns are unaffected (see the strict xfail above)."""
+    rng = np.random.default_rng(15)
+    chains = [rng.standard_normal((200, 3)), rng.standard_normal((200, 3)) + 0.3]
+    want = gelman_rubin(chains)
+    for c in chains:
+        c[:, 1] *= 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = gelman_rubin(chains)
+    assert math.isnan(got[1])
+    assert got[[0, 2]].tolist() == want[[0, 2]].tolist()
 
 
 def test_report_is_plain_record():
