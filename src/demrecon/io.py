@@ -15,13 +15,16 @@ and ``<stem>_male.csv``, read into one array with a last (sex) axis:
 
 Posterior samples are the draw matrix: a chain,draw header followed by
 ``parameter_names(grid)``, then one row per retained draw, floats
-written with repr so a reload is bit exact. The long format of version
-0.1.0 (one chain,draw,parameter,value row per scalar) fails the header
-check and is not read. The manifest JSON records everything needed to
-reproduce a run: seed, settings, hyperparameters, input file digests,
-package version and the parsed grid. Inputs are read as UTF-8; a byte
-that does not decode is a ``ParseError`` naming the file, which the CLI
-reports with exit code 2, as it does a directory where a file should be.
+written with repr so a reload is bit exact. The reader takes the rows in
+any order and skips blank lines; ``chain`` and ``draw`` are non-negative
+decimal integers, and a value is any float literal, ``inf`` and ``nan``
+included. The long format of version 0.1.0 (one chain,draw,parameter,value
+row per scalar) fails the header check and is not read. The manifest JSON
+records everything needed to reproduce a run: seed, settings,
+hyperparameters, input file digests, package version and the parsed grid.
+Inputs are read as UTF-8; a byte that does not decode is a ``ParseError``
+naming the file, which the CLI reports with exit code 2, as it does a
+directory where a file should be.
 
 A YAML config holds only ``grid:``, ``sampler:`` and ``elicitation:``
 sections, each a mapping; those sections, the classes under ``eta`` and
@@ -38,6 +41,7 @@ import hashlib
 import json
 import os
 import time
+import warnings
 from contextlib import contextmanager
 from itertools import zip_longest
 from dataclasses import asdict, dataclass, fields
@@ -341,16 +345,13 @@ def write_samples(path, sample: PosteriorSample):
 
 def read_samples(path, grid: ModelGrid) -> PosteriorSample:
     """Rebuild a PosteriorSample from a draw-matrix sample table; rows
-    may come in any order."""
+    may come in any order. One C-level loadtxt call parses every row; a
+    file it refuses is scanned again to name the bad line."""
     columns = ["chain", "draw"] + parameter_names(grid)
-    lines = {}  # (chain, draw) -> line number
+    row = np.dtype([("chain", np.int64), ("draw", np.int64),
+                    ("v", np.float64, (len(columns) - 2,))])
     with _reading(path) as fh:
-        # rows are parsed into one matrix sized by the line count: keeping
-        # per-row arrays and then stacking them would hold the sample twice
-        flat = np.empty((sum(1 for _ in fh), len(columns) - 2))
-        fh.seek(0)
-        reader = csv.reader(fh)
-        header = next(reader, [])
+        header = next(csv.reader(fh), [])
         if header != columns:
             i = next(i for i, (a, b) in enumerate(zip_longest(header, columns)) if a != b)
             got = repr(header[i]) if i < len(header) else "missing"
@@ -358,30 +359,61 @@ def read_samples(path, grid: ModelGrid) -> PosteriorSample:
                 got = "unknown parameter " + got
             want = repr(columns[i]) if i < len(columns) else "no more columns"
             _fail(path, 1, f"column {i + 1} is {got}, expected {want}")
+        try:
+            with warnings.catch_warnings():  # a header-only file is reported below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(fh, dtype=row, delimiter=",", quotechar='"',
+                                  comments=None, ndmin=1)
+        except UnicodeDecodeError:
+            raise
+        except ValueError as e:
+            _raise_bad_row(path, columns, e)
+    if not len(rows):
+        raise ParseError(f"{path}: no sample rows")
+    order = np.lexsort((rows["draw"], rows["chain"]))
+    chain, draw = rows["chain"][order], rows["draw"][order]
+    if chain[0] < 0 or draw.min() < 0 or (
+            (chain[1:] == chain[:-1]) & (draw[1:] == draw[:-1])).any():
+        _raise_bad_row(path, columns, None)
+    flat = rows["v"][order]  # one C-ordered copy, in (chain, draw) order
+
+    config = SamplerConfig(iterations=len(flat), burn_in=0, thin=1, chains=int(chain[-1]) + 1)
+    return PosteriorSample(grid=grid, draws=grid.class_views(flat),
+                           sigma2=flat[:, -len(PARAM_CLASSES):], chain=chain,
+                           acceptance={}, config=config)
+
+
+def _raise_bad_row(path, columns, cause):
+    """Re-scan the rows of a sample table that the one-call parse refused,
+    or that hold a negative or repeated key, and raise a ParseError naming
+    the first bad line. A cell is read as the parse reads it: stripped of
+    whitespace, ASCII only, no digit separators; chain and draw fit int64."""
+    lines = {}  # (chain, draw) -> line number
+    with _reading(path) as fh:
+        reader = csv.reader(fh)
+        next(reader)
         for lineno, rec in enumerate(reader, start=2):
             if not rec:
                 continue
             if len(rec) != len(columns):
                 _fail(path, lineno, f"expected {len(columns)} fields, got {len(rec)}")
+            cells = [c.strip() for c in rec]
             try:
-                key = (int(rec[0]), int(rec[1]))
-                flat[len(lines)] = np.array(rec[2:], dtype=np.float64)
+                key = (int(cells[0]), int(cells[1]))
+                np.array(cells[2:], dtype=np.float64)
             except ValueError as e:
                 _fail(path, lineno, f"bad row: {e}")
+            odd = next((c for c in cells if "_" in c or not c.isascii()), None)
+            if odd is not None:
+                _fail(path, lineno, f"bad row: {odd!r} is not an ASCII number")
+            if not all(0 <= k < 2**63 for k in key):
+                _fail(path, lineno, f"bad row: chain {rec[0]!r} and draw {rec[1]!r} must be "
+                                    f"integers from 0 to 2**63 - 1")
             if key in lines:
                 _fail(path, lineno, f"chain {key[0]} draw {key[1]} repeats line {lines[key]}")
             lines[key] = lineno
-    if not lines:
-        raise ParseError(f"{path}: no sample rows")
-    keys = list(lines)
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    flat = flat[:len(keys)] if order == list(range(len(keys))) else flat[order]
-    chain = np.array([keys[i][0] for i in order], dtype=np.int64)
-
-    config = SamplerConfig(iterations=len(keys), burn_in=0, thin=1, chains=int(chain.max()) + 1)
-    return PosteriorSample(grid=grid, draws=grid.class_views(flat),
-                           sigma2=flat[:, -len(PARAM_CLASSES):], chain=chain,
-                           acceptance={}, config=config)
+    # the scan accepts every row the parse refused: report the parse's fault
+    raise ParseError(f"{path}: {cause}")
 
 
 def write_rows(path, rows, columns):

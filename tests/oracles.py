@@ -6,7 +6,9 @@ avoiding the package's vectorized code paths. Agreement between the two
 routes is then evidence of correctness rather than a tautology.
 """
 
+import csv
 import math
+from itertools import zip_longest
 
 import mpmath as mp
 import numpy as np
@@ -286,3 +288,54 @@ def binary_run_counts_oracle(z, width):
         return [table(prefix + (s,)) for s in (0, 1)]
 
     return table(())
+
+
+# ---------------------------------------------------------------------------
+# sample files
+
+
+def read_samples_oracle(path, columns):
+    """A draw-matrix sample table read one csv record at a time: (chain
+    labels, draw matrix) in (chain, draw) order, or ValueError("path:line:
+    message") for the header or the first bad record, counting blank lines.
+
+    Each cell is stripped of whitespace and must be ASCII without digit
+    separators; chain and draw are integers from 0 to 2**63 - 1, values
+    any float literal."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if header != columns:
+            i = next(i for i, (a, b) in enumerate(zip_longest(header, columns)) if a != b)
+            got = repr(header[i]) if i < len(header) else "missing"
+            if i < len(header) and header[i] not in columns:
+                got = "unknown parameter " + got
+            want = repr(columns[i]) if i < len(columns) else "no more columns"
+            raise ValueError(f"{path}:1: column {i + 1} is {got}, expected {want}")
+        rows = {}  # (chain, draw) -> (line number, values)
+        for lineno, rec in enumerate(reader, start=2):
+            if not rec:
+                continue
+            at = f"{path}:{lineno}"
+            if len(rec) != len(columns):
+                raise ValueError(f"{at}: expected {len(columns)} fields, got {len(rec)}")
+            cells = [c.strip() for c in rec]
+            try:
+                key = (int(cells[0]), int(cells[1]))
+                values = [float(c) for c in cells[2:]]
+            except ValueError as e:
+                raise ValueError(f"{at}: bad row: {e}") from None
+            for c in cells:
+                if "_" in c or not c.isascii():
+                    raise ValueError(f"{at}: bad row: {c!r} is not an ASCII number")
+            if not all(0 <= k < 2**63 for k in key):
+                raise ValueError(f"{at}: bad row: chain {rec[0]!r} and draw {rec[1]!r} "
+                                 f"must be integers from 0 to 2**63 - 1")
+            if key in rows:
+                raise ValueError(f"{at}: chain {key[0]} draw {key[1]} repeats line {rows[key][0]}")
+            rows[key] = (lineno, values)
+    if not rows:
+        raise ValueError(f"{path}: no sample rows")
+    keys = sorted(rows)
+    return (np.array([k[0] for k in keys], dtype=np.int64),
+            np.array([rows[k][1] for k in keys], dtype=np.float64))

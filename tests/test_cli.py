@@ -551,6 +551,22 @@ def test_summarize_bad_arguments_exit_2(tmp_path, capsys, desk_grid, flags, mess
     assert not (tmp_path / "summary.csv").exists()
 
 
+def test_summarize_oversized_chain_label_exit_2(tmp_path, capsys, desk_grid):
+    """A chain label beyond int64 is a parse error on its line, not a traceback."""
+    run = _sample_dir(tmp_path / "run", desk_grid, [make_theta(desk_grid, seed=s)
+                                                     for s in range(3)])
+    p = run / "samples.csv"
+    lines = p.read_text().splitlines(keepends=True)
+    lines[3] = "1" + "0" * 30 + lines[3][lines[3].index(","):]
+    p.write_text("".join(lines))
+    code = main(["summarize", "--sample-dir", str(run), "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}:4: bad row: chain '1{'0' * 30}'"), err
+    assert "Traceback" not in err
+    assert not (tmp_path / "summary.csv").exists()
+
+
 def test_summarize_trend_needs_two_years_before_reading(tmp_path, capsys):
     """On a one-period grid a period series has one year and no trend; a
     stock series has two. The check comes before the sample is read."""

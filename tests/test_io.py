@@ -4,6 +4,7 @@ import csv
 import io as stdio
 import re
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from demrecon import (CensusData, ParseError, PosteriorSample, SamplerConfig,
 from demrecon.cli import main
 from demrecon.io import RunManifest, write_rows
 from conftest import draw_matrix, make_theta, flat_elicitation
+from oracles import read_samples_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = ROOT / "data" / "demo"
@@ -444,11 +446,14 @@ def test_read_samples_ignores_row_order(tmp_path, desk_grid, order):
 @pytest.mark.parametrize("field,bad,message", [
     (3, "1.0e", "bad row"),
     (1, "x", "bad row"),
+    (0, "1" + "0" * 30, "bad row"),  # beyond int64
+    (0, "-1", "bad row"),
     (2, "tempo[0]", "unknown parameter"),
 ])
 def test_read_samples_reports_line_of_late_bad_row(tmp_path, desk_grid, field, bad, message):
-    """A bad value or draw number in the last draw row is reported on its
-    line (8); a foreign parameter name is a header error on line 1."""
+    """A bad value, draw number or chain label (not an integer, beyond int64
+    or negative) in the last draw row is reported on its line (8); a foreign
+    parameter name is a header error on line 1."""
     _, p, records = _two_chain_samples(tmp_path, desk_grid)
     assert len(records) == 8
     lineno = 1 if message == "unknown parameter" else 8
@@ -464,6 +469,124 @@ def test_read_samples_rejects_duplicate_draw(tmp_path, desk_grid):
     _write_records(p, records + [again])
     with pytest.raises(ParseError, match=r"samples\.csv:9: chain 0 draw 1 repeats line 3"):
         read_samples(p, desk_grid)
+
+
+def _csv_text(records, eol="\r\n", quoting=csv.QUOTE_MINIMAL):
+    buf = stdio.StringIO(newline="")
+    csv.writer(buf, lineterminator=eol, quoting=quoting).writerows(records)
+    return buf.getvalue()
+
+
+def _edited(rows, edits):
+    """rows with rows[i][j] = value for each (i, j, value) in edits."""
+    rows = [list(r) for r in rows]
+    for i, j, value in edits:
+        rows[i][j] = value
+    return rows
+
+
+# whitespace as str.strip() removes it, control and non-ASCII kinds included
+_PADDED = [(0, 0, " 0"), (2, 1, "2\t"), (3, 4, "\x1f0.75\xa0"), (4, 5, " 0.25 ")]
+
+# each case: (file text from the header and the 7 rows of _two_chain_samples,
+# None when the file reads, else a fragment of the error)
+_ORACLE_CASES = {
+    "written": (lambda h, r: _csv_text([h] + r), None),
+    "shuffled": (lambda h, r: _csv_text([h] + [r[i] for i in (3, 6, 0, 5, 1, 4, 2)]), None),
+    "interleaved_chains": (lambda h, r: _csv_text(
+        [h] + sorted(r, key=lambda x: (int(x[1]), int(x[0])))), None),
+    "blank_lines": (lambda h, r: _csv_text([h, [], []] + r[:3] + [[]] + r[3:] + [[], []]), None),
+    "quoted_cells": (lambda h, r: _csv_text([h] + r, quoting=csv.QUOTE_ALL), None),
+    "lf_endings": (lambda h, r: _csv_text([h] + r, eol="\n"), None),
+    "padded_cells": (lambda h, r: _csv_text([h] + _edited(r, _PADDED)), None),
+    "padded_then_bad_value": (lambda h, r: _csv_text(
+        [h] + _edited(r, _PADDED + [(6, 3, "1.0e")])), ":8: bad row"),
+    "extremes": (lambda h, r: _csv_text([h] + _edited(r, [
+        (0, 2, "-0.0"), (1, 3, "5e-324"), (2, 4, "1e300"), (3, 5, "inf"),
+        (4, 6, "nan"), (5, 7, "-inf")])), None),
+    "foreign_parameter": (lambda h, r: _csv_text(
+        [[c if c != "srb[1965]" else "tempo[0]" for c in h]] + r), "unknown parameter"),
+    "long_format": (lambda h, r: _csv_text([["chain", "draw", "parameter", "value"]] + r),
+                    "column 3 is unknown parameter 'parameter'"),
+    "empty": (lambda h, r: "", "column 1 is missing"),
+    "drop_last": (lambda h, r: _csv_text([h[:-1]] + r), "is missing, expected 'sigma2[srb]'"),
+    "add_extra": (lambda h, r: _csv_text([h + ["extra"]] + r), "expected no more columns"),
+    "swap": (lambda h, r: _csv_text([h[:2] + [h[3], h[2]] + h[4:]] + r), "column 3 is"),
+    "header_only": (lambda h, r: _csv_text([h]), "no sample rows"),
+    "incomplete_draw": (lambda h, r: _csv_text([h] + r[:6] + [r[6][:-1]]), ":8: expected"),
+    "bad_value": (lambda h, r: _csv_text([h] + _edited(r, [(6, 3, "1.0e")])), ":8: bad row"),
+    "bad_draw": (lambda h, r: _csv_text([h] + _edited(r, [(6, 1, "x")])), ":8: bad row"),
+    "float_draw": (lambda h, r: _csv_text([h] + _edited(r, [(6, 1, "1e0")])), ":8: bad row"),
+    "huge_chain": (lambda h, r: _csv_text([h] + _edited(r, [(6, 0, "1" + "0" * 30)])),
+                   ":8: bad row"),
+    "negative_chain": (lambda h, r: _csv_text([h] + _edited(r, [(6, 0, "-1")])), ":8: bad row"),
+    "digit_separator": (lambda h, r: _csv_text([h] + _edited(r, [(5, 4, "0_5")])),
+                        ":7: bad row"),
+    "non_ascii_digit": (lambda h, r: _csv_text([h] + _edited(r, [(5, 1, "\u0663")])),
+                        ":7: bad row"),
+    "whitespace_line": (lambda h, r: _csv_text([h] + r[:4] + [[" "]] + r[4:]),
+                        ":6: expected"),
+    "repeated_draw": (lambda h, r: _csv_text([h] + r + [r[1][:2] + ["0.5"] * (len(h) - 2)]),
+                      ":9: chain 0 draw 1 repeats line 3"),
+    "repeated_draw_after_blank": (lambda h, r: _csv_text(
+        [h] + r[:3] + [[]] + r[3:] + [[], r[1][:2] + ["0.5"] * (len(h) - 2)]),
+        ":11: chain 0 draw 1 repeats line 3"),
+}
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_read_samples_matches_row_by_row_oracle(tmp_path, desk_grid, case):
+    """The one-call parse gives the draw matrix bytes and chain labels of a
+    record-by-record read, or its error message, line number included."""
+    _, p, records = _two_chain_samples(tmp_path, desk_grid)
+    text, expected = _ORACLE_CASES[case]
+    p.write_text(text(records[0], records[1:]), encoding="utf-8", newline="")
+    try:
+        chain, flat = read_samples_oracle(p, _header(desk_grid))
+    except ValueError as e:
+        assert expected is not None and expected in str(e), str(e)
+        with pytest.raises(ParseError) as got:
+            read_samples(p, desk_grid)
+        assert str(got.value) == str(e)
+    else:
+        assert expected is None
+        back = read_samples(p, desk_grid)
+        assert back.flat().tobytes() == flat.tobytes()
+        assert back.chain.tobytes() == chain.tobytes()
+
+
+def test_read_samples_header_only_warns_nothing(tmp_path, desk_grid):
+    p = tmp_path / "samples.csv"
+    _write_records(p, [_header(desk_grid)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match=r"samples\.csv: no sample rows$"):
+            read_samples(p, desk_grid)
+
+
+def test_read_samples_non_utf8_byte_in_last_row_of_large_file(tmp_path, capsys, desk_grid):
+    """A byte that does not decode, past the first megabyte the parse reads,
+    is a ParseError naming the file, and exit code 2 through the CLI."""
+    rng = np.random.default_rng(4)
+    n = 2000
+    draws = {c: rng.uniform(0.1, 0.9, (n,) + shape) for c, shape in desk_grid.class_shapes().items()}
+    sample = PosteriorSample(grid=desk_grid, draws=draws, sigma2=rng.uniform(0.1, 1.0, (n, 5)),
+                             chain=np.repeat([0, 1], n // 2), acceptance={},
+                             config=SamplerConfig(iterations=n, burn_in=0))
+    run = tmp_path / "run"
+    run.mkdir()
+    p = run / "samples.csv"
+    write_samples(p, sample)
+    make_manifest(0, {}, desk_grid, None, None, [], 0.0).write(run / "manifest.json")
+    raw = p.read_bytes()
+    assert len(raw) > 2**20
+    last = raw.rindex(b"\n", 0, len(raw) - 1) + 1
+    p.write_bytes(raw[:last + 4] + b"\xe9" + raw[last + 5:])  # latin-1 e-acute
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(p))}: not UTF-8 text"):
+        read_samples(p, desk_grid)
+    assert main(["summarize", "--sample-dir", str(run), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: not UTF-8 text") and "Traceback" not in err, err
 
 
 def test_write_trajectory_layout(tmp_path, desk_grid):
