@@ -50,12 +50,14 @@ expression over the stacked log observations of those years.
 
 Chains share only their inputs, and each has its own RNG stream spawned
 from the seed. ``run_chain`` therefore splits them into contiguous
-groups, one per usable CPU: the calling process runs the first group,
-forked workers run the others, and the groups' draws are joined in chain
-order, equal bit for bit to running every chain in one process. The
-calling process keeps a group so that a profiler or wrapper installed
-in it still sees the work of that group's chains, and forked rather than
-spawned workers need not import the package again.
+groups, one per usable CPU, and ``_fork_map`` runs them: the calling
+process runs the first group, forked workers run the others, and the
+groups' draws are joined in chain order, equal bit for bit to running
+every chain in one process. The calling process keeps a group so that a
+profiler or wrapper installed in it still sees the work of that group's
+chains, and forked rather than spawned workers need not import the
+package again. ``io.read_samples`` parses the blocks of a large sample
+table the same way.
 """
 
 from __future__ import annotations
@@ -464,6 +466,43 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _can_fork() -> bool:
+    """Whether work may go to forked workers: the fork start method exists
+    and this process runs no other thread, since forking a process that
+    runs other threads can copy a lock one of them holds."""
+    return ("fork" in multiprocessing.get_all_start_methods()
+            and threading.active_count() == 1)
+
+
+_forked_fn = None  # in a worker of _fork_map, the function it runs
+
+
+def _set_forked_fn(fn):
+    global _forked_fn
+    _forked_fn = fn
+
+
+def _call_forked_fn(*args):
+    return _forked_fn(*args)
+
+
+def _fork_map(fn, items: list) -> list:
+    """[fn(*item) for item in items], in order. The first item runs in
+    this process and each other one in a forked worker of its own, so
+    callers give at most ``_usable_cpus()`` items, and more than one only
+    where ``_can_fork()``. One item starts no process. fn reaches the
+    workers through the fork, not by pickling, so it may close over what
+    cannot be pickled, such as a shared mapping; items and results are
+    pickled. A worker's exception is raised here; a worker that dies
+    raises BrokenProcessPool, a RuntimeError."""
+    if len(items) == 1:
+        return [fn(*items[0])]
+    with ProcessPoolExecutor(len(items) - 1, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_set_forked_fn, initargs=(fn,)) as pool:
+        futures = [pool.submit(_call_forked_fn, *item) for item in items[1:]]
+        return [fn(*items[0])] + [f.result() for f in futures]
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _run_chains(chain_ids: list, config: SamplerConfig, grid: ModelGrid,
                 initial: InitialEstimates, census: Optional[CensusData],
@@ -537,19 +576,10 @@ def run_chain(config: SamplerConfig, grid: ModelGrid, initial: InitialEstimates,
     sample's draws and sigma2 view.
     """
     config.check()
-    # forking a process that runs other threads can copy a lock one of them holds
-    can_fork = ("fork" in multiprocessing.get_all_start_methods()
-                and threading.active_count() == 1)
-    n_groups = min(config.chains, _usable_cpus()) if can_fork else 1
-    groups = [g.tolist() for g in np.array_split(np.arange(config.chains), n_groups)]
-    args = (config, grid, initial, census, hyper)
-    if n_groups == 1:
-        parts = [_run_chains(groups[0], *args)]
-    else:
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(n_groups - 1, mp_context=context) as pool:
-            futures = [pool.submit(_run_chains, g, *args) for g in groups[1:]]
-            parts = [_run_chains(groups[0], *args)] + [f.result() for f in futures]
+    n_groups = min(config.chains, _usable_cpus()) if _can_fork() else 1
+    groups = [(g.tolist(),) for g in np.array_split(np.arange(config.chains), n_groups)]
+    parts = _fork_map(lambda chain_ids: _run_chains(chain_ids, config, grid, initial,
+                                                    census, hyper), groups)
     rows, acc = parts[0] if len(parts) == 1 else (np.concatenate(j) for j in zip(*parts))
 
     per_chain = (config.iterations - config.burn_in) // config.thin

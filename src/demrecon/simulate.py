@@ -53,7 +53,7 @@ def _first_admissible(initial: InitialEstimates, grid: ModelGrid, rng: np.random
         s = np.empty((m, len(PARAM_CLASSES)))
         z = {c: np.empty((m,) + mu.shape) for c, mu in mus.items()}
         for i in range(m):
-            s[i] = [variance_draws(hyper, c, rng)[0] for c in PARAM_CLASSES]
+            s[i] = [draw_invgamma(rng, hyper.alpha[c], hyper.beta[c]) for c in PARAM_CLASSES]
             for c in mus:
                 rng.standard_normal(out=z[c][i])
         with np.errstate(all="ignore"):  # rejected candidates may overflow

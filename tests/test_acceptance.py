@@ -6,7 +6,6 @@ Tolerances are stated inline next to each assertion.
 
 import math
 import multiprocessing
-import threading
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -20,7 +19,7 @@ from demrecon import (CensusData, ChainState, Elicitation, ModelGrid,
                       project_full, raftery_lewis, run_chain, simulate_dataset,
                       summary_rows, total_births, transform, variance_posterior,
                       variance_draws)
-from demrecon.sampler import _usable_cpus
+from demrecon.sampler import _can_fork, _usable_cpus
 from conftest import make_theta, flat_elicitation, sample_from_thetas
 from oracles import (FEMALE, MALE, invgamma_cdf_oracle, project_oracle,
                      t_quantile_oracle)
@@ -244,15 +243,13 @@ def _short_fit_draws(rep):
 
 def _map_replicates(fn, reps, workers):
     """fn of each replicate, in order. Up to workers forked processes run
-    them where the fork start method exists and this process runs no
-    other thread, the conditions of ``run_chain``'s chain groups;
+    them where ``_can_fork``, the rule of ``run_chain``'s chain groups;
     otherwise they run here one after another. A replicate is a seeded
     fit that shares nothing with the others, so either way gives the
     same results."""
     reps = list(reps)
     workers = min(workers, len(reps))
-    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
-            or threading.active_count() > 1):
+    if workers < 2 or not _can_fork():
         return [fn(rep) for rep in reps]
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         return list(pool.map(fn, reps))

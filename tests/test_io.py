@@ -2,6 +2,8 @@
 
 import csv
 import io as stdio
+import multiprocessing
+import os
 import re
 import textwrap
 import warnings
@@ -12,6 +14,7 @@ import pytest
 import yaml
 
 from demrecon import io as demrecon_io
+from demrecon import sampler
 from demrecon import (CensusData, ParseError, PosteriorSample, SamplerConfig,
                       beta_from_elicitation, load_census, load_elicitation,
                       load_grid, load_sampler_settings, load_theta,
@@ -534,10 +537,18 @@ _ORACLE_CASES = {
 }
 
 
+def _set_blocks(monkeypatch, n):
+    """Make read_samples cut a file of n bytes or more into up to n blocks."""
+    monkeypatch.setattr(demrecon_io, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(demrecon_io, "_usable_cpus", lambda: n)
+
+
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
-def test_read_samples_matches_row_by_row_oracle(tmp_path, desk_grid, case):
-    """The one-call parse gives the draw matrix bytes and chain labels of a
-    record-by-record read, or its error message, line number included."""
+def test_read_samples_matches_row_by_row_oracle(tmp_path, desk_grid, monkeypatch, case):
+    """The parse, of the whole file or of it cut into 2 or 3 blocks, gives
+    the draw matrix bytes and chain labels of a record-by-record read, or
+    its error message, line number included, and leaves no process
+    running."""
     _, p, records = _two_chain_samples(tmp_path, desk_grid)
     text, expected = _ORACLE_CASES[case]
     p.write_text(text(records[0], records[1:]), encoding="utf-8", newline="")
@@ -545,14 +556,148 @@ def test_read_samples_matches_row_by_row_oracle(tmp_path, desk_grid, case):
         chain, flat = read_samples_oracle(p, _header(desk_grid))
     except ValueError as e:
         assert expected is not None and expected in str(e), str(e)
+        for blocks in (1, 2, 3):
+            _set_blocks(monkeypatch, blocks)
+            with pytest.raises(ParseError) as got:
+                read_samples(p, desk_grid)
+            assert str(got.value) == str(e), blocks
+            assert multiprocessing.active_children() == []
+    else:
+        assert expected is None
+        for blocks in (1, 2, 3):
+            _set_blocks(monkeypatch, blocks)
+            back = read_samples(p, desk_grid)
+            assert back.flat().tobytes() == flat.tobytes(), blocks
+            assert back.chain.tobytes() == chain.tobytes(), blocks
+            assert multiprocessing.active_children() == []
+
+
+def _cut_before(head: bytes, tail: bytes) -> tuple:
+    """head and tail with "\n" blank lines added after the header or at the
+    end, so that the middle byte of head + tail, where a cut into two
+    blocks is sought, is the first byte of tail."""
+    d = len(tail) - len(head)
+    if d > 0:
+        i = head.index(b"\n") + 1
+        head = head[:i] + b"\n" * d + head[i:]
+    else:
+        tail += b"\n" * -d
+    return head, tail
+
+
+def _cut_cases(header, rows):
+    """(head, tail) of files whose block cut falls at a feature: a blank
+    line, a CRLF pair, a quoted cell or a byte that is not UTF-8."""
+    def text(recs, **kw):
+        return _csv_text([header] + recs, **kw).encode()
+    first, second = text(rows[:3]), text(rows[3:])[len(text([])):]
+    blank = first + b"\r\n" + second
+    quoted = text(rows, quoting=csv.QUOTE_ALL)
+    in_cell = quoted.index(b"\r\n", len(quoted) // 2) + 5  # in the second cell of a row
+    bad_first = first + b"\xe9" + second[1:]
+    bad_last = first[:-3] + b"\xe9\r\n" + second
+    return {
+        "blank_line_after_cut": (blank[:len(first)], blank[len(first):]),
+        "blank_line_split_by_cut": (blank[:len(first) + 1], blank[len(first) + 1:]),
+        "crlf_split_by_cut": (first[:-1], first[-1:] + second),
+        "quoted_cell_split_by_cut": (quoted[:in_cell], quoted[in_cell:]),
+        "non_utf8_byte_after_cut": (bad_first[:len(first)], bad_first[len(first):]),
+        "non_utf8_byte_before_cut": (bad_last[:len(first) - 2], bad_last[len(first) - 2:]),
+    }
+
+
+@pytest.mark.parametrize("case", ["blank_line_after_cut", "blank_line_split_by_cut",
+                                  "crlf_split_by_cut", "quoted_cell_split_by_cut",
+                                  "non_utf8_byte_after_cut", "non_utf8_byte_before_cut"])
+def test_read_samples_block_cut_at_a_line_feature(tmp_path, desk_grid, monkeypatch, case):
+    """A file cut into two blocks next to a blank line, inside a CRLF pair
+    or a quoted cell, or next to a byte that is not UTF-8, reads as one
+    block reads it: the same bytes, or the same ParseError."""
+    _, p, records = _two_chain_samples(tmp_path, desk_grid)
+    head, tail = _cut_before(*_cut_cases(records[0], records[1:])[case])
+    p.write_bytes(head + tail)
+    _set_blocks(monkeypatch, 2)
+    # the cut is the first line start at or after the start of tail
+    cut = len(head) if head.endswith(b"\n") else len(head) + tail.index(b"\n") + 1
+    assert demrecon_io._block_cuts(p) == [0, cut, len(head + tail)]
+    try:
+        back = read_samples(p, desk_grid)
+    except ParseError as e:
+        _set_blocks(monkeypatch, 1)
         with pytest.raises(ParseError) as got:
             read_samples(p, desk_grid)
         assert str(got.value) == str(e)
+        assert "not UTF-8 text" in str(e)
     else:
-        assert expected is None
-        back = read_samples(p, desk_grid)
-        assert back.flat().tobytes() == flat.tobytes()
-        assert back.chain.tobytes() == chain.tobytes()
+        _set_blocks(monkeypatch, 1)
+        one = read_samples(p, desk_grid)
+        assert back.flat().tobytes() == one.flat().tobytes()
+        assert back.chain.tobytes() == one.chain.tobytes()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("case", ["one cpu", "small file", "no fork method"])
+def test_read_samples_in_one_block_starts_no_process(tmp_path, desk_grid, monkeypatch, case):
+    """One usable CPU, a file under BLOCK_BYTES or no fork start method
+    parse the file in this process; two CPUs and small blocks start a
+    worker."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("read_samples started a process pool")
+
+    sample, p, _ = _two_chain_samples(tmp_path, desk_grid)
+    monkeypatch.setattr(sampler, "ProcessPoolExecutor", no_pool)
+    _set_blocks(monkeypatch, 2)
+    with pytest.raises(AssertionError, match="started a process pool"):
+        read_samples(p, desk_grid)
+    if case == "one cpu":
+        _set_blocks(monkeypatch, 1)
+    elif case == "small file":
+        monkeypatch.setattr(demrecon_io, "BLOCK_BYTES", p.stat().st_size + 1)
+    else:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn", "forkserver"])
+    assert read_samples(p, desk_grid).flat().tobytes() == sample.flat().tobytes()
+
+
+@pytest.mark.parametrize("case", ["no mapping", "no fork"])
+def test_read_samples_in_one_block_when_blocks_cannot_start(tmp_path, desk_grid, monkeypatch,
+                                                            case):
+    """A shared mapping or a worker that the system refuses sends the file
+    to the one-call parse, which reads it as usual."""
+    def refused(*args, **kwargs):
+        raise OSError(12, "Cannot allocate memory")
+
+    sample, p, _ = _two_chain_samples(tmp_path, desk_grid)
+    _set_blocks(monkeypatch, 2)
+    if case == "no mapping":
+        monkeypatch.setattr(demrecon_io.mmap, "mmap", refused)
+    else:
+        monkeypatch.setattr(os, "fork", refused)
+    assert read_samples(p, desk_grid).flat().tobytes() == sample.flat().tobytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_that_dies_in_a_block_parse_exits_3(tmp_path, capsys, monkeypatch, desk_grid):
+    """A forked worker that dies while it parses its block ends summarize
+    with exit code 3 and a message, and leaves no process running."""
+    run = tmp_path / "run"
+    run.mkdir()
+    _, p, _ = _two_chain_samples(tmp_path, desk_grid)
+    p.rename(run / "samples.csv")
+    make_manifest(0, {}, desk_grid, None, None, [], 0.0).write(run / "manifest.json")
+    parent, load = os.getpid(), demrecon_io._loadtxt
+
+    def dies_in_workers(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return load(*args)
+
+    monkeypatch.setattr(demrecon_io, "_loadtxt", dies_in_workers)
+    _set_blocks(monkeypatch, 2)
+    assert main(["summarize", "--sample-dir", str(run), "--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+    assert multiprocessing.active_children() == []
 
 
 def test_read_samples_header_only_warns_nothing(tmp_path, desk_grid):
