@@ -52,21 +52,12 @@ def _run_counts(z: np.ndarray, width: int) -> np.ndarray:
 
 def _g2_second_vs_first(z: np.ndarray) -> float:
     """Likelihood-ratio statistic of a second-order binary Markov fit
-    against a first-order one, from the chain's triple counts."""
-    triples = _run_counts(z, 3)
-    g2 = 0.0
-    for i in range(2):
-        for j in range(2):
-            mid = triples[:, j, :].sum()
-            if mid == 0:
-                continue
-            for k in range(2):
-                obs = triples[i, j, k]
-                if obs == 0:
-                    continue
-                fitted = triples[i, j, :].sum() * triples[:, j, k].sum() / mid
-                g2 += 2.0 * obs * math.log(obs / fitted)
-    return g2
+    against a first-order one, from the chain's triple counts: 2 sum
+    n_ijk log(n_ijk n_.j. / (n_ij. n_.jk)) over the triples seen."""
+    t = _run_counts(z, 3)
+    seen = t > 0
+    fitted = t.sum(2, keepdims=True) * t.sum(0, keepdims=True) / t.sum((0, 2), keepdims=True).clip(1)
+    return float(2.0 * np.sum(t[seen] * np.log(t[seen] / fitted[seen])))
 
 
 def check_run_length_settings(q: float, r: float, s: float):
@@ -112,8 +103,6 @@ def raftery_lewis(chain, q: float = 0.025, r: float = 0.005, s: float = 0.95,
     b = pairs[1, 0] / from1
 
     lam = 1.0 - a - b
-    if a + b == 0.0:
-        raise ValueError("no transitions observed between the two states")
     if a == b == 1.0:  # |1 - a - b| = 1: the chain never forgets its start
         raise ValueError("binarized chain alternates on every step (period 2);"
                          " burn-in is undefined")

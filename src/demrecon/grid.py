@@ -234,10 +234,6 @@ class VarianceParams:
     def as_dict(self) -> dict:
         return {c: getattr(self, c) for c in PARAM_CLASSES}
 
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "VarianceParams":
-        return cls(**{c: float(d[c]) for c in PARAM_CLASSES})
-
 
 @dataclass(frozen=True)
 class CensusData:

@@ -478,8 +478,13 @@ _forked_fn = None  # in a worker of _fork_map, the function it runs
 
 
 def _set_forked_fn(fn):
+    """Pool initializer, run in each worker: keep fn, and end the worker
+    as soon as its parent ends, even by a kill that runs no cleanup (the
+    parent's sentinel reads end-of-file then)."""
     global _forked_fn
     _forked_fn = fn
+    sentinel = multiprocessing.parent_process().sentinel
+    threading.Thread(target=lambda: os.read(sentinel, 1) or os._exit(1), daemon=True).start()
 
 
 def _call_forked_fn(*args):

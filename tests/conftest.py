@@ -1,8 +1,23 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from demrecon import (PARAM_CLASSES, Elicitation, ModelGrid, PosteriorSample,
                       SamplerConfig, ThetaVector, beta_from_elicitation)
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test that ends with a multiprocessing child still running,
+    such as a worker of _fork_map that was never joined; the leftover
+    processes are killed so that the next test starts clean."""
+    yield
+    left = multiprocessing.active_children()
+    for p in left:
+        p.kill()
+        p.join()
+    assert left == [], f"processes left running: {left}"
 
 
 @pytest.fixture

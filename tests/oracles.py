@@ -290,6 +290,26 @@ def binary_run_counts_oracle(z, width):
     return table(())
 
 
+def g2_second_vs_first_oracle(z):
+    """Likelihood-ratio statistic of a second-order binary Markov fit
+    against a first-order one, 2 sum O log(O / E) over the triples (i, j, k)
+    that occur in the chain, one cell at a time: O = n_ijk is the observed
+    count and E = n_ij. n_.jk / n_.j. the count the first-order fit expects,
+    so the sum is 2 sum n_ijk log(n_ijk n_.j. / (n_ij. n_.jk))."""
+    n = binary_run_counts_oracle(z, 3)
+    g2 = 0.0
+    for i in (0, 1):
+        for j in (0, 1):
+            for k in (0, 1):
+                if n[i][j][k] == 0:
+                    continue
+                n_ij = n[i][j][0] + n[i][j][1]
+                n_jk = n[0][j][k] + n[1][j][k]
+                n_j = n[0][j][0] + n[0][j][1] + n[1][j][0] + n[1][j][1]
+                g2 += 2.0 * n[i][j][k] * math.log(n[i][j][k] / (n_ij * n_jk / n_j))
+    return g2
+
+
 # ---------------------------------------------------------------------------
 # sample files
 

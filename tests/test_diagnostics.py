@@ -5,11 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 from scipy.stats import norm
 
-from demrecon import RunLengthReport, gelman_rubin, raftery_lewis
-from demrecon.diagnostics import _run_counts
-from oracles import binary_run_counts_oracle
+from demrecon import RunLengthReport, diagnostics, gelman_rubin, raftery_lewis
+from demrecon.diagnostics import _g2_second_vs_first, _run_counts
+from oracles import binary_run_counts_oracle, g2_second_vs_first_oracle
 
 
 def _two_state_report(x, q=0.025, r=0.005, s=0.95, eps=0.001, kthin=1):
@@ -188,6 +189,59 @@ def test_run_counts_match_tally(chain, width):
         assert got.shape == (2,) * width
         assert got.tolist() == binary_run_counts_oracle(zt, width)
         assert got.sum() == zt.size - width + 1
+
+
+def _binary_chains():
+    """Binary chains for the G2 statistic: random ones with and without
+    memory, constant and alternating ones, and ones whose middle state of
+    every triple is the same (the other state only at both ends)."""
+    rng = np.random.default_rng(13)
+    sticky = np.cumsum(rng.random(1500) < 0.1) % 2
+    middle = np.zeros(43, dtype=np.intp)  # 42 steps: every thinning keeps both ends
+    middle[[0, -1]] = 1
+    chains = {f"iid_{p}_{n}": (rng.random(n) < p).astype(np.intp)
+              for p in (0.03, 0.3, 0.5) for n in (50, 997)}
+    chains.update(sticky=sticky.astype(np.intp), all_zero=np.zeros(500, dtype=np.intp),
+                  all_one=np.ones(500, dtype=np.intp),
+                  alternating=np.tile(np.array([0, 1], dtype=np.intp), 250),
+                  middle_never_one=middle, middle_never_zero=1 - middle)
+    return chains
+
+
+@pytest.mark.parametrize("name", list(_binary_chains()))
+def test_g2_matches_cell_by_cell_formula(name):
+    """G2 of the second- against the first-order fit, at every thinning of
+    the first few the run-length search tries, against the formula."""
+    z = _binary_chains()[name]
+    for k in (1, 2, 3, 7):
+        zt = z[::k]
+        want = g2_second_vs_first_oracle(zt)
+        assert _g2_second_vs_first(zt) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _outcome(chain, **settings):
+    try:
+        return raftery_lewis(chain, **settings)
+    except ValueError as e:
+        return str(e)
+
+
+def test_raftery_lewis_same_with_cell_by_cell_g2(monkeypatch):
+    """Every report and every error of the run-length diagnostic on AR(1)
+    chains of 0.9 to 3 times the iid minimum is the same when G2 comes from
+    the scalar formula."""
+    rng = np.random.default_rng(14)
+    cases = []
+    for _ in range(240):
+        rho = float(rng.choice([0.0, 0.5, 0.9, 0.99]))
+        q, r = float(rng.choice([0.025, 0.1, 0.5, 0.9])), float(rng.choice([0.01, 0.02, 0.05]))
+        n = int(q * (1.0 - q) * (norm.ppf(0.975) / r) ** 2 * rng.uniform(0.9, 3.0))
+        cases.append((lfilter([1.0], [1.0, -rho], rng.standard_normal(n)), dict(q=q, r=r)))
+    got = [_outcome(x, **settings) for x, settings in cases]
+    monkeypatch.setattr(diagnostics, "_g2_second_vs_first", g2_second_vs_first_oracle)
+    assert got == [_outcome(x, **settings) for x, settings in cases]
+    reports = sum(isinstance(g, RunLengthReport) for g in got)
+    assert 200 <= reports < len(cases)
 
 
 def test_gelman_rubin_columns_match_scalar_calls():

@@ -121,7 +121,9 @@ def test_by_class_round_trip(desk_grid):
 def test_variance_params_round_trip_dict():
     v = VarianceParams(counts=1e-4, fertility=2e-4, survival=3e-4,
                        migration=4e-4, srb=5e-4)
-    assert VarianceParams.from_dict(v.as_dict()) == v
+    assert v.as_dict() == {"counts": 1e-4, "fertility": 2e-4, "survival": 3e-4,
+                           "migration": 4e-4, "srb": 5e-4}
+    assert VarianceParams(**v.as_dict()) == v
 
 
 def test_census_data_at(desk_grid):

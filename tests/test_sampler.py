@@ -6,7 +6,11 @@ import hashlib
 import math
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -703,6 +707,59 @@ def test_draws_and_sigma2_are_views_of_one_draw_matrix(desk_grid, desk_hyper, mo
         assert _same_bits(sample.flat(), matrix)
     for cls, shape in desk_grid.class_shapes().items():
         assert fit.acceptance[cls].shape == (3,) + shape
+
+
+def _running(pid):
+    """Whether process pid exists and has not ended; a zombie, ended but
+    not yet reaped by its new parent, has ended."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_forked_worker_ends_when_its_parent_is_killed(tmp_path):
+    """A SIGKILL runs no cleanup in the process running _fork_map, so its
+    worker must notice on its own that the parent is gone."""
+    pid_file = tmp_path / "worker.pid"
+    script = (
+        "import os, time\n"
+        "from demrecon.sampler import _fork_map\n"
+        "def item(k):\n"
+        "    if k:\n"
+        f"        open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+        "        time.sleep(60)\n"
+        "_fork_map(item, [(0,), (1,)])\n")
+    src = str(Path(sampler.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    parent = subprocess.Popen([sys.executable, "-c", script], env=env)
+    worker = None
+    try:
+        deadline = time.monotonic() + 60.0
+        while worker is None and time.monotonic() < deadline:
+            text = pid_file.read_text() if pid_file.exists() else ""
+            worker = int(text) if text else None
+            time.sleep(0.05)
+        assert worker is not None, "the worker never started"
+        parent.send_signal(signal.SIGKILL)
+        parent.wait(timeout=30.0)
+        deadline = time.monotonic() + 5.0
+        while _running(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(worker)
+    finally:
+        parent.kill()
+        parent.wait(timeout=30.0)
+        if worker is not None and _running(worker):
+            os.kill(worker, signal.SIGKILL)
 
 
 # SHA-256 of flat() + chain of a 2-chain, 6-sweep demo run, per start
