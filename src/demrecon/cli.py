@@ -100,10 +100,12 @@ def _parse_threshold(expr: str):
         if op in expr:
             name, value = expr.split(op, 1)
             try:
-                return name.strip(), op, float(value)
+                if np.isfinite(value := float(value)):
+                    return name.strip(), op, value
             except ValueError:
-                break
-    raise _Invalid(f"threshold {expr!r} must look like 'srb>1.06'")
+                pass
+            break
+    raise _Invalid(f"threshold {expr!r} must look like 'srb>1.06', with a finite number")
 
 
 def _parse_joint(expr: str):
@@ -129,11 +131,12 @@ def _sample_grid(sample_dir):
 
 
 def _cmd_summarize(args) -> int:
-    indicators = args.indicator or ["srb", "tfr", "e0_female", "e0_male"]
-    probs = args.prob or [0.025, 0.5, 0.975]
-    thresholds = [_parse_threshold(t) for t in (args.threshold or [])]
-    trends = args.trend or []
-    joints = [_parse_joint(j) for j in (args.joint or [])]
+    # a value given again in a repeated flag counts once, where it was first given
+    indicators = list(dict.fromkeys(args.indicator or ["srb", "tfr", "e0_female", "e0_male"]))
+    probs = list(dict.fromkeys(args.prob or [0.025, 0.5, 0.975]))
+    thresholds = list(dict.fromkeys(_parse_threshold(t) for t in args.threshold or []))
+    trends = list(dict.fromkeys(args.trend or []))
+    joints = [_parse_joint(j) for j in dict.fromkeys(args.joint or [])]
     named = indicators + [t[0] for t in thresholds] + trends \
         + [pred[0] for _, preds in joints for pred in preds]
     unknown = [n for n in dict.fromkeys(named) if n not in INDICATOR_NAMES]

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io as stdio
 import json
 import mmap
 import os
@@ -341,8 +340,8 @@ def write_trajectory(path, trajectory: Trajectory):
 
 
 # A sample table is parsed in one block per BLOCK_BYTES, on up to the
-# usable CPUs: a forked worker costs about 8 ms, and loadtxt parses 4 MB
-# in about 60 ms.
+# usable CPUs: on a 2-CPU VM a forked worker costs about 6 ms, and
+# loadtxt parses 4 MB from _lines in about 60 ms.
 BLOCK_BYTES = 4 << 20
 
 
@@ -371,8 +370,8 @@ def read_samples(path, grid: ModelGrid) -> PosteriorSample:
     if len(cuts) > 2:
         try:
             parsed = _parse_blocks(path, columns, row, cuts)
-        except (ValueError, OSError):  # a bad block, or no mapping or fork to be had:
-            pass  # the one-call parse below reads the file or reports its fault as always
+        except (ValueError, csv.Error, OSError):  # a bad block or bare CR line end, or no
+            pass  # mapping or fork: the one-call parse below reads the file or names its fault
     if parsed is None:
         with _reading(path) as fh:
             _check_header(path, fh, columns)
@@ -435,18 +434,16 @@ def _block_cuts(path) -> list:
     return cuts + [size]
 
 
-class _ByteRange(stdio.RawIOBase):
-    """An unbuffered binary file up to byte end, as a raw stream."""
-
-    def __init__(self, fh, end):
-        super().__init__()
-        self._fh, self._end = fh, end
-
-    def readable(self):
-        return True
-
-    def readinto(self, buffer):
-        return self._fh.readinto(memoryview(buffer)[:max(self._end - self._fh.tell(), 0)])
+def _lines(path, begin, end):
+    """The lines of a file from byte begin, a line start, up to byte end, decoded
+    as UTF-8. A bare \\r ends no line here, unlike in text mode."""
+    with open(path, "rb") as fh:
+        fh.seek(begin)
+        for line in fh:
+            if begin >= end:
+                return
+            begin += len(line)
+            yield line.decode("utf-8")
 
 
 def _parse_blocks(path, columns, row, cuts) -> tuple:
@@ -459,21 +456,16 @@ def _parse_blocks(path, columns, row, cuts) -> tuple:
     character and a delimiter or line end), and pages of the mapping
     that no record reaches are never allocated. Raises ValueError when a
     block cannot be parsed, and OSError when the mapping or a worker
-    cannot be made."""
+    cannot be made; csv.Error too for the header of a file with bare \\r line ends."""
     room = [(end - begin) // (2 * len(columns)) + 1 for begin, end in zip(cuts, cuts[1:])]
     starts = np.cumsum([0] + room)
     rows = np.frombuffer(mmap.mmap(-1, int(starts[-1]) * row.itemsize), dtype=row)
 
     def parse(k):
-        with open(path, "rb", buffering=0) as fh:
-            fh.seek(cuts[k])
-            # few reads through _ByteRange.readinto, and no copy of the block,
-            # which repeated reads would leave scattered on the heap
-            raw = stdio.BufferedReader(_ByteRange(fh, cuts[k + 1]), 1 << 18)
-            with stdio.TextIOWrapper(raw, encoding="utf-8", newline="") as text:
-                if k == 0:
-                    _check_header(path, text, columns)
-                block = _loadtxt(text, row)
+        lines = _lines(path, cuts[k], cuts[k + 1])
+        if k == 0:
+            _check_header(path, lines, columns)
+        block = _loadtxt(lines, row)
         if len(block) > room[k]:
             raise ValueError(f"block {k} holds more rows than its bytes allow")
         rows[starts[k]:starts[k] + len(block)] = block

@@ -153,9 +153,6 @@ class PosteriorSample:
         draws, each array with a leading draw axis."""
         return ThetaVector.from_classes({c: a[i] for c, a in self.draws.items()})
 
-    def variances_at(self, i: int) -> VarianceParams:
-        return VarianceParams(*self.sigma2[i])
-
     def flat(self) -> np.ndarray:
         """(n_draws, n_params) matrix in ``parameter_names`` order."""
         cols = [self.draws[c].reshape(self.n_draws, -1) for c in PARAM_CLASSES]

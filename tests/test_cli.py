@@ -291,6 +291,17 @@ def test_grid_census_year_without_counts_exit_2(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_simulate_without_census_after_baseline_exit_2(tmp_path, capsys):
+    """simulate draws census counts only in census years after the baseline
+    year: a grid with no census years leaves it nothing to draw."""
+    grid_yaml, elic_yaml, _, _ = _desk_inputs(tmp_path, census_years="[]")
+    assert main(["simulate", "--grid", str(grid_yaml),
+                 "--initial-estimates-dir", str(tmp_path / "initial"),
+                 "--elicitation", str(elic_yaml), "--out-dir", str(tmp_path / "sim")]) == 2
+    assert "simulate needs a census year after the baseline year" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
 def test_repeated_census_year_exit_2(tmp_path, capsys):
     """A census year given twice would have one of its columns ignored."""
     argv, grid_yaml, _ = _simulate_desk(tmp_path)
@@ -537,6 +548,8 @@ def _sample_dir(path, grid, thetas):
 @pytest.mark.parametrize("flags, message", [
     (["--threshold", "srb>abc"], "must look like 'srb>1.06'"),
     (["--threshold", "srb>=1.0x"], "must look like 'srb>1.06'"),
+    (["--threshold", "srb>nan"], "with a finite number"),
+    (["--threshold", "srb<-inf"], "with a finite number"),
     (["--joint", "up=srb:19x0:1970:>"], "must be indicator:yearA:yearB"),
     (["--joint", "up=srb:1960:1975:>"], "srb has no year 1975"),
     (["--joint", "up=srtp:1960:1980:<"], "srtp has no year 1980"),
@@ -549,6 +562,25 @@ def test_summarize_bad_arguments_exit_2(tmp_path, capsys, desk_grid, flags, mess
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "summary.csv").exists()
+
+
+def test_summarize_repeated_flag_values_count_once(tmp_path, desk_grid):
+    """A value given again in --indicator, --prob, --threshold, --trend or
+    --joint adds no rows: summary.csv is that of each value given once, in
+    the order first given."""
+    run = _sample_dir(tmp_path / "run", desk_grid, [make_theta(desk_grid, seed=s)
+                                                     for s in range(3)])
+    once = ["--indicator", "tfr", "--indicator", "srb", "--prob", "0.9", "--prob", "0.5",
+            "--threshold", "srb>1.06", "--trend", "srb", "--joint", "up=srb:1960:1970:>"]
+    again = ["--indicator", "tfr", "--indicator", "tfr", "--indicator", "srb",
+             "--prob", "0.9", "--prob", "0.5", "--prob", "0.9", "--threshold", "srb>1.06",
+             "--threshold", "srb > 1.06", "--trend", "srb", "--trend", "srb",
+             "--joint", "up=srb:1960:1970:>", "--joint", "up=srb:1960:1970:>"]
+    for name, flags in (("once", once), ("again", again)):
+        assert main(["summarize", "--sample-dir", str(run),
+                     "--out-dir", str(tmp_path / name)] + flags) == 0
+    assert (tmp_path / "again" / "summary.csv").read_bytes() == \
+        (tmp_path / "once" / "summary.csv").read_bytes()
 
 
 def test_summarize_oversized_chain_label_exit_2(tmp_path, capsys, desk_grid):

@@ -1,5 +1,7 @@
 """Grid arithmetic, parameter containers and the structural validator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,12 @@ def test_validate_flags_offgrid_census_year():
     report = validate(g)
     assert not report.ok
     assert "1972" in str(report)
+
+
+def test_validate_flags_step_other_than_5(desk_grid):
+    report = validate(dataclasses.replace(desk_grid, step=10))
+    assert not report.ok
+    assert "grid: step must be 5, got 10" in str(report)
 
 
 def test_validate_flags_baseline_not_census_year():

@@ -501,6 +501,9 @@ _ORACLE_CASES = {
     "blank_lines": (lambda h, r: _csv_text([h, [], []] + r[:3] + [[]] + r[3:] + [[], []]), None),
     "quoted_cells": (lambda h, r: _csv_text([h] + r, quoting=csv.QUOTE_ALL), None),
     "lf_endings": (lambda h, r: _csv_text([h] + r, eol="\n"), None),
+    "cr_endings": (lambda h, r: _csv_text([h] + r, eol="\r"), None),
+    "cr_then_crlf": (lambda h, r: _csv_text([h] + r[:3], eol="\r") + _csv_text(r[3:]), None),
+    "crlf_then_cr": (lambda h, r: _csv_text([h] + r[:3]) + _csv_text(r[3:], eol="\r"), None),
     "padded_cells": (lambda h, r: _csv_text([h] + _edited(r, _PADDED)), None),
     "padded_then_bad_value": (lambda h, r: _csv_text(
         [h] + _edited(r, _PADDED + [(6, 3, "1.0e")])), ":8: bad row"),
