@@ -548,12 +548,12 @@ def _sample_dir(path, grid, thetas):
 @pytest.mark.parametrize("flags, message", [
     (["--threshold", "srb>abc"], "must look like 'srb>1.06'"),
     (["--threshold", "srb>=1.0x"], "must look like 'srb>1.06'"),
-    (["--threshold", "srb>nan"], "with a finite number"),
-    (["--threshold", "srb<-inf"], "with a finite number"),
     (["--joint", "up=srb:19x0:1970:>"], "must be indicator:yearA:yearB"),
     (["--joint", "up=srb:1960:1975:>"], "srb has no year 1975"),
     (["--joint", "up=srtp:1960:1980:<"], "srtp has no year 1980"),
     (["--prob", "1.5"], "must lie in [0, 1]"),
+    (["--threshold", "srb>nan"], "with a finite number"),
+    (["--threshold", "srb<-inf"], "with a finite number"),
 ])
 def test_summarize_bad_arguments_exit_2(tmp_path, capsys, desk_grid, flags, message):
     run = _sample_dir(tmp_path / "run", desk_grid, [make_theta(desk_grid, seed=s)
