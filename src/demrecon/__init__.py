@@ -13,7 +13,7 @@ __version__ = "0.2.0"
 
 from .grid import (FEMALE, MALE, PARAM_CLASSES, SEX_LABELS,
                    CensusData, Elicitation, ModelGrid, ThetaVector,
-                   ValidationReport, VarianceParams, validate)
+                   ValidationReport, validate)
 from .projection import Trajectory, positivity_indicator, project_full, total_births
 from .priors import (ElicitationError, HyperParams, InitialEstimates,
                      beta_from_elicitation, log_invgamma, log_likelihood_census,
@@ -25,8 +25,7 @@ from .diagnostics import RunLengthReport, gelman_rubin, raftery_lewis
 from .summaries import (INDICATOR_NAMES, TrajectoryMatrix, endpoint_diff,
                         exceedance_prob, indicator_trajectories, joint_event_prob,
                         marginal_quantiles, mean_half_width, ols_slope, summary_rows)
-from .simulate import (SimulatedData, draw_joint, prior_sample, simulate_dataset,
-                       variance_draws)
+from .simulate import SimulatedData, draw_joint, prior_sample, simulate_dataset
 from .io import (ParseError, RunManifest, load_census, load_elicitation,
                  load_grid, load_sampler_settings, load_theta, make_manifest,
                  read_samples, sha256_file, write_census, write_samples,

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import io
 from .diagnostics import check_run_length_settings, gelman_rubin, raftery_lewis
-from .grid import validate
+from .grid import PARAM_CLASSES, validate
 from .priors import ElicitationError, beta_from_elicitation
 from .projection import project_full
 from .sampler import (SAMPLER_SETTINGS, ConfigError, SamplerConfig, parameter_names,
@@ -177,7 +177,7 @@ def _cmd_diagnose(args) -> int:
     grid = _sample_grid(args.sample_dir)
     names = parameter_names(grid)
     column = {n: i for i, n in enumerate(names)}
-    wanted = args.parameter or names
+    wanted = list(dict.fromkeys(args.parameter or names))  # a name given again counts once
     unknown = [n for n in wanted if n not in column]
     if unknown:
         raise _Invalid(f"unknown parameters {unknown[:5]}")
@@ -189,7 +189,7 @@ def _cmd_diagnose(args) -> int:
     gr, gr_note = None, ""
     if len(starts) >= 2:
         n = lengths.min()
-        cols = [column[p] for p in args.parameter] if args.parameter else slice(None)
+        cols = [column[p] for p in wanted] if args.parameter else slice(None)
         try:
             gr = gelman_rubin([flat[a:a + n, cols] for a in starts])
         except ValueError as e:
@@ -247,8 +247,8 @@ def _cmd_simulate(args) -> int:
     io.write_census(out / "census", data.census, grid)
     io.write_theta(out / "truth" / "theta", data.theta_true, grid)
     io.write_rows(out / "truth" / "variances.csv",
-                  [{"class": c, "value": repr(getattr(data.variances_true, c))}
-                   for c in data.variances_true.as_dict()],
+                  [{"class": c, "value": repr(v)}
+                   for c, v in zip(PARAM_CLASSES, data.variances_true.tolist())],
                   ["class", "value"])
     inputs = [args.grid, args.elicitation]
     inputs += sorted(str(p) for p in Path(args.initial_estimates_dir).glob("*.csv"))
@@ -327,7 +327,7 @@ def main(argv=None) -> int:
         what = "exists and is not a directory" if isinstance(e, FileExistsError) else e.strerror
         print(f"error: {e.filename}: {what}", file=sys.stderr)
         return VALIDATION_EXIT
-    except (RuntimeError, MemoryError) as e:  # SamplingError among them
+    except (RuntimeError, MemoryError, OSError) as e:  # SamplingError; a refused fork
         print(f"error: {e}", file=sys.stderr)
         return RUNTIME_EXIT
 

@@ -218,24 +218,6 @@ class ThetaVector:
 
 
 @dataclass(frozen=True)
-class VarianceParams:
-    """The five variances of the hierarchical model, one per parameter class.
-
-    Each applies on that class's transformed scale: log for counts,
-    fertility and srb, logit for survival, natural scale for migration.
-    """
-
-    counts: float
-    fertility: float
-    survival: float
-    migration: float
-    srb: float
-
-    def as_dict(self) -> dict:
-        return {c: getattr(self, c) for c in PARAM_CLASSES}
-
-
-@dataclass(frozen=True)
 class CensusData:
     """Census counts by age and sex at one or more census years.
 

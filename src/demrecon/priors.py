@@ -26,7 +26,7 @@ from typing import Mapping
 import numpy as np
 from scipy.special import expit, gammaln, logit, stdtrit
 
-from .grid import Elicitation, CensusData, ModelGrid, PARAM_CLASSES, ThetaVector, VarianceParams
+from .grid import Elicitation, CensusData, ModelGrid, PARAM_CLASSES, ThetaVector
 from .projection import Trajectory
 
 # Initial estimates have the same shape and rules as any parameter draw.
@@ -67,9 +67,9 @@ def _gauss_block(x: np.ndarray, center: np.ndarray, sigma2: float) -> float:
     return -0.5 * quad / sigma2 - 0.5 * m * (_LOG_2PI + np.log(sigma2))
 
 
-def log_prior_theta(theta: ThetaVector, initial: InitialEstimates,
-                    variances: VarianceParams) -> float:
-    """Joint log prior of all projection parameters given the variances.
+def log_prior_theta(theta: ThetaVector, initial: InitialEstimates, sigma2) -> float:
+    """Joint log prior of all projection parameters given sigma2, the five
+    variances in PARAM_CLASSES order.
 
     Sum of Gaussian log densities on each class's transformed scale. At
     theta equal to the initial estimates every quadratic term is zero
@@ -78,14 +78,13 @@ def log_prior_theta(theta: ThetaVector, initial: InitialEstimates,
     vals = theta.by_class()
     cents = initial.by_class()
     total = 0.0
-    for cls in PARAM_CLASSES:
+    for cls, s2 in zip(PARAM_CLASSES, sigma2):
         x, c = vals[cls], cents[cls]
         if cls in LOG_SCALE_CLASSES and (np.any(x <= 0) or np.any(c <= 0)):
             raise ValueError(f"{cls}: log scale requires strictly positive values")
         if cls == "survival" and (np.any(x <= 0) or np.any(x >= 1)):
             raise ValueError("survival: logit scale requires values inside (0, 1)")
-        total += _gauss_block(transform(cls, x), transform(cls, c),
-                              getattr(variances, cls))
+        total += _gauss_block(transform(cls, x), transform(cls, c), s2)
     return total
 
 

@@ -73,7 +73,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .grid import FEMALE, PARAM_CLASSES, CensusData, ModelGrid, ThetaVector, VarianceParams
+from .grid import FEMALE, PARAM_CLASSES, CensusData, ModelGrid, ThetaVector
 from .priors import (HyperParams, InitialEstimates, draw_invgamma, log_invgamma,
                      log_likelihood_census, log_prior_theta, transform)
 from .projection import (Trajectory, _rate_views, _row_views, _step_counts, _step_work,
@@ -171,20 +171,22 @@ def parameter_names(grid: ModelGrid) -> list:
     return names + [f"sigma2[{c}]" for c in PARAM_CLASSES]
 
 
-def log_posterior(theta: ThetaVector, variances: VarianceParams,
-                  initial: InitialEstimates, hyper: HyperParams,
-                  census: Optional[CensusData], grid: ModelGrid) -> float:
-    """Joint log posterior up to a constant; -inf on a positivity violation."""
+def log_posterior(theta: ThetaVector, sigma2, initial: InitialEstimates,
+                  hyper: HyperParams, census: Optional[CensusData],
+                  grid: ModelGrid) -> float:
+    """Joint log posterior up to a constant; -inf on a positivity violation.
+    sigma2 holds the five variances in PARAM_CLASSES order, as in a row of
+    ``PosteriorSample.sigma2``."""
     traj = project_full(theta.baseline, theta, grid)
     if not positivity_indicator(traj.counts):
         return float("-inf")
-    total = log_prior_theta(theta, initial, variances)
+    total = log_prior_theta(theta, initial, sigma2)
     if census is not None:
         if not all(np.all(traj.at(y) > 0) for y in grid.likelihood_years):
             return float("-inf")
-        total += log_likelihood_census(traj, census, variances.counts, grid)
-    for i, cls in enumerate(PARAM_CLASSES):
-        total += log_invgamma(getattr(variances, cls), hyper.alpha[cls], hyper.beta[cls])
+        total += log_likelihood_census(traj, census, sigma2[0], grid)
+    for cls, s2 in zip(PARAM_CLASSES, sigma2):
+        total += log_invgamma(s2, hyper.alpha[cls], hyper.beta[cls])
     return float(total)
 
 

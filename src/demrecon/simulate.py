@@ -22,18 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import PARAM_CLASSES, CensusData, ModelGrid, ThetaVector, VarianceParams
+from .grid import PARAM_CLASSES, CensusData, ModelGrid, ThetaVector
 from .priors import HyperParams, InitialEstimates, draw_invgamma, transform, untransform
 from .projection import positivity_indicator, project_full
 from .sampler import PosteriorSample, SamplerConfig
 
 CHUNK = 512  # candidates projected as one stack by _first_admissible
-
-
-def variance_draws(hyper: HyperParams, cls: str, rng: np.random.Generator,
-                   n: int = 1) -> np.ndarray:
-    """n inverse-gamma draws for one parameter class."""
-    return draw_invgamma(rng, hyper.alpha[cls], hyper.beta[cls], n)
 
 
 def _first_admissible(initial: InitialEstimates, grid: ModelGrid, rng: np.random.Generator, n: int,
@@ -74,14 +68,15 @@ def _first_admissible(initial: InitialEstimates, grid: ModelGrid, rng: np.random
 
 def draw_joint(initial: InitialEstimates, hyper: HyperParams, grid: ModelGrid,
                rng: np.random.Generator, max_tries: int = 100000):
-    """One (variances, theta) pair from the positivity-restricted joint prior.
+    """One (sigma2, theta) pair from the positivity-restricted joint prior,
+    sigma2 the five variances in PARAM_CLASSES order.
 
     The restriction truncates the joint distribution, so a failed draw
     discards the variances too; redrawing only theta under a huge
     variance draw would both bias the result and loop forever.
     """
     sig, draws = _first_admissible(initial, grid, rng, 1, max_tries, hyper)
-    return (VarianceParams(*sig[0].tolist()),
+    return (sig[0].copy(),
             ThetaVector.from_classes({c: a[0] for c, a in draws.items()}))
 
 
@@ -104,7 +99,7 @@ class SimulatedData:
     initial: InitialEstimates
     census: CensusData
     theta_true: ThetaVector
-    variances_true: VarianceParams
+    variances_true: np.ndarray  # the five variances in PARAM_CLASSES order
 
 
 def simulate_dataset(grid: ModelGrid, initial: InitialEstimates,
@@ -116,7 +111,7 @@ def simulate_dataset(grid: ModelGrid, initial: InitialEstimates,
     years = grid.likelihood_years
     if not years:
         raise ValueError("grid declares no census years after the baseline")
-    sd = np.sqrt(v_true.counts)
+    sd = np.sqrt(v_true[0])
     counts = np.empty((len(years), grid.n_ages, 2))
     for i, year in enumerate(years):
         proj = traj.at(year)

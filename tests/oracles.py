@@ -118,13 +118,15 @@ def normal_logpdf_oracle(x, mean, var):
 
 
 def log_prior_oracle(theta, initial, variances):
-    """Term-by-term scalar evaluation of the parameter prior."""
+    """Term-by-term scalar evaluation of the parameter prior; variances
+    holds the counts, fertility, survival, migration and srb variances, in
+    that order."""
     blocks = [
-        ("log", theta.baseline, initial.baseline, variances.counts),
-        ("log", theta.fertility, initial.fertility, variances.fertility),
-        ("logit", theta.survival, initial.survival, variances.survival),
-        ("id", theta.migration, initial.migration, variances.migration),
-        ("log", theta.srb, initial.srb, variances.srb),
+        ("log", theta.baseline, initial.baseline, variances[0]),
+        ("log", theta.fertility, initial.fertility, variances[1]),
+        ("logit", theta.survival, initial.survival, variances[2]),
+        ("id", theta.migration, initial.migration, variances[3]),
+        ("log", theta.srb, initial.srb, variances[4]),
     ]
     total = 0.0
     for scale, x, c, var in blocks:
@@ -172,10 +174,9 @@ def log_posterior_oracle(theta, variances, initial, hyper, census, grid,
     """Composition of the scalar density oracles at one valid point."""
     total = log_prior_oracle(theta, initial, variances)
     if census is not None:
-        total += log_likelihood_oracle(trajectory, census, variances.counts, grid)
-    for cls in ("counts", "fertility", "survival", "migration", "srb"):
-        total += invgamma_logpdf_oracle(getattr(variances, cls),
-                                        hyper.alpha[cls], hyper.beta[cls])
+        total += log_likelihood_oracle(trajectory, census, variances[0], grid)
+    for cls, var in zip(("counts", "fertility", "survival", "migration", "srb"), variances):
+        total += invgamma_logpdf_oracle(var, hyper.alpha[cls], hyper.beta[cls])
     return total
 
 

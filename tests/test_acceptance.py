@@ -17,8 +17,8 @@ from demrecon import (CensusData, ChainState, Elicitation, ModelGrid,
                       beta_from_elicitation, endpoint_diff, exceedance_prob,
                       indicator_trajectories, joint_event_prob, ols_slope,
                       project_full, raftery_lewis, run_chain, simulate_dataset,
-                      summary_rows, total_births, transform, variance_posterior,
-                      variance_draws)
+                      summary_rows, total_births, transform, variance_posterior)
+from demrecon.priors import draw_invgamma
 from demrecon.sampler import _can_fork, _usable_cpus
 from conftest import make_theta, flat_elicitation, sample_from_thetas
 from oracles import (FEMALE, MALE, invgamma_cdf_oracle, project_oracle,
@@ -113,7 +113,7 @@ def test_criterion_05_prior_interval_calibration():
     hyper = beta_from_elicitation(flat_elicitation(0.10), initial)
     rng = np.random.default_rng(2024)
     n = 100000
-    sigma2 = variance_draws(hyper, "fertility", rng, n)
+    sigma2 = draw_invgamma(rng, hyper.alpha["fertility"], hyper.beta["fertility"], n)
     f_star = initial.fertility[0, 0]
     # heavy-tailed sigma2 draws can overflow exp; those land outside the
     # interval either way

@@ -18,12 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demrecon import (FEMALE, CensusData, ModelGrid, gelman_rubin, load_census, load_grid,
+from demrecon import (FEMALE, PARAM_CLASSES, CensusData, ModelGrid, beta_from_elicitation,
+                      gelman_rubin, load_census, load_elicitation, load_grid,
                       make_manifest, parameter_names, project_full, write_census,
                       write_samples, write_theta)
 from demrecon import cli, sampler
 from demrecon.cli import main
 from conftest import make_theta, sample_from_thetas
+from oracles import prior_draws_oracle
 
 DEMO = Path(__file__).resolve().parent.parent / "data" / "demo"
 
@@ -193,6 +195,22 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
     for f in ("census/census_female.csv", "census/census_male.csv",
               "truth/theta/srb.csv", "truth/variances.csv"):
         assert _digest(tmp_path / "s1" / f) == _digest(tmp_path / "s2" / f)
+
+
+def test_simulate_truth_variances_csv(tmp_path):
+    """truth/variances.csv holds one row per class, in PARAM_CLASSES order,
+    whose value reads back exactly as the variance that simulate drew: the
+    first kept prior draw from the seed's stream."""
+    grid_yaml, elic_yaml, grid, theta = _desk_inputs(tmp_path)
+    assert main(_command(tmp_path, grid_yaml, elic_yaml, "simulate") + ["--seed", "11"]) == 0
+    hyper = beta_from_elicitation(load_elicitation(elic_yaml), theta)
+    (want,), _, _ = prior_draws_oracle(theta, hyper, grid, np.random.default_rng(11), 1)
+    with open(tmp_path / "out" / "truth" / "variances.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["class", "value"]
+    assert [r[0] for r in rows[1:]] == list(PARAM_CLASSES)
+    for (_, value), v in zip(rows[1:], want):
+        assert float(value) == v
 
 
 def test_flags_override_file_settings(tmp_path):
@@ -494,6 +512,25 @@ def test_failed_start_in_chain_workers_exit_3(tmp_path, capsys, monkeypatch, whe
     assert multiprocessing.active_children() == []
 
 
+def test_failed_fork_in_sample_exit_3(tmp_path, capsys, monkeypatch):
+    """A fork the system refuses (EAGAIN, out of processes) ends sample with
+    exit 3 and a one-line message, writes no samples.csv and leaves no
+    process running; two usable CPUs send the chains to a forked worker."""
+    grid_yaml, elic_yaml, grid, _ = _desk_inputs(tmp_path)
+    _write_census(tmp_path, grid)
+    monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
+
+    def refused():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refused)
+    assert main(_command(tmp_path, grid_yaml, elic_yaml, "sample") + ["--chains", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Resource temporarily unavailable" in err
+    assert err.count("\n") == 1, err
+    assert not (tmp_path / "out" / "samples.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["project", "sample", "simulate"])
 def test_invalid_grid_reported_before_files_that_depend_on_it(tmp_path, capsys, command):
     grid_yaml, elic_yaml, _, _ = _desk_inputs(tmp_path)
@@ -693,6 +730,28 @@ def test_diagnose_one_gelman_rubin_call_over_unequal_chains(tmp_path, monkeypatc
     gr_calls.clear()
     assert main(argv) == 0
     assert len(gr_calls) == 1 and len(rl_calls) == len(wanted) + len(names)
+
+
+def test_diagnose_repeated_parameter_counts_once(tmp_path, desk_grid):
+    """A parameter named again in --parameter adds no row: diagnostics.csv
+    is that of each name given once, in the order first given, R-hat
+    column included."""
+    thetas = [make_theta(desk_grid, seed=s) for s in range(40)]
+    sample = dataclasses.replace(sample_from_thetas(desk_grid, thetas),
+                                 chain=np.repeat([0, 1], 20))
+    run = tmp_path / "run"
+    run.mkdir()
+    write_samples(run / "samples.csv", sample)
+    make_manifest(0, {}, desk_grid, None, None, [], 0.0).write(run / "manifest.json")
+    once = ["srb[1965]", "sigma2[counts]", "baseline[5,male]"]
+    again = ["srb[1965]", "sigma2[counts]", "srb[1965]", "baseline[5,male]", "sigma2[counts]"]
+    for name, wanted in (("once", once), ("again", again)):
+        assert main(["diagnose", "--sample-dir", str(run), "--r", "0.1",
+                     "--out-dir", str(tmp_path / name)]
+                    + [a for p in wanted for a in ("--parameter", p)]) == 0
+    got = (tmp_path / "again" / "diagnostics.csv").read_bytes()
+    assert got == (tmp_path / "once" / "diagnostics.csv").read_bytes()
+    assert got.count(b"\n") == 1 + len(once)
 
 
 def test_diagnose_one_chain_makes_no_gelman_rubin_call(tmp_path, monkeypatch, desk_grid):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from demrecon import (PARAM_CLASSES, CensusData, Elicitation, ModelGrid, ThetaVector,
-                      VarianceParams, parameter_names, validate)
+                      parameter_names, validate)
 from conftest import make_theta
 
 
@@ -118,14 +118,6 @@ def test_by_class_round_trip(desk_grid):
     for cls in PARAM_CLASSES:
         assert back.by_class()[cls].tobytes() == arrays[cls].tobytes()
         assert back.by_class()[cls].shape == arrays[cls].shape
-
-
-def test_variance_params_round_trip_dict():
-    v = VarianceParams(counts=1e-4, fertility=2e-4, survival=3e-4,
-                       migration=4e-4, srb=5e-4)
-    assert v.as_dict() == {"counts": 1e-4, "fertility": 2e-4, "survival": 3e-4,
-                           "migration": 4e-4, "srb": 5e-4}
-    assert VarianceParams(**v.as_dict()) == v
 
 
 def test_census_data_at(desk_grid):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demrecon import (CensusData, Elicitation, ElicitationError, PARAM_CLASSES,
-                      VarianceParams, beta_from_elicitation, log_invgamma,
+                      beta_from_elicitation, log_invgamma,
                       log_likelihood_census, log_prior_theta, project_full,
                       t_quantile_95, transform, untransform)
 from conftest import make_theta, flat_elicitation
@@ -17,8 +17,8 @@ from oracles import (invgamma_logpdf_oracle, log_likelihood_oracle,
 
 
 def _variances():
-    return VarianceParams(counts=2e-4, fertility=3e-4, survival=0.5,
-                          migration=1e-4, srb=1.5e-4)
+    """counts, fertility, survival, migration and srb variances, in that order."""
+    return np.array([2e-4, 3e-4, 0.5, 1e-4, 1.5e-4])
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +53,7 @@ def test_log_prior_at_center_is_normalizing_constants(desk_grid):
     v = _variances()
     got = log_prior_theta(theta, theta, v)
     expected = 0.0
-    for cls, arr in theta.by_class().items():
-        var = getattr(v, cls)
+    for arr, var in zip(theta.by_class().values(), v):
         expected += -0.5 * arr.size * math.log(2.0 * math.pi * var)
     assert got == pytest.approx(expected, rel=1e-12)
 
@@ -64,7 +63,8 @@ def test_log_prior_doubling_one_variance(desk_grid):
     moves the total by exactly half the class size times log 2."""
     theta = make_theta(desk_grid, seed=2)
     v1 = _variances()
-    v2 = VarianceParams(**{**v1.as_dict(), "fertility": 2.0 * v1.fertility})
+    v2 = v1.copy()
+    v2[PARAM_CLASSES.index("fertility")] *= 2.0
     drop = log_prior_theta(theta, theta, v1) - log_prior_theta(theta, theta, v2)
     assert drop == pytest.approx(0.5 * theta.fertility.size * math.log(2.0), rel=1e-12)
 

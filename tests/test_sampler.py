@@ -19,7 +19,7 @@ from scipy import stats
 
 from demrecon import (FEMALE, MALE, CensusData, ConfigError, ModelGrid, PARAM_CLASSES,
                       SamplerConfig, SamplingError, ThetaVector, Trajectory,
-                      VarianceParams, beta_from_elicitation, gelman_rubin,
+                      beta_from_elicitation, gelman_rubin,
                       load_elicitation, load_grid, load_theta, log_posterior,
                       parameter_names, positivity_indicator, prior_sample,
                       project_full, run_chain, sampler, simulate,
@@ -33,8 +33,8 @@ DEMO = Path(__file__).resolve().parent.parent / "data" / "demo"
 
 
 def _variances():
-    return VarianceParams(counts=2e-4, fertility=3e-4, survival=0.5,
-                          migration=1e-4, srb=1.5e-4)
+    """counts, fertility, survival, migration and srb variances, in that order."""
+    return np.array([2e-4, 3e-4, 0.5, 1e-4, 1.5e-4])
 
 
 def _census_from(theta, grid, noise=0.03, seed=0):
@@ -432,7 +432,7 @@ def test_update_delta_matches_posterior_difference(desk_grid, desk_hyper):
     """The incremental acceptance ratio must equal the brute-force
     difference of full log posteriors at fixed variances."""
     state, initial, census = _state(desk_grid, desk_hyper)
-    v = VarianceParams(*state.sigma2)
+    v = state.sigma2.copy()
     before = log_posterior(state.theta(), v, initial, desk_hyper, census, desk_grid)
     comp = 11  # a fertility component
     assert state.components[comp][3] == "fertility"
@@ -497,7 +497,7 @@ def test_acceptance_ratio_antisymmetry(desk_grid, desk_hyper):
     """Forward and reverse moves between the same two points must have
     log ratios that cancel (detailed balance of the acceptance rule)."""
     state, initial, census = _state(desk_grid, desk_hyper)
-    v = VarianceParams(*state.sigma2)
+    v = state.sigma2.copy()
     comp = 3
     z, scale = 0.7, 0.04
     p0 = log_posterior(state.theta(), v, initial, desk_hyper, census, desk_grid)

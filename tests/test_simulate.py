@@ -11,7 +11,8 @@ from scipy import stats
 from demrecon import (ModelGrid, PARAM_CLASSES, HyperParams, Trajectory,
                       beta_from_elicitation, draw_joint, load_elicitation, load_grid,
                       load_theta, positivity_indicator, prior_sample, project_full,
-                      simulate, simulate_dataset, variance_draws)
+                      simulate, simulate_dataset)
+from demrecon.priors import draw_invgamma
 from conftest import make_theta, flat_elicitation
 from oracles import invgamma_cdf_oracle, prior_draws_oracle
 
@@ -33,9 +34,9 @@ def problems():
 
 def test_variance_draws_follow_prior(desk_hyper):
     rng = np.random.default_rng(0)
-    draws = variance_draws(desk_hyper, "fertility", rng, 4000)
-    assert np.all(draws > 0)
     a, b = desk_hyper.alpha["fertility"], desk_hyper.beta["fertility"]
+    draws = draw_invgamma(rng, a, b, 4000)
+    assert np.all(draws > 0)
     cdf = lambda x: np.array([invgamma_cdf_oracle(v, a, b)
                               for v in np.atleast_1d(x)])
     assert stats.kstest(draws, cdf).pvalue > 0.01
@@ -48,8 +49,7 @@ def test_draw_joint_returns_positive_trajectory(desk_grid, desk_hyper):
         v, theta = draw_joint(initial, desk_hyper, desk_grid, rng)
         traj = project_full(theta.baseline, theta, desk_grid)
         assert positivity_indicator(traj.counts)
-        for cls in PARAM_CLASSES:
-            assert getattr(v, cls) > 0
+        assert v.shape == (len(PARAM_CLASSES),) and np.all(v > 0)
 
 
 def test_simulate_dataset_reproducible(desk_grid, desk_hyper):
@@ -142,7 +142,7 @@ def test_simulate_dataset_takes_truth_then_noise_from_one_stream(problems, seed)
     want = np.stack([np.exp(np.log(traj.at(y)) + np.sqrt(v[0]) * rng.standard_normal((grid.n_ages, 2)))
                      for y in grid.likelihood_years])
     assert data.census.counts.tobytes() == want.tobytes()
-    assert dataclasses.astuple(data.variances_true) == tuple(v)
+    assert data.variances_true.tolist() == v
     for c, a in theta.by_class().items():
         assert data.theta_true.by_class()[c].tobytes() == a.tobytes()
 
