@@ -9,15 +9,14 @@ draws into credible intervals, indicator trajectories and trend
 probabilities.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 from .grid import (FEMALE, MALE, PARAM_CLASSES, SEX_LABELS,
-                   CensusData, Elicitation, ModelGrid, ThetaVector,
-                   ValidationReport, validate)
+                   CensusData, Elicitation, ModelGrid, ThetaVector, validate)
 from .projection import Trajectory, positivity_indicator, project_full, total_births
-from .priors import (ElicitationError, HyperParams, InitialEstimates,
-                     beta_from_elicitation, log_invgamma, log_likelihood_census,
-                     log_prior_theta, t_quantile_95, transform, untransform)
+from .priors import (ElicitationError, HyperParams, beta_from_elicitation, log_invgamma,
+                     log_likelihood_census, log_prior_theta, t_quantile_95, transform,
+                     untransform)
 from .sampler import (ChainState, ConfigError, PosteriorSample, SamplerConfig,
                       SamplingError, log_posterior, parameter_names, run_chain,
                       variance_posterior)

@@ -40,9 +40,9 @@ class _Invalid(Exception):
 
 
 def _validated(grid, theta=None, census=None):
-    report = validate(grid, theta, census)
-    if not report.ok:
-        raise _Invalid("invalid inputs:\n" + str(report))
+    violations = validate(grid, theta, census)
+    if violations:
+        raise _Invalid("invalid inputs:\n" + "\n".join(violations))
 
 
 def _cmd_project(args) -> int:

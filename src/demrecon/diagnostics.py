@@ -60,10 +60,21 @@ def _g2_second_vs_first(z: np.ndarray) -> float:
     return float(2.0 * np.sum(t[seen] * np.log(t[seen] / fitted[seen])))
 
 
-def check_run_length_settings(q: float, r: float, s: float):
-    """Raise ValueError unless 0 < q < 1, 0 < s < 1 and r > 0."""
-    if not (0.0 < q < 1.0 and 0.0 < s < 1.0 and r > 0.0):
-        raise ValueError("need 0 < q < 1, 0 < s < 1 and r > 0")
+def check_run_length_settings(q: float, r: float, s: float) -> int:
+    """The iid minimum Nmin of these settings. Raise ValueError unless
+    0 < q < 1, 0 < s < 1, r > 0 and Nmin is a finite integer of at least
+    1: a tiny r takes (z/r)^2 past the largest float, a huge one rounds
+    Nmin to 0."""
+    nmin = 0
+    if 0.0 < q < 1.0 and 0.0 < s < 1.0 and r > 0.0:
+        try:
+            nmin = math.ceil(q * (1.0 - q) * (float(ndtri(0.5 * (1.0 + s))) / r) ** 2)
+        except OverflowError:
+            pass
+    if nmin < 1:
+        raise ValueError("need 0 < q < 1, 0 < s < 1 and r > 0,"
+                         " with Nmin = ceil(q(1-q)(z/r)^2) finite and at least 1")
+    return nmin
 
 
 def raftery_lewis(chain, q: float = 0.025, r: float = 0.005, s: float = 0.95,
@@ -75,10 +86,9 @@ def raftery_lewis(chain, q: float = 0.025, r: float = 0.005, s: float = 0.95,
     matrix to mean anything) or when the binarized chain never leaves
     one of its states or alternates on every step.
     """
-    check_run_length_settings(q, r, s)
+    nmin = check_run_length_settings(q, r, s)
     x = np.asarray(chain, dtype=np.float64).ravel()
     z_alpha = float(ndtri(0.5 * (1.0 + s)))
-    nmin = int(math.ceil(q * (1.0 - q) * (z_alpha / r) ** 2))
     if x.size < nmin:
         raise ValueError(f"chain of length {x.size} is below the minimum {nmin} for these (q, r, s)")
 

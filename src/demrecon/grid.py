@@ -57,10 +57,6 @@ class ModelGrid:
     census_years : tuple of int
         Calendar years with census counts. May be empty for
         projection-only use.
-    step : int
-        Grid resolution in years. Only 5 is supported; the field exists
-        so a config that says otherwise produces a validation report
-        instead of silent misbehaviour.
     """
 
     start_year: int
@@ -69,7 +65,6 @@ class ModelGrid:
     fert_min_age: int = 15
     fert_max_age: int = 45
     census_years: tuple = ()
-    step: int = STEP
 
     def __post_init__(self):
         object.__setattr__(self, "census_years", tuple(int(y) for y in self.census_years))
@@ -258,25 +253,7 @@ class Elicitation:
         object.__setattr__(self, "alpha", alpha)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of ``validate``: empty violations means pass."""
-
-    violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "ok"
-        return "\n".join(self.violations)
-
-
 def _check_grid(grid: ModelGrid, out: list, require_census: bool):
-    if grid.step != STEP:
-        out.append(f"grid: step must be {STEP}, got {grid.step}")
     if grid.end_year <= grid.start_year:
         out.append(f"grid: end_year {grid.end_year} must exceed start_year {grid.start_year}")
     elif (grid.end_year - grid.start_year) % STEP != 0:
@@ -342,14 +319,15 @@ def _cell_lines(name, arr, labels, value_range, out):
             out.append(f"{name}[{coord}] = {arr[idx]:g} {why}")
 
 
-def validate(grid: ModelGrid, theta: ThetaVector = None, census: CensusData = None) -> ValidationReport:
-    """Check every structural invariant and return the full list of violations.
+def validate(grid: ModelGrid, theta: ThetaVector = None, census: CensusData = None) -> tuple:
+    """Check every structural invariant and return the violations, one
+    line each; an empty tuple means the inputs pass.
 
-    Total: never raises on bad values, always returns a report. Coordinates
-    in the messages are the labels of ``ModelGrid.class_axes``: age lower
-    bounds, calendar years and sex labels. Census-year membership rules are
-    only enforced when the grid declares census years or census data is
-    supplied, so projection-only grids can leave ``census_years`` empty.
+    Total: never raises on bad values. Coordinates in the messages are the
+    labels of ``ModelGrid.class_axes``: age lower bounds, calendar years and
+    sex labels. Census-year membership rules are only enforced when the
+    grid declares census years or census data is supplied, so
+    projection-only grids can leave ``census_years`` empty.
     Census data must hold every year of ``grid.likelihood_years``.
     """
     out: list = []
@@ -381,4 +359,4 @@ def validate(grid: ModelGrid, theta: ThetaVector = None, census: CensusData = No
         out += [f"census: grid census year {y} has no census counts"
                 for y in grid.likelihood_years if y not in census.years]
 
-    return ValidationReport(tuple(out))
+    return tuple(out)

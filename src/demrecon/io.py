@@ -57,7 +57,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .grid import (FEMALE, MALE, PARAM_CLASSES, SEX_LABELS,
+from .grid import (FEMALE, MALE, PARAM_CLASSES, SEX_LABELS, STEP,
                    CensusData, Elicitation, ModelGrid, ThetaVector)
 from .projection import Trajectory
 from .sampler import (SAMPLER_SETTINGS, PosteriorSample, SamplerConfig, _can_fork, _fork_map,
@@ -559,6 +559,8 @@ class RunManifest:
         missing = [k for k in keys if k not in d] if isinstance(d, dict) else keys
         if missing:
             raise ParseError(f"{path}: manifest is missing keys {missing}")
+        if isinstance(d["grid"], dict) and d["grid"].get("step") == STEP:
+            del d["grid"]["step"]  # written by 0.2.0, whose grid had a step field fixed at 5
         d["grid"] = grid_as_dict(_grid_from_mapping(path, d["grid"], GRID_KEYS))
         return cls(**{k: d[k] for k in keys})
 

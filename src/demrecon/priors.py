@@ -26,11 +26,9 @@ from typing import Mapping
 import numpy as np
 from scipy.special import expit, gammaln, logit, stdtrit
 
-from .grid import Elicitation, CensusData, ModelGrid, PARAM_CLASSES, ThetaVector
+from .grid import (PARAM_CLASSES, SEX_LABELS, STEP, CensusData, Elicitation, ModelGrid,
+                   ThetaVector)
 from .projection import Trajectory
-
-# Initial estimates have the same shape and rules as any parameter draw.
-InitialEstimates = ThetaVector
 
 LOG_SCALE_CLASSES = ("counts", "fertility", "srb")
 SURVIVAL_CLAMP = 1e-6
@@ -67,7 +65,7 @@ def _gauss_block(x: np.ndarray, center: np.ndarray, sigma2: float) -> float:
     return -0.5 * quad / sigma2 - 0.5 * m * (_LOG_2PI + np.log(sigma2))
 
 
-def log_prior_theta(theta: ThetaVector, initial: InitialEstimates, sigma2) -> float:
+def log_prior_theta(theta: ThetaVector, initial: ThetaVector, sigma2) -> float:
     """Joint log prior of all projection parameters given sigma2, the five
     variances in PARAM_CLASSES order.
 
@@ -140,7 +138,7 @@ def t_quantile_95(alpha: float) -> float:
 
 
 def beta_from_elicitation(elicitation: Elicitation,
-                          initial: InitialEstimates) -> HyperParams:
+                          initial: ThetaVector) -> HyperParams:
     """Turn elicited relative errors into inverse-gamma scale parameters.
 
     For each class the marginal prior of a transformed component is
@@ -158,7 +156,8 @@ def beta_from_elicitation(elicitation: Elicitation,
 
     beta = alpha * (half_width / t_quantile_95(alpha))^2. Every eta, alpha
     and beta must be finite and positive, else ElicitationError names the
-    class.
+    class; so must every initial baseline count, the log of which centres
+    the counts prior, else ElicitationError names the cells.
     """
     alpha = dict(elicitation.alpha)
     eta = dict(elicitation.eta)
@@ -166,6 +165,12 @@ def beta_from_elicitation(elicitation: Elicitation,
         for what, v in (("elicited relative error", eta[cls]), ("alpha", alpha[cls])):
             if not 0.0 < v < np.inf:  # NaN fails too
                 raise ElicitationError(f"{cls}: {what} must be finite and positive, got {v}")
+    bad = [f"baseline[{STEP * a},{SEX_LABELS[x]}] = {v:g}"
+           for (a, x), v in np.ndenumerate(initial.baseline) if not 0.0 < v < np.inf]
+    if bad:
+        raise ElicitationError("counts: the prior is centred on the log of the initial"
+                               " baseline counts, which must be finite and positive: "
+                               + "; ".join(bad))
 
     beta = {}
     for cls in LOG_SCALE_CLASSES:

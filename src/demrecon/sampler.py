@@ -74,8 +74,8 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .grid import FEMALE, PARAM_CLASSES, CensusData, ModelGrid, ThetaVector
-from .priors import (HyperParams, InitialEstimates, draw_invgamma, log_invgamma,
-                     log_likelihood_census, log_prior_theta, transform)
+from .priors import (HyperParams, draw_invgamma, log_invgamma, log_likelihood_census,
+                     log_prior_theta, transform)
 from .projection import (Trajectory, _rate_views, _row_views, _step_counts, _step_work,
                          positivity_indicator, project_full, rate_terms)
 
@@ -171,7 +171,7 @@ def parameter_names(grid: ModelGrid) -> list:
     return names + [f"sigma2[{c}]" for c in PARAM_CLASSES]
 
 
-def log_posterior(theta: ThetaVector, sigma2, initial: InitialEstimates,
+def log_posterior(theta: ThetaVector, sigma2, initial: ThetaVector,
                   hyper: HyperParams, census: Optional[CensusData],
                   grid: ModelGrid) -> float:
     """Joint log posterior up to a constant; -inf on a positivity violation.
@@ -230,7 +230,7 @@ class ChainState:
     read-only.
     """
 
-    def __init__(self, grid: ModelGrid, initial: InitialEstimates,
+    def __init__(self, grid: ModelGrid, initial: ThetaVector,
                  census: Optional[CensusData], hyper: HyperParams,
                  config: SamplerConfig):
         self.grid = grid
@@ -509,7 +509,7 @@ def _fork_map(fn, items: list) -> list:
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _run_chains(chain_ids: list, config: SamplerConfig, grid: ModelGrid,
-                initial: InitialEstimates, census: Optional[CensusData],
+                initial: ThetaVector, census: Optional[CensusData],
                 hyper: HyperParams) -> tuple:
     """Run the given chains one after another.
 
@@ -561,14 +561,15 @@ def _run_chains(chain_ids: list, config: SamplerConfig, grid: ModelGrid,
     return rows, acc
 
 
-def run_chain(config: SamplerConfig, grid: ModelGrid, initial: InitialEstimates,
+def run_chain(config: SamplerConfig, grid: ModelGrid, initial: ThetaVector,
               census: Optional[CensusData], hyper: HyperParams) -> PosteriorSample:
     """Run the configured number of chains and collect retained draws.
 
     Each chain starts at the initial estimates with the variances at
     their prior modes, uses its own RNG stream spawned from the seed,
     and adapts proposal scales during burn-in only. Raises
-    SamplingError if the starting point has zero posterior density.
+    SamplingError if the starting point has zero posterior density, and
+    MemoryError before any chain runs if no array could hold the draws.
 
     The chains are split into as many contiguous groups as there are
     usable CPUs (at most one group per chain). The calling process runs
@@ -580,13 +581,17 @@ def run_chain(config: SamplerConfig, grid: ModelGrid, initial: InitialEstimates,
     sample's draws and sigma2 view.
     """
     config.check()
+    per_chain = (config.iterations - config.burn_in) // config.thin
+    shape = (per_chain * config.chains, grid.class_slices()["srb"].stop + len(PARAM_CLASSES))
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:  # numpy refuses it with a ValueError
+        raise MemoryError(f"Unable to allocate a {shape[0]} x {shape[1]} float64 draw matrix:"
+                          " it exceeds the largest array size")
     n_groups = min(config.chains, _usable_cpus()) if _can_fork() else 1
     groups = [(g.tolist(),) for g in np.array_split(np.arange(config.chains), n_groups)]
     parts = _fork_map(lambda chain_ids: _run_chains(chain_ids, config, grid, initial,
                                                     census, hyper), groups)
     rows, acc = parts[0] if len(parts) == 1 else (np.concatenate(j) for j in zip(*parts))
 
-    per_chain = (config.iterations - config.burn_in) // config.thin
     chain_lab = np.repeat(np.arange(config.chains, dtype=np.int64), per_chain)
     acc /= max(config.iterations - config.burn_in, 1)
     return PosteriorSample(grid=grid, draws=grid.class_views(rows),

@@ -23,14 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import PARAM_CLASSES, CensusData, ModelGrid, ThetaVector
-from .priors import HyperParams, InitialEstimates, draw_invgamma, transform, untransform
+from .priors import HyperParams, draw_invgamma, transform, untransform
 from .projection import positivity_indicator, project_full
 from .sampler import PosteriorSample, SamplerConfig
 
 CHUNK = 512  # candidates projected as one stack by _first_admissible
 
 
-def _first_admissible(initial: InitialEstimates, grid: ModelGrid, rng: np.random.Generator, n: int,
+def _first_admissible(initial: ThetaVector, grid: ModelGrid, rng: np.random.Generator, n: int,
                       max_tries: int, hyper: HyperParams):
     """The first n admissible prior candidates in draw order: (sigma2 (n, 5),
     class-keyed draws), views of one (n, n_params) draw matrix. A candidate
@@ -66,7 +66,7 @@ def _first_admissible(initial: InitialEstimates, grid: ModelGrid, rng: np.random
     return sig, draws
 
 
-def draw_joint(initial: InitialEstimates, hyper: HyperParams, grid: ModelGrid,
+def draw_joint(initial: ThetaVector, hyper: HyperParams, grid: ModelGrid,
                rng: np.random.Generator, max_tries: int = 100000):
     """One (sigma2, theta) pair from the positivity-restricted joint prior,
     sigma2 the five variances in PARAM_CLASSES order.
@@ -80,7 +80,7 @@ def draw_joint(initial: InitialEstimates, hyper: HyperParams, grid: ModelGrid,
             ThetaVector.from_classes({c: a[0] for c, a in draws.items()}))
 
 
-def prior_sample(initial: InitialEstimates, hyper: HyperParams, grid: ModelGrid,
+def prior_sample(initial: ThetaVector, hyper: HyperParams, grid: ModelGrid,
                  n_draws: int, seed: int = 0) -> PosteriorSample:
     """Direct Monte Carlo sample from the prior, packaged like an MCMC run."""
     sig, draws = _first_admissible(initial, grid, np.random.default_rng(seed),
@@ -96,13 +96,13 @@ class SimulatedData:
     """A synthetic reconstruction problem with its generating truth."""
 
     grid: ModelGrid
-    initial: InitialEstimates
+    initial: ThetaVector
     census: CensusData
     theta_true: ThetaVector
     variances_true: np.ndarray  # the five variances in PARAM_CLASSES order
 
 
-def simulate_dataset(grid: ModelGrid, initial: InitialEstimates,
+def simulate_dataset(grid: ModelGrid, initial: ThetaVector,
                      hyper: HyperParams, seed: int = 0) -> SimulatedData:
     """Generate one dataset from the model's own generative process."""
     rng = np.random.default_rng(seed)

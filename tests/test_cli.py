@@ -349,6 +349,48 @@ def test_unallocatable_draw_matrix_exit_3(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_unrepresentable_draw_matrix_exit_3(tmp_path, capsys, monkeypatch):
+    """A draw matrix past numpy's largest array size is refused in run_chain
+    before any chain runs or any worker is forked: exit 3 and one line."""
+    grid_yaml, elic_yaml, grid, _ = _desk_inputs(tmp_path)
+    _write_census(tmp_path, grid)
+    monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
+
+    def no_fork(fn, items):
+        raise AssertionError("the draw matrix was not refused before the chains ran")
+
+    monkeypatch.setattr(sampler, "_fork_map", no_fork)
+    for iterations in (10 ** 17, 10 ** 20):
+        for chains in (1, 2):
+            argv = _command(tmp_path, grid_yaml, elic_yaml, "sample") + [
+                "--iterations", str(iterations), "--burn-in", "0", "--chains", str(chains)]
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1, err
+            assert not (tmp_path / "out" / "samples.csv").exists()
+
+
+def test_zero_initial_count_exit_2(tmp_path, capsys):
+    """The counts prior is centred on the log of the initial baseline, so
+    sample and simulate refuse a zero count before any draw, naming its
+    cell; project, which takes no log, accepts it."""
+    grid_yaml, elic_yaml, grid, theta = _desk_inputs(tmp_path)
+    _write_census(tmp_path, grid)
+    baseline = theta.baseline.copy()
+    baseline[-1, 1] = 0.0
+    write_theta(tmp_path / "initial", theta.replace(baseline=baseline), grid)
+    for command, code in (("project", 0), ("sample", 2), ("simulate", 2)):
+        assert main(_command(tmp_path, grid_yaml, elic_yaml, command)) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: counts: ") and err.count("\n") == 1, err
+            assert err.endswith("baseline[15,male] = 0\n")
+        else:
+            assert err == ""
+    assert not (tmp_path / "out" / "samples.csv").exists()
+    assert not (tmp_path / "out" / "truth").exists()
+
+
 def test_zero_eta_exit_2(tmp_path):
     grid_yaml, elic_yaml, _, _ = _desk_inputs(tmp_path)
     elic_yaml.write_text(
@@ -540,6 +582,35 @@ def test_invalid_grid_reported_before_files_that_depend_on_it(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert "grid: end_year 1975 must exceed start_year 1980" in err
     assert "fertility.csv" not in err
+
+
+@pytest.mark.parametrize("command", ["project", "sample", "simulate"])
+def test_grid_step_key_exit_2(tmp_path, capsys, command):
+    """The grid is fixed at 5 years: a step key is an unknown grid key."""
+    grid_yaml, elic_yaml, _, _ = _desk_inputs(tmp_path)
+    grid_yaml.write_text(grid_yaml.read_text() + "  step: 5\n")
+    assert main(_command(tmp_path, grid_yaml, elic_yaml, command)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {grid_yaml}: unknown grid keys ['step']"), err
+
+
+def test_sample_dir_of_0_2_0_reads_alike(tmp_path, desk_grid):
+    """summarize and diagnose write the same bytes from a sample directory
+    whose manifest holds the grid step that 0.2.0 wrote."""
+    run = _sample_dir(tmp_path / "run", desk_grid, [make_theta(desk_grid, seed=s)
+                                                     for s in range(20)])
+    outputs = []
+    for old in (False, True):
+        if old:
+            manifest = run / "manifest.json"
+            manifest.write_text(manifest.read_text().replace('"start_year"',
+                                                             '"step": 5, "start_year"'))
+        out = tmp_path / f"out{old}"
+        assert main(["summarize", "--sample-dir", str(run), "--out-dir", str(out)]) == 0
+        assert main(["diagnose", "--sample-dir", str(run), "--r", "0.1",
+                     "--out-dir", str(out)]) == 0
+        outputs.append([(out / f).read_bytes() for f in ("summary.csv", "diagnostics.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_summarize_rejects_unknown_indicator(tmp_path):
@@ -793,7 +864,8 @@ def test_parser_built_once_keeps_no_state_between_calls(tmp_path, desk_grid):
     assert outputs[False, 4] != outputs[False, 3]
 
 
-@pytest.mark.parametrize("flags", [["--q", "2"], ["--r", "0"], ["--s", "1"]])
+@pytest.mark.parametrize("flags", [["--q", "2"], ["--r", "0"], ["--s", "1"],
+                                   ["--r", "1e-160"], ["--r", "inf"], ["--r", "1e200"]])
 def test_diagnose_bad_run_length_settings_exit_2(tmp_path, capsys, flags):
     # the sample directory does not exist: the settings check must come first
     code = main(["diagnose", "--sample-dir", str(tmp_path / "missing")] + flags)

@@ -79,6 +79,14 @@ def test_parameter_validation():
             raftery_lewis(x, **bad)
 
 
+@pytest.mark.parametrize("r", [1e-160, math.inf, 1e200])
+def test_settings_without_a_finite_positive_nmin_raise(r):
+    """A tiny r takes (z/r)^2 past the largest float and a huge one rounds
+    Nmin to 0: both raise ValueError before the chain is looked at."""
+    with pytest.raises(ValueError, match=r"Nmin = ceil\(q\(1-q\)\(z/r\)\^2\) finite"):
+        raftery_lewis(np.random.default_rng(4).random(5000), r=r)
+
+
 def test_short_chain_raises():
     x = np.random.default_rng(5).random(100)
     with pytest.raises(ValueError, match="below the minimum"):

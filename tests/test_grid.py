@@ -1,12 +1,12 @@
 """Grid arithmetic, parameter containers and the structural validator."""
 
-import dataclasses
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from demrecon import (PARAM_CLASSES, CensusData, Elicitation, ModelGrid, ThetaVector,
-                      parameter_names, validate)
+from demrecon import (PARAM_CLASSES, CensusData, Elicitation, ModelGrid, ParseError,
+                      ThetaVector, load_grid, parameter_names, validate)
 from conftest import make_theta
 
 
@@ -61,8 +61,7 @@ def test_class_shapes_cover_every_parameter(fert_min_age):
     assert sizes + 5 == len(parameter_names(grid))
     rng = np.random.default_rng(0)
     arrays = {c: rng.uniform(0.2, 0.8, s) for c, s in shapes.items()}
-    report = validate(grid, ThetaVector.from_classes(arrays))
-    assert report.ok, str(report)
+    assert validate(grid, ThetaVector.from_classes(arrays)) == ()
 
 
 def test_parameter_names_pinned_on_tiny_grid():
@@ -136,17 +135,16 @@ def test_elicitation_alpha_defaults():
 
 def test_validate_passes_consistent_inputs(desk_grid):
     th = make_theta(desk_grid)
-    report = validate(desk_grid, th)
-    assert report.ok, str(report)
+    assert validate(desk_grid, th) == ()
 
 
 def test_validate_flags_survival_boundary(desk_grid):
     th = make_theta(desk_grid)
     s = th.survival.copy()
     s[1, 0, 0] = 1.0
-    report = validate(desk_grid, th.replace(survival=s))
-    assert not report.ok
-    joined = str(report)
+    violations = validate(desk_grid, th.replace(survival=s))
+    assert violations
+    joined = "\n".join(violations)
     assert "survival" in joined
     # the offending coordinate is named
     assert "5" in joined and "1960" in joined
@@ -156,27 +154,31 @@ def test_validate_flags_offgrid_census_year():
     g = ModelGrid(start_year=1971, end_year=1981, open_age=15,
                   fert_min_age=10, fert_max_age=15,
                   census_years=(1971, 1972, 1981))
-    report = validate(g)
-    assert not report.ok
-    assert "1972" in str(report)
+    violations = validate(g)
+    assert violations
+    assert any("1972" in line for line in violations)
 
 
-def test_validate_flags_step_other_than_5(desk_grid):
-    report = validate(dataclasses.replace(desk_grid, step=10))
-    assert not report.ok
-    assert "grid: step must be 5, got 10" in str(report)
+def test_grid_step_key_is_unknown(tmp_path):
+    """The grid is fixed at 5 years, so a step key in a grid file is refused
+    like any other unknown key; it has no field to set."""
+    p = tmp_path / "grid.yaml"
+    p.write_text("grid:\n  start_year: 1960\n  end_year: 1980\n  step: 10\n")
+    with pytest.raises(ParseError, match=r"unknown grid keys \['step'\]"):
+        load_grid(p)
+    assert not hasattr(ModelGrid(1960, 1980), "step")
 
 
 def test_validate_flags_baseline_not_census_year():
     g = ModelGrid(start_year=1960, end_year=1970, open_age=15,
                   fert_min_age=10, fert_max_age=15, census_years=(1965, 1970))
-    report = validate(g)
-    assert not report.ok
-    assert "1960" in str(report)
+    violations = validate(g)
+    assert violations
+    assert any("1960" in line for line in violations)
 
 
 def test_validate_is_total_on_garbage(desk_grid):
-    """Many simultaneous violations still produce a report, not an exception."""
+    """Many simultaneous violations still produce their lines, not an exception."""
     K, P, F = desk_grid.n_ages, desk_grid.n_periods, desk_grid.n_fertile
     th = ThetaVector(
         baseline=np.full((K, 2), -2.0),
@@ -185,35 +187,52 @@ def test_validate_is_total_on_garbage(desk_grid):
         migration=np.zeros((K, P, 2)),
         srb=np.full(P, -1.0),
     )
-    report = validate(desk_grid, th)
-    assert not report.ok
-    assert len(report.violations) >= 4
+    assert len(validate(desk_grid, th)) >= 4
+
+
+_YEARS = st.sampled_from([-5, 0, 1955, 1960, 1962, 1965, 1975, 1980])
+_AGES = st.sampled_from([-5, 0, 3, 10, 15, 20])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(start=_YEARS, end=_YEARS, open_age=_AGES, fert=st.tuples(_AGES, _AGES),
+       census_years=st.lists(_YEARS, max_size=4), years=st.lists(_YEARS, max_size=4),
+       n_ages=st.sampled_from([1, 4]))
+def test_validate_never_raises(start, end, open_age, fert, census_years, years, n_ages):
+    """On grids with negative values, values off the 5-year step, reversed
+    years and any census years, validate returns its lines: without a
+    parameter set, with one of another grid's shape, and with a census."""
+    grid = ModelGrid(start, end, open_age, *fert, census_years=tuple(census_years))
+    other = make_theta(ModelGrid(1960, 1975, open_age=15, fert_min_age=10, fert_max_age=15))
+    census = CensusData(tuple(years), np.ones((len(years), n_ages, 2)))
+    for theta, cen in ((None, None), (other, None), (None, census), (other, census)):
+        out = validate(grid, theta, cen)
+        assert isinstance(out, tuple) and all(isinstance(line, str) for line in out)
 
 
 def test_validate_reports_census_shape_and_sign(desk_grid):
     bad = np.ones((2, desk_grid.n_ages, 2))
     bad[0, 1, 0] = -3.0
     cen = CensusData(years=(1965, 1975), counts=bad)
-    report = validate(desk_grid, make_theta(desk_grid), cen)
-    assert not report.ok
-    assert "census" in str(report)
+    violations = validate(desk_grid, make_theta(desk_grid), cen)
+    assert violations
+    assert all(line.startswith("census") for line in violations)
 
 
 def test_validate_census_year_must_be_declared(desk_grid):
     cen = CensusData(years=(1970,), counts=np.ones((1, desk_grid.n_ages, 2)))
-    report = validate(desk_grid, make_theta(desk_grid), cen)
-    assert not report.ok
-    assert "1970" in str(report)
+    violations = validate(desk_grid, make_theta(desk_grid), cen)
+    assert any("1970" in line for line in violations)
     # and the grid's census years after the baseline have no counts
-    assert report.violations[-2:] == ("census: grid census year 1965 has no census counts",
-                                      "census: grid census year 1975 has no census counts")
+    assert violations[-2:] == ("census: grid census year 1965 has no census counts",
+                               "census: grid census year 1975 has no census counts")
 
 
 def test_validate_reports_repeated_census_year(desk_grid):
     cen = CensusData(years=(1965, 1975, 1975, 1975),
                      counts=np.ones((4, desk_grid.n_ages, 2)))
-    report = validate(desk_grid, make_theta(desk_grid), cen)
-    assert report.violations == ("census: year 1975 appears 3 times",)
+    assert validate(desk_grid, make_theta(desk_grid), cen) == (
+        "census: year 1975 appears 3 times",)
 
 
 @pytest.mark.parametrize("cls,value,line", [
@@ -228,14 +247,12 @@ def test_validate_reports_non_finite_cells(desk_grid, cls, value, line):
     arrays = make_theta(desk_grid).by_class()
     bad = arrays[cls].copy()
     bad[(1,) * bad.ndim] = value
-    report = validate(desk_grid, ThetaVector.from_classes({**arrays, cls: bad}))
-    assert report.violations == (line,)
+    assert validate(desk_grid, ThetaVector.from_classes({**arrays, cls: bad})) == (line,)
 
 
 def test_validate_reports_every_non_finite_census_cell(desk_grid):
     counts = np.ones((2, desk_grid.n_ages, 2))
     counts[0, 1, 0] = np.nan
     counts[1, 3, 1] = np.inf
-    report = validate(desk_grid, make_theta(desk_grid), CensusData((1965, 1975), counts))
-    assert report.violations == ("census[1965,5,female] = nan is not finite",
-                                 "census[1975,15,male] = inf is not finite")
+    assert validate(desk_grid, make_theta(desk_grid), CensusData((1965, 1975), counts)) == (
+        "census[1965,5,female] = nan is not finite", "census[1975,15,male] = inf is not finite")
