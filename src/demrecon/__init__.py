@@ -15,8 +15,7 @@ from .grid import (FEMALE, MALE, PARAM_CLASSES, SEX_LABELS,
                    CensusData, Elicitation, ModelGrid, ThetaVector, validate)
 from .projection import Trajectory, positivity_indicator, project_full, total_births
 from .priors import (ElicitationError, HyperParams, beta_from_elicitation, log_invgamma,
-                     log_likelihood_census, log_prior_theta, t_quantile_95, transform,
-                     untransform)
+                     t_quantile_95, transform, untransform)
 from .sampler import (ChainState, ConfigError, PosteriorSample, SamplerConfig,
                       SamplingError, log_posterior, parameter_names, run_chain,
                       variance_posterior)

@@ -126,8 +126,10 @@ def _parse_joint(expr: str):
 
 
 def _sample_grid(sample_dir):
-    """Grid of a sample directory, from its manifest."""
-    return io.RunManifest.read(Path(sample_dir) / "manifest.json").to_grid()
+    """Grid of a sample directory, from its manifest, validated."""
+    grid = io.RunManifest.read(Path(sample_dir) / "manifest.json").to_grid()
+    _validated(grid)
+    return grid
 
 
 def _cmd_summarize(args) -> int:

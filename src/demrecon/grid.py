@@ -32,6 +32,11 @@ PARAM_CLASSES = ("counts", "fertility", "survival", "migration", "srb")
 
 STEP = 5
 
+# bounds on a grid's open age group and on its span in years, far above any
+# real reconstruction, so that its axes are small enough to build
+MAX_OPEN_AGE = 150
+MAX_SPAN = 1000
+
 
 def _freeze(a) -> np.ndarray:
     """Return a float64 copy with the writeable flag cleared."""
@@ -253,16 +258,21 @@ class Elicitation:
         object.__setattr__(self, "alpha", alpha)
 
 
-def _check_grid(grid: ModelGrid, out: list, require_census: bool):
-    if grid.end_year <= grid.start_year:
+def _check_grid(grid: ModelGrid, out: list, require_census: bool) -> bool:
+    """Append the grid's violations to out. Returns whether its years and
+    ages pass, so that its axes are small enough to build."""
+    n = len(out)
+    span = grid.end_year - grid.start_year
+    if span <= 0:
         out.append(f"grid: end_year {grid.end_year} must exceed start_year {grid.start_year}")
-    elif (grid.end_year - grid.start_year) % STEP != 0:
-        out.append(
-            f"grid: end_year - start_year = {grid.end_year - grid.start_year}"
-            f" is not a multiple of {STEP}"
-        )
+    elif span > MAX_SPAN:
+        out.append(f"grid: end_year - start_year = {span} exceeds {MAX_SPAN} years")
+    elif span % STEP != 0:
+        out.append(f"grid: end_year - start_year = {span} is not a multiple of {STEP}")
     if grid.open_age <= 0 or grid.open_age % STEP != 0:
         out.append(f"grid: open_age {grid.open_age} must be a positive multiple of {STEP}")
+    elif grid.open_age > MAX_OPEN_AGE:
+        out.append(f"grid: open_age {grid.open_age} exceeds {MAX_OPEN_AGE}")
     for name in ("fert_min_age", "fert_max_age"):
         v = getattr(grid, name)
         if v % STEP != 0 or not (0 <= v <= grid.open_age):
@@ -271,6 +281,7 @@ def _check_grid(grid: ModelGrid, out: list, require_census: bool):
         out.append(
             f"grid: fert_min_age {grid.fert_min_age} exceeds fert_max_age {grid.fert_max_age}"
         )
+    sized = len(out) == n
 
     years = grid.census_years
     if require_census and not years:
@@ -291,6 +302,7 @@ def _check_grid(grid: ModelGrid, out: list, require_census: bool):
             out.append(f"grid: baseline year {grid.start_year} must be a census year")
         if grid.end_year not in years:
             out.append(f"grid: end year {grid.end_year} must be a census year")
+    return sized
 
 
 def _check_shape(name: str, arr: np.ndarray, want: tuple, out: list) -> bool:
@@ -328,27 +340,30 @@ def validate(grid: ModelGrid, theta: ThetaVector = None, census: CensusData = No
     sex labels. Census-year membership rules are only enforced when the
     grid declares census years or census data is supplied, so
     projection-only grids can leave ``census_years`` empty.
-    Census data must hold every year of ``grid.likelihood_years``.
+    Census data must hold every year of ``grid.likelihood_years``. A
+    parameter set and a census are checked only against a grid whose years
+    and ages pass, ``MAX_OPEN_AGE`` and ``MAX_SPAN`` included, since the
+    grid's axes are built for them.
     """
     out: list = []
-    _check_grid(grid, out, require_census=census is not None)
-    axes = grid.class_axes()
+    if not _check_grid(grid, out, require_census=census is not None):
+        return tuple(out)
 
     if theta is not None:
-        for f, (cls, labels) in zip(dataclasses.fields(theta), axes.items()):
+        for f, (cls, labels) in zip(dataclasses.fields(theta), grid.class_axes().items()):
             arr = getattr(theta, f.name)
             if _check_shape(f.name, arr, tuple(map(len, labels)), out):
                 _cell_lines(f.name, arr, labels, _RANGES[cls], out)
 
     if census is not None:
-        ages, sexes = axes["counts"]
+        ages = grid.ages.tolist()
         if census.counts.shape != (len(census.years), len(ages), 2):
             out.append(
                 f"census: counts shape {census.counts.shape} does not match"
                 f" ({len(census.years)}, {len(ages)}, 2)"
             )
         else:
-            _cell_lines("census", census.counts, (census.years, ages, sexes), _POSITIVE, out)
+            _cell_lines("census", census.counts, (census.years, ages, SEX_LABELS), _POSITIVE, out)
         out += [f"census: year {y} appears {census.years.count(y)} times"
                 for y in sorted(set(census.years)) if census.years.count(y) > 1]
         for y in census.years:

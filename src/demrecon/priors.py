@@ -1,15 +1,10 @@
-"""Densities of the hierarchical model and elicitation of its hyperpriors.
+"""Transformed scales, the inverse-gamma density and the elicitation of
+the hyperpriors of the hierarchical model.
 
-Level 1 (likelihood): log census counts are Gaussian around log projected
-counts with variance sigma2_counts, at census years after the baseline.
-Level 3 (parameter priors): each parameter class is Gaussian around its
-initial estimate on a transformed scale, with one shared variance per
-class: log scale for counts, fertility and srb, logit for survival,
-natural scale for migration. Level 4: each variance is inverse gamma.
-
-All theta densities here are densities OF the transformed values. The
-sampler walks in the same transformed coordinates, so no change of
-variables ever enters an acceptance ratio.
+Each parameter class is Gaussian around its initial estimate on a
+transformed scale: log scale for counts, fertility and srb, logit for
+survival, natural scale for migration. Each class's variance is inverse
+gamma. ``sampler.log_posterior`` evaluates the joint density.
 
 Marginalizing the variance out of one Gaussian component leaves a
 Student t with 2*alpha degrees of freedom, centred at the transformed
@@ -26,14 +21,10 @@ from typing import Mapping
 import numpy as np
 from scipy.special import expit, gammaln, logit, stdtrit
 
-from .grid import (PARAM_CLASSES, SEX_LABELS, STEP, CensusData, Elicitation, ModelGrid,
-                   ThetaVector)
-from .projection import Trajectory
+from .grid import PARAM_CLASSES, SEX_LABELS, STEP, Elicitation, ThetaVector
 
 LOG_SCALE_CLASSES = ("counts", "fertility", "srb")
 SURVIVAL_CLAMP = 1e-6
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class ElicitationError(ValueError):
@@ -56,55 +47,6 @@ def untransform(cls: str, values):
     if cls == "survival":
         return expit(values)
     return np.asarray(values, dtype=np.float64)
-
-
-def _gauss_block(x: np.ndarray, center: np.ndarray, sigma2: float) -> float:
-    """Sum of iid Gaussian log densities of x around center."""
-    m = x.size
-    quad = float(np.sum((x - center) ** 2))
-    return -0.5 * quad / sigma2 - 0.5 * m * (_LOG_2PI + np.log(sigma2))
-
-
-def log_prior_theta(theta: ThetaVector, initial: ThetaVector, sigma2) -> float:
-    """Joint log prior of all projection parameters given sigma2, the five
-    variances in PARAM_CLASSES order.
-
-    Sum of Gaussian log densities on each class's transformed scale. At
-    theta equal to the initial estimates every quadratic term is zero
-    and the value is the sum of the normalizing constants.
-    """
-    vals = theta.by_class()
-    cents = initial.by_class()
-    total = 0.0
-    for cls, s2 in zip(PARAM_CLASSES, sigma2):
-        x, c = vals[cls], cents[cls]
-        if cls in LOG_SCALE_CLASSES and (np.any(x <= 0) or np.any(c <= 0)):
-            raise ValueError(f"{cls}: log scale requires strictly positive values")
-        if cls == "survival" and (np.any(x <= 0) or np.any(x >= 1)):
-            raise ValueError("survival: logit scale requires values inside (0, 1)")
-        total += _gauss_block(transform(cls, x), transform(cls, c), s2)
-    return total
-
-
-def log_likelihood_census(trajectory: Trajectory, census: CensusData,
-                          sigma2_counts: float, grid: ModelGrid) -> float:
-    """Gaussian log likelihood of log census counts around log projections.
-
-    Covers ``grid.likelihood_years``, the census years strictly after the
-    baseline, and census must hold each of them. The baseline census
-    enters through the prior on the baseline counts instead, so it is
-    never used twice; a census entry at the baseline year is ignored here.
-    """
-    total = 0.0
-    for year in grid.likelihood_years:
-        proj = trajectory.at(year)
-        obs = census.at(year)
-        if np.any(proj <= 0):
-            raise ValueError(f"projected count nonpositive at census year {year}")
-        if np.any(obs <= 0):
-            raise ValueError(f"census count nonpositive at year {year}")
-        total += _gauss_block(np.log(obs), np.log(proj), sigma2_counts)
-    return total
 
 
 def log_invgamma(sigma2: float, alpha: float, beta: float) -> float:

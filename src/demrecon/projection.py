@@ -233,7 +233,7 @@ class Trajectory:
     years: tuple
 
     def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.float64)
+        c = np.asarray(self.counts, dtype=np.float64).view()  # the caller's array stays writeable
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "years", tuple(int(y) for y in self.years))

@@ -74,13 +74,14 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .grid import FEMALE, PARAM_CLASSES, CensusData, ModelGrid, ThetaVector
-from .priors import (HyperParams, draw_invgamma, log_invgamma, log_likelihood_census,
-                     log_prior_theta, transform)
+from .priors import LOG_SCALE_CLASSES, HyperParams, draw_invgamma, log_invgamma, transform
 from .projection import (Trajectory, _rate_views, _row_views, _step_counts, _step_work,
                          positivity_indicator, project_full, rate_terms)
 
 # acceptance rate the burn-in adaptation steers each proposal scale toward
 TARGET_ACCEPT = 0.44
+
+_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class ConfigError(ValueError):
@@ -171,20 +172,52 @@ def parameter_names(grid: ModelGrid) -> list:
     return names + [f"sigma2[{c}]" for c in PARAM_CLASSES]
 
 
+def _gauss_block(x: np.ndarray, center: np.ndarray, sigma2: float) -> float:
+    """Sum of iid Gaussian log densities of x around center."""
+    quad = float(np.sum((x - center) ** 2))
+    return -0.5 * quad / sigma2 - 0.5 * x.size * (_LOG_2PI + np.log(sigma2))
+
+
 def log_posterior(theta: ThetaVector, sigma2, initial: ThetaVector,
                   hyper: HyperParams, census: Optional[CensusData],
                   grid: ModelGrid) -> float:
-    """Joint log posterior up to a constant; -inf on a positivity violation.
-    sigma2 holds the five variances in PARAM_CLASSES order, as in a row of
-    ``PosteriorSample.sigma2``."""
+    """Joint log posterior up to a constant, evaluated from scratch; sigma2
+    holds the five variances in PARAM_CLASSES order (a row of
+    ``PosteriorSample.sigma2``).
+
+    The sum of each class's Gaussian log prior around its initial estimate,
+    a density of its transformed values (``priors.transform``), which the
+    sampler walks in; the Gaussian log likelihood of log census counts
+    around log projections at ``grid.likelihood_years`` (a baseline census
+    centres the counts prior instead and is ignored); and each variance's
+    inverse-gamma log prior. -inf when the projection fails
+    ``positivity_indicator`` or, given a census, is zero at a census year.
+    ValueError for a value outside its class's log or logit domain and for
+    a nonpositive census count.
+    """
     traj = project_full(theta.baseline, theta, grid)
     if not positivity_indicator(traj.counts):
         return float("-inf")
-    total = log_prior_theta(theta, initial, sigma2)
+    cents = initial.by_class()
+    total = 0.0
+    for (cls, x), s2 in zip(theta.by_class().items(), sigma2):
+        c = cents[cls]
+        if cls in LOG_SCALE_CLASSES and (np.any(x <= 0) or np.any(c <= 0)):
+            raise ValueError(f"{cls}: log scale requires strictly positive values")
+        if cls == "survival" and (np.any(x <= 0) or np.any(x >= 1)):
+            raise ValueError("survival: logit scale requires values inside (0, 1)")
+        total += _gauss_block(transform(cls, x), transform(cls, c), s2)
     if census is not None:
-        if not all(np.all(traj.at(y) > 0) for y in grid.likelihood_years):
+        years = grid.likelihood_years
+        if not all(np.all(traj.at(y) > 0) for y in years):
             return float("-inf")
-        total += log_likelihood_census(traj, census, sigma2[0], grid)
+        lik = 0.0
+        for y in years:
+            obs = census.at(y)
+            if np.any(obs <= 0):
+                raise ValueError(f"census count nonpositive at year {y}")
+            lik += _gauss_block(np.log(obs), np.log(traj.at(y)), sigma2[0])
+        total += lik
     for cls, s2 in zip(PARAM_CLASSES, sigma2):
         total += log_invgamma(s2, hyper.alpha[cls], hyper.beta[cls])
     return float(total)

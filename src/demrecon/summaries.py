@@ -31,7 +31,7 @@ class TrajectoryMatrix:
     years: tuple
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.asarray(self.values, dtype=np.float64).view()  # the caller's array stays writeable
         if v.ndim != 2:
             raise ValueError(f"values must be 2-d (draws, years), got shape {v.shape}")
         if v.shape[1] != len(self.years):

@@ -594,6 +594,81 @@ def test_grid_step_key_exit_2(tmp_path, capsys, command):
     assert err.startswith(f"error: {grid_yaml}: unknown grid keys ['step']"), err
 
 
+@pytest.mark.parametrize("key, line", [("open_age", "open_age: 15"),
+                                       ("end_year", "end_year: 1975")])
+@pytest.mark.parametrize("command", ["project", "sample", "simulate"])
+def test_oversized_grid_exit_2(tmp_path, capsys, command, key, line):
+    """An open age past MAX_OPEN_AGE or a span past MAX_SPAN is refused
+    before any axis of the grid is built; 10**30 is past what numpy can
+    size an array by."""
+    grid_yaml, elic_yaml, _, _ = _desk_inputs(tmp_path)
+    grid_yaml.write_text(grid_yaml.read_text().replace(line, f"{key}: {10**30}"))
+    assert main(_command(tmp_path, grid_yaml, elic_yaml, command)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid inputs:\ngrid: ") and "Traceback" not in err, err
+    assert f"grid: {key}" in err
+
+
+@pytest.mark.parametrize("key", ["open_age", "end_year"])
+def test_oversized_manifest_grid_exit_2(tmp_path, capsys, desk_grid, key):
+    """summarize and diagnose validate the grid of the manifest."""
+    run = _sample_dir(tmp_path / "run", desk_grid, [make_theta(desk_grid, seed=s)
+                                                     for s in range(3)])
+    manifest = run / "manifest.json"
+    d = json.loads(manifest.read_text())
+    d["grid"][key] = 10**30
+    manifest.write_text(json.dumps(d))
+    for command in ("summarize", "diagnose"):
+        assert main([command, "--sample-dir", str(run), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid inputs:\ngrid: ") and f"grid: {key}" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_manifest_missing_key_exit_2(tmp_path, capsys, desk_grid):
+    run = _sample_dir(tmp_path / "run", desk_grid, [make_theta(desk_grid, seed=s)
+                                                     for s in range(3)])
+    manifest = run / "manifest.json"
+    manifest.write_text(json.dumps({k: v for k, v in json.loads(manifest.read_text()).items()
+                                    if k != "seed"}))
+    assert main(["summarize", "--sample-dir", str(run)]) == 2
+    assert capsys.readouterr().err == f"error: {manifest}: manifest is missing keys ['seed']\n"
+
+
+def test_census_years_not_a_list_exit_2(tmp_path, capsys):
+    grid_yaml, elic_yaml, _, _ = _desk_inputs(tmp_path)
+    grid_yaml.write_text(grid_yaml.read_text().replace("[1960, 1965, 1975]", "1960"))
+    assert main(_command(tmp_path, grid_yaml, elic_yaml, "project")) == 2
+    assert capsys.readouterr().err == f"error: {grid_yaml}: census_years must be a list of years\n"
+
+
+def test_non_integer_row_label_exit_2_naming_the_line(tmp_path, capsys):
+    grid_yaml, elic_yaml, _, _ = _desk_inputs(tmp_path)
+    p = tmp_path / "initial" / "fertility.csv"
+    lines = p.read_text().splitlines(keepends=True)
+    lines[2] = "15.5" + lines[2][lines[2].index(","):]
+    p.write_text("".join(lines))
+    assert main(_command(tmp_path, grid_yaml, elic_yaml, "project")) == 2
+    assert capsys.readouterr().err == \
+        f"error: {p}:3: row label '15.5' is not an integer age\n"
+
+
+def test_zero_projected_census_year_count_sample_exit_3(tmp_path, capsys):
+    """Age-0 survival 0.25 and migration -0.4 in the period that ends at
+    the 1965 census make the age-0 factor 0.25 * 0.8 - 0.2 exactly 0: the
+    start has zero projected counts at a census year and no likelihood."""
+    grid_yaml, elic_yaml, grid, theta = _desk_inputs(tmp_path)
+    _write_census(tmp_path, grid)
+    surv, mig = theta.survival.copy(), theta.migration.copy()
+    surv[0, 0, :] = 0.25
+    mig[0, 0, :] = -0.4
+    write_theta(tmp_path / "initial", theta.replace(survival=surv, migration=mig), grid)
+    assert main(_command(tmp_path, grid_yaml, elic_yaml, "sample")) == 3
+    assert capsys.readouterr().err == \
+        "error: initial estimates give zero projected counts at a census year\n"
+    assert not (tmp_path / "out" / "samples.csv").exists()
+
+
 def test_sample_dir_of_0_2_0_reads_alike(tmp_path, desk_grid):
     """summarize and diagnose write the same bytes from a sample directory
     whose manifest holds the grid step that 0.2.0 wrote."""
@@ -728,6 +803,16 @@ def test_summarize_joint_on_stock_years(tmp_path, desk_grid):
                  "--joint", "up=srtp:1960:1975:>"]) == 0
 
 
+def test_summarize_joint_without_label_is_named_by_its_expression(tmp_path, desk_grid):
+    run = _sample_dir(tmp_path / "run", desk_grid, [make_theta(desk_grid, seed=s)
+                                                     for s in range(3)])
+    assert main(["summarize", "--sample-dir", str(run), "--indicator", "srb",
+                 "--joint", "srb:1960:1970:>"]) == 0
+    with open(run / "summary.csv") as fh:
+        joint = [r for r in csv.DictReader(fh) if r["indicator"] == "joint"]
+    assert [(r["year"], r["statistic"]) for r in joint] == [("", "srb:1960:1970:>")]
+
+
 def test_summarize_divergent_life_expectancy_exit_3(tmp_path, capsys, desk_grid):
     theta = make_theta(desk_grid, seed=1)
     surv = theta.survival.copy()
@@ -823,6 +908,25 @@ def test_diagnose_repeated_parameter_counts_once(tmp_path, desk_grid):
     got = (tmp_path / "again" / "diagnostics.csv").read_bytes()
     assert got == (tmp_path / "once" / "diagnostics.csv").read_bytes()
     assert got.count(b"\n") == 1 + len(once)
+
+
+def test_diagnose_second_chain_of_one_draw_is_a_note(tmp_path, desk_grid):
+    """Gelman-Rubin needs two draws per chain: with a second chain of one
+    draw its error joins each row's note, and the run-length columns of
+    the first chain are still written."""
+    thetas = [make_theta(desk_grid, seed=s) for s in range(21)]
+    sample = dataclasses.replace(sample_from_thetas(desk_grid, thetas),
+                                 chain=np.repeat([0, 1], [20, 1]))
+    run = tmp_path / "run"
+    run.mkdir()
+    write_samples(run / "samples.csv", sample)
+    make_manifest(0, {}, desk_grid, None, None, [], 0.0).write(run / "manifest.json")
+    assert main(["diagnose", "--sample-dir", str(run), "--r", "0.1",
+                 "--parameter", "srb[1960]"]) == 0
+    with open(run / "diagnostics.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["gelman_rubin"] == ""
+    assert row["note"].endswith("chains must share one shape, (n,) or (n, m), with n >= 2")
 
 
 def test_diagnose_one_chain_makes_no_gelman_rubin_call(tmp_path, monkeypatch, desk_grid):
@@ -990,11 +1094,6 @@ def test_malformed_config_exit_2_without_traceback(tmp_path, case):
 # ---------------------------------------------------------------------------
 # corrupt inputs
 
-# replacement bytes of YAML and JSON files: no digit and no e/E, since one of
-# those can turn a year such as 1975 into 19e5, a grid too large to allocate.
-# CSV labels never size an array, so CSV files may take any byte.
-_CONFIG_BYTES = [b for b in range(256) if chr(b) not in "0123456789eE"]
-
 # each corruptible input (a directory stands for any CSV file in it) and
 # the commands that read it
 _READERS = {
@@ -1050,8 +1149,7 @@ def test_corrupt_input_exits_cleanly(corrupt_base, target, data):
         if data.draw(st.booleans(), label="truncate"):
             raw = raw[:pos]
         else:
-            alphabet = range(256) if path.suffix == ".csv" else _CONFIG_BYTES
-            raw = raw[:pos] + bytes([data.draw(st.sampled_from(alphabet), label="byte")]) \
+            raw = raw[:pos] + bytes([data.draw(st.sampled_from(range(256)), label="byte")]) \
                 + raw[pos + 1:]
         path.write_bytes(raw)
         for command in _READERS[target]:

@@ -1,5 +1,7 @@
 """Grid arithmetic, parameter containers and the structural validator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from demrecon import (PARAM_CLASSES, CensusData, Elicitation, ModelGrid, ParseError,
                       ThetaVector, load_grid, parameter_names, validate)
+from demrecon.grid import MAX_OPEN_AGE, MAX_SPAN
 from conftest import make_theta
 
 
@@ -190,8 +193,21 @@ def test_validate_is_total_on_garbage(desk_grid):
     assert len(validate(desk_grid, th)) >= 4
 
 
-_YEARS = st.sampled_from([-5, 0, 1955, 1960, 1962, 1965, 1975, 1980])
-_AGES = st.sampled_from([-5, 0, 3, 10, 15, 20])
+def test_validate_bounds_open_age_and_span():
+    """MAX_OPEN_AGE and MAX_SPAN are the largest values that pass; past
+    them the grid gets a line and no axis is built for a parameter set."""
+    ok = ModelGrid(1000, 1000 + MAX_SPAN, open_age=MAX_OPEN_AGE)
+    assert validate(ok) == ()
+    theta = make_theta(ModelGrid(1960, 1975, open_age=15, fert_min_age=10, fert_max_age=15))
+    for grid, line in ((dataclasses.replace(ok, open_age=MAX_OPEN_AGE + 5),
+                        f"grid: open_age {MAX_OPEN_AGE + 5} exceeds {MAX_OPEN_AGE}"),
+                       (dataclasses.replace(ok, end_year=1000 + MAX_SPAN + 5),
+                        f"grid: end_year - start_year = {MAX_SPAN + 5} exceeds {MAX_SPAN} years")):
+        assert validate(grid) == validate(grid, theta) == (line,)
+
+
+_YEARS = st.sampled_from([-5, 0, 1955, 1960, 1962, 1965, 1975, 1980, -10**30, 10**30])
+_AGES = st.sampled_from([-5, 0, 3, 10, 15, 20, -10**30, 10**30])
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -200,8 +216,9 @@ _AGES = st.sampled_from([-5, 0, 3, 10, 15, 20])
        n_ages=st.sampled_from([1, 4]))
 def test_validate_never_raises(start, end, open_age, fert, census_years, years, n_ages):
     """On grids with negative values, values off the 5-year step, reversed
-    years and any census years, validate returns its lines: without a
-    parameter set, with one of another grid's shape, and with a census."""
+    years, magnitudes no array can be sized by and any census years,
+    validate returns its lines: without a parameter set, with one of
+    another grid's shape, and with a census."""
     grid = ModelGrid(start, end, open_age, *fert, census_years=tuple(census_years))
     other = make_theta(ModelGrid(1960, 1975, open_age=15, fert_min_age=10, fert_max_age=15))
     census = CensusData(tuple(years), np.ones((len(years), n_ages, 2)))

@@ -91,6 +91,17 @@ def test_non_numeric_cell_reports_line(tmp_path, desk_grid):
         load_theta(tmp_path, desk_grid)
 
 
+def test_blank_line_in_block_csv_is_skipped(tmp_path, desk_grid):
+    theta = make_theta(desk_grid, seed=3)
+    write_theta(tmp_path, theta, desk_grid)
+    p = tmp_path / "fertility.csv"
+    lines = p.read_text().splitlines(keepends=True)
+    p.write_text("".join(lines[:2] + ["\n", " , ,\n"] + lines[2:]))
+    back = load_theta(tmp_path, desk_grid)
+    assert all(np.array_equal(a, b) for a, b in zip(back.by_class().values(),
+                                                    theta.by_class().values()))
+
+
 def test_wrong_age_labels_rejected(tmp_path, desk_grid):
     theta = make_theta(desk_grid, seed=3)
     write_theta(tmp_path, theta, desk_grid)

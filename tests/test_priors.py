@@ -1,4 +1,5 @@
-"""Hierarchical-model densities and elicitation arithmetic."""
+"""Hierarchical-model densities and elicitation arithmetic. The parameter
+prior and the census likelihood are checked through ``log_posterior``."""
 
 import math
 
@@ -8,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demrecon import (CensusData, Elicitation, ElicitationError, PARAM_CLASSES,
-                      beta_from_elicitation, log_invgamma,
-                      log_likelihood_census, log_prior_theta, project_full,
+                      beta_from_elicitation, log_invgamma, log_posterior, project_full,
                       t_quantile_95, transform, untransform)
 from conftest import make_theta, flat_elicitation
 from oracles import (invgamma_logpdf_oracle, log_likelihood_oracle,
@@ -45,83 +45,104 @@ def test_migration_transform_is_identity():
 
 
 # ---------------------------------------------------------------------------
-# parameter prior
+# parameter prior, through log_posterior without a census
 
 
-def test_log_prior_at_center_is_normalizing_constants(desk_grid):
+def _log_prior(theta, initial, v, hyper, grid):
+    """The parameter prior: log_posterior without a census, less the
+    variances' inverse-gamma terms."""
+    total = log_posterior(theta, v, initial, hyper, None, grid)
+    for cls, s2 in zip(PARAM_CLASSES, v):
+        total -= log_invgamma(s2, hyper.alpha[cls], hyper.beta[cls])
+    return total
+
+
+def test_log_prior_at_center_is_normalizing_constants(desk_grid, desk_hyper):
     theta = make_theta(desk_grid, seed=1)
     v = _variances()
-    got = log_prior_theta(theta, theta, v)
+    got = _log_prior(theta, theta, v, desk_hyper, desk_grid)
     expected = 0.0
     for arr, var in zip(theta.by_class().values(), v):
         expected += -0.5 * arr.size * math.log(2.0 * math.pi * var)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
-def test_log_prior_doubling_one_variance(desk_grid):
+def test_log_prior_doubling_one_variance(desk_grid, desk_hyper):
     """At the center the quadratic terms vanish, so doubling one variance
     moves the total by exactly half the class size times log 2."""
     theta = make_theta(desk_grid, seed=2)
     v1 = _variances()
     v2 = v1.copy()
     v2[PARAM_CLASSES.index("fertility")] *= 2.0
-    drop = log_prior_theta(theta, theta, v1) - log_prior_theta(theta, theta, v2)
+    drop = (_log_prior(theta, theta, v1, desk_hyper, desk_grid)
+            - _log_prior(theta, theta, v2, desk_hyper, desk_grid))
     assert drop == pytest.approx(0.5 * theta.fertility.size * math.log(2.0), rel=1e-12)
 
 
-def test_log_prior_matches_scalar_oracle(desk_grid):
+def test_log_prior_matches_scalar_oracle(desk_grid, desk_hyper):
     initial = make_theta(desk_grid, seed=3)
     theta = make_theta(desk_grid, seed=4)
     v = _variances()
-    assert log_prior_theta(theta, initial, v) == pytest.approx(
+    assert _log_prior(theta, initial, v, desk_hyper, desk_grid) == pytest.approx(
         log_prior_oracle(theta, initial, v), rel=1e-12)
 
 
-def test_log_prior_rejects_domain_violations(desk_grid):
+def test_log_prior_rejects_domain_violations(desk_grid, desk_hyper):
     theta = make_theta(desk_grid, seed=5)
     f = theta.fertility.copy()
     f[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        log_prior_theta(theta.replace(fertility=f), theta, _variances())
+    with pytest.raises(ValueError, match="fertility: log scale requires strictly positive"):
+        log_posterior(theta.replace(fertility=f), _variances(), theta, desk_hyper, None,
+                      desk_grid)
     s = theta.survival.copy()
     s[0, 0, 0] = 1.0
-    with pytest.raises(ValueError):
-        log_prior_theta(theta.replace(survival=s), theta, _variances())
+    with pytest.raises(ValueError, match=r"survival: logit scale requires values inside \(0, 1\)"):
+        log_posterior(theta.replace(survival=s), _variances(), theta, desk_hyper, None,
+                      desk_grid)
 
 
 # ---------------------------------------------------------------------------
-# census likelihood
+# census likelihood, through log_posterior with the census less without it
 
 
-def test_likelihood_zero_misfit_is_constant_only(desk_grid):
+def _log_likelihood(theta, census, s2, hyper, grid):
+    """The census log likelihood at counts variance s2: log_posterior at
+    theta (its own prior centre) with the census less without it."""
+    v = _variances()
+    v[0] = s2
+    return (log_posterior(theta, v, theta, hyper, census, grid)
+            - log_posterior(theta, v, theta, hyper, None, grid))
+
+
+def test_likelihood_zero_misfit_is_constant_only(desk_grid, desk_hyper):
     theta = make_theta(desk_grid, seed=6)
     traj = project_full(theta.baseline, theta, desk_grid)
     years = desk_grid.likelihood_years
     counts = np.stack([traj.at(y) for y in years])
     census = CensusData(years=years, counts=counts)
     s2 = 1e-4
-    got = log_likelihood_census(traj, census, s2, desk_grid)
+    got = _log_likelihood(theta, census, s2, desk_hyper, desk_grid)
     m = counts.size
     assert got == pytest.approx(-0.5 * m * math.log(2.0 * math.pi * s2), rel=1e-12)
 
 
-def test_likelihood_single_factor_e_misfit(desk_grid):
+def test_likelihood_single_factor_e_misfit(desk_grid, desk_hyper):
     """One observation off by a factor of e adds a quadratic term of
     exactly -1/2 at unit variance."""
     theta = make_theta(desk_grid, seed=7)
     traj = project_full(theta.baseline, theta, desk_grid)
     years = desk_grid.likelihood_years
     counts = np.stack([traj.at(y) for y in years])
-    base = log_likelihood_census(traj, CensusData(years=years, counts=counts),
-                                 1.0, desk_grid)
+    base = _log_likelihood(theta, CensusData(years=years, counts=counts), 1.0, desk_hyper,
+                           desk_grid)
     bumped = counts.copy()
     bumped[0, 2, 1] *= math.e
-    offset = log_likelihood_census(traj, CensusData(years=years, counts=bumped),
-                                   1.0, desk_grid)
+    offset = _log_likelihood(theta, CensusData(years=years, counts=bumped), 1.0, desk_hyper,
+                             desk_grid)
     assert base - offset == pytest.approx(0.5, rel=1e-9)
 
 
-def test_likelihood_matches_scalar_oracle(desk_grid):
+def test_likelihood_matches_scalar_oracle(desk_grid, desk_hyper):
     theta = make_theta(desk_grid, seed=8)
     traj = project_full(theta.baseline, theta, desk_grid)
     years = desk_grid.likelihood_years
@@ -129,11 +150,11 @@ def test_likelihood_matches_scalar_oracle(desk_grid):
     counts = np.stack([traj.at(y) for y in years]) * rng.lognormal(0.0, 0.05, (2, 4, 2))
     census = CensusData(years=years, counts=counts)
     s2 = 3.4e-3
-    assert log_likelihood_census(traj, census, s2, desk_grid) == pytest.approx(
+    assert _log_likelihood(theta, census, s2, desk_hyper, desk_grid) == pytest.approx(
         log_likelihood_oracle(traj, census, s2, desk_grid), rel=1e-12)
 
 
-def test_likelihood_ignores_baseline_census(desk_grid):
+def test_likelihood_ignores_baseline_census(desk_grid, desk_hyper):
     """A census entry at the baseline year never enters the likelihood."""
     theta = make_theta(desk_grid, seed=9)
     traj = project_full(theta.baseline, theta, desk_grid)
@@ -143,21 +164,30 @@ def test_likelihood_ignores_baseline_census(desk_grid):
                            counts=np.concatenate([1e6 * np.ones((1,) + counts_later.shape[1:]),
                                                   counts_later]))
     without = CensusData(years=later, counts=counts_later)
-    s2 = 1e-3
-    assert log_likelihood_census(traj, with_base, s2, desk_grid) == \
-        log_likelihood_census(traj, without, s2, desk_grid)
+    v = _variances()
+    assert log_posterior(theta, v, theta, desk_hyper, with_base, desk_grid) == \
+        log_posterior(theta, v, theta, desk_hyper, without, desk_grid)
 
 
-def test_likelihood_rejects_nonpositive_projection(desk_grid):
+def test_likelihood_rejects_nonpositive_projection(desk_grid, desk_hyper):
+    """A projection that turns negative has no likelihood: log_posterior
+    is -inf, with a census as without one."""
     theta = make_theta(desk_grid, seed=10)
     mig = theta.migration.copy()
     mig[:, 0, :] = -3.0
     bad = theta.replace(migration=mig)
-    traj = project_full(bad.baseline, bad, desk_grid)
     years = desk_grid.likelihood_years
     census = CensusData(years=years, counts=np.ones((2, desk_grid.n_ages, 2)))
-    with pytest.raises(ValueError):
-        log_likelihood_census(traj, census, 1e-3, desk_grid)
+    assert log_posterior(bad, _variances(), theta, desk_hyper, census, desk_grid) == -math.inf
+
+
+def test_likelihood_rejects_nonpositive_census(desk_grid, desk_hyper):
+    theta = make_theta(desk_grid, seed=11)
+    counts = np.ones((2, desk_grid.n_ages, 2))
+    counts[1, 0, 1] = 0.0
+    census = CensusData(years=desk_grid.likelihood_years, counts=counts)
+    with pytest.raises(ValueError, match="census count nonpositive at year 1975"):
+        log_posterior(theta, _variances(), theta, desk_hyper, census, desk_grid)
 
 
 # ---------------------------------------------------------------------------

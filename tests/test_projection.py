@@ -9,11 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demrecon import (FEMALE, MALE, ModelGrid, ThetaVector, beta_from_elicitation,
+from demrecon import (FEMALE, MALE, ModelGrid, ThetaVector, Trajectory, beta_from_elicitation,
                       load_elicitation, load_grid, load_theta, positivity_indicator,
                       prior_sample, project_full, total_births)
 from conftest import flat_elicitation, make_theta
 from oracles import project_oracle, step_oracle, births_oracle
+
+
+def test_trajectory_freezes_a_view_not_the_callers_array():
+    a = np.ones((2, 3, 2))
+    traj = Trajectory(a, (1960, 1965))
+    assert a.flags.writeable and not traj.counts.flags.writeable
+    assert np.shares_memory(traj.counts, a)
+    a[0, 0, 0] = 7.0  # the caller may still write its own array
+    with pytest.raises(ValueError):
+        traj.counts[0, 0, 0] = 1.0
 
 
 def test_total_births_hand_case():

@@ -114,6 +114,22 @@ def test_log_posterior_negative_projection_is_minus_inf(desk_grid, desk_hyper):
     assert log_posterior(theta, v, initial, desk_hyper, None, desk_grid) == -math.inf
 
 
+def test_log_posterior_zero_census_year_count_is_minus_inf(desk_grid, desk_hyper):
+    """Age-0 survival 0.25 and migration -0.4 make the age-0 factor
+    0.25 * 0.8 - 0.2 exactly 0, so the count at age 0 in 1965, a census
+    year, is zero: admissible without a census, -inf with one."""
+    initial = make_theta(desk_grid, seed=1)
+    surv, mig = initial.survival.copy(), initial.migration.copy()
+    surv[0, 0, :] = 0.25
+    mig[0, 0, :] = -0.4
+    theta = initial.replace(survival=surv, migration=mig)
+    assert np.all(project_full(theta.baseline, theta, desk_grid).at(1965)[0] == 0.0)
+    census = _census_from(initial, desk_grid)
+    v = _variances()
+    assert math.isfinite(log_posterior(theta, v, initial, desk_hyper, None, desk_grid))
+    assert log_posterior(theta, v, initial, desk_hyper, census, desk_grid) == -math.inf
+
+
 def test_log_posterior_overflowing_projection_is_minus_inf(desk_grid, desk_hyper):
     """Finite parameters whose counts overflow to inf are no population,
     as the prior's admissibility check already says."""
@@ -228,6 +244,18 @@ def test_chain_state_rejects_negative_start(desk_grid, desk_hyper):
     bad = initial.replace(migration=mig)
     with pytest.raises(SamplingError):
         ChainState(desk_grid, bad, None, desk_hyper,
+                   SamplerConfig(iterations=10, burn_in=5))
+
+
+def test_chain_state_rejects_zero_baseline_count(desk_grid, desk_hyper):
+    """A zero count has no log: the start is not finite on the counts scale.
+    The sampler builds chain states with divide warnings silenced."""
+    initial = make_theta(desk_grid, seed=1)
+    baseline = initial.baseline.copy()
+    baseline[2, MALE] = 0.0
+    with np.errstate(divide="ignore"), pytest.raises(
+            SamplingError, match="initial estimates are not finite on the counts transformed scale"):
+        ChainState(desk_grid, initial.replace(baseline=baseline), None, desk_hyper,
                    SamplerConfig(iterations=10, burn_in=5))
 
 

@@ -34,6 +34,16 @@ def test_trajectory_matrix_validates_shape():
         TrajectoryMatrix("x", np.zeros((3, 2)), (1960,))
 
 
+def test_trajectory_matrix_freezes_a_view_not_the_callers_array():
+    a = np.arange(6.0).reshape(3, 2)
+    tm = TrajectoryMatrix("x", a, (1960, 1965))
+    assert a.flags.writeable and not tm.values.flags.writeable
+    assert np.shares_memory(tm.values, a)
+    a[0, 0] = 7.0  # the caller may still write its own array
+    with pytest.raises(ValueError):
+        tm.values[0, 0] = 1.0
+
+
 def test_column_selects_by_year():
     tm = _toy([[1.0, 10.0], [2.0, 20.0]], years=(1960, 1965))
     assert np.array_equal(tm.column(1965), [10.0, 20.0])
