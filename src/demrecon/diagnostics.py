@@ -13,10 +13,10 @@ transition matrix:
   Nmin = q*(1-q) * (z/r)^2                             iid baseline
 
 with a = P(0 -> 1), b = P(1 -> 0), z the standard normal quantile at
-(s+1)/2, and eps the transition-probability convergence tolerance. The
-reported burn-in and required length are m**k and n**k for thinning k.
-The dependence factor is N / Nmin; values near 1 mean the chain mixes
-like an iid sequence over the event of interest.
+(s+1)/2, and eps = EPS = 0.001 the transition-probability convergence
+tolerance. The reported burn-in and required length are m**k and n**k
+for thinning k. The dependence factor is N / Nmin; values near 1 mean
+the chain mixes like an iid sequence over the event of interest.
 
 ``gelman_rubin`` takes chains with an optional trailing parameter axis,
 (n, m), and then returns one R-hat per parameter from one pass.
@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
+
+EPS = 0.001  # eps of the burn-in formula in the module docstring
 
 
 @dataclass(frozen=True)
@@ -77,8 +79,7 @@ def check_run_length_settings(q: float, r: float, s: float) -> int:
     return nmin
 
 
-def raftery_lewis(chain, q: float = 0.025, r: float = 0.005, s: float = 0.95,
-                  eps: float = 0.001) -> RunLengthReport:
+def raftery_lewis(chain, q: float = 0.025, r: float = 0.005, s: float = 0.95) -> RunLengthReport:
     """Run-length diagnostic for estimating one posterior quantile.
 
     chain is a 1-d scalar sample. Raises ValueError when the chain is
@@ -119,7 +120,7 @@ def raftery_lewis(chain, q: float = 0.025, r: float = 0.005, s: float = 0.95,
     if abs(lam) == 0.0:
         m_star = 1.0
     else:
-        m_star = math.log(eps * (a + b) / max(a, b)) / math.log(abs(lam))
+        m_star = math.log(EPS * (a + b) / max(a, b)) / math.log(abs(lam))
     burn = int(math.ceil(m_star)) * kthin
 
     n_star = a * b * (2.0 - a - b) / (a + b) ** 3 * (z_alpha / r) ** 2

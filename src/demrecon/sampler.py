@@ -274,7 +274,8 @@ class ChainState:
         # parameter_names order; class_slices carves each class
         cents = initial.by_class()
         self.slices = grid.class_slices()
-        self.mu = np.concatenate([transform(c, v).ravel() for c, v in cents.items()])
+        with np.errstate(divide="ignore", invalid="ignore"):  # a start <= 0 is refused below
+            self.mu = np.concatenate([transform(c, v).ravel() for c, v in cents.items()])
         for c, sl in self.slices.items():
             if not np.all(np.isfinite(self.mu[sl])):
                 raise SamplingError(f"initial estimates are not finite on the {c} transformed scale")
@@ -317,7 +318,7 @@ class ChainState:
         if not positivity_indicator(self.traj):
             raise SamplingError(
                 "initial estimates project to a negative or non-finite count;"
-                f" first offence at {Trajectory(self.traj.copy(), grid.stock_years).first_negative()}"
+                f" first offence at {Trajectory(self.traj, grid.stock_years).first_negative()}"
             )
 
         # census bookkeeping: trajectory rows of the census years, their

@@ -28,46 +28,45 @@ from .projection import positivity_indicator, project_full
 from .sampler import PosteriorSample, SamplerConfig
 
 CHUNK = 512  # candidates projected as one stack by _first_admissible
+MAX_TRIES = 100000  # straight inadmissible candidates before a prior draw gives up
 
 
 def _first_admissible(initial: ThetaVector, grid: ModelGrid, rng: np.random.Generator, n: int,
-                      max_tries: int, hyper: HyperParams):
-    """The first n admissible prior candidates in draw order: (sigma2 (n, 5),
-    class-keyed draws), views of one (n, n_params) draw matrix. A candidate
-    takes from rng its variances from hyper, then one standard-normal block
-    per class. Up to ``CHUNK`` candidates still needed are projected as one
-    stack and admitted where ``positivity_indicator`` holds. Raises
-    RuntimeError after max_tries straight failures."""
-    mus = {c: transform(c, v) for c, v in initial.by_class().items()}
-    rows = np.empty((n, sum(mu.size for mu in mus.values()) + len(PARAM_CLASSES)))
-    sig, draws = rows[:, -len(PARAM_CLASSES):], grid.class_views(rows)
+                      hyper: HyperParams) -> np.ndarray:
+    """The first n admissible prior candidates in draw order, as the rows of
+    one (n, n_params) matrix in ``parameter_names`` order. A candidate takes
+    from rng its five variances from hyper, then all its standard-normal
+    theta columns in one call. Up to ``CHUNK`` candidates still needed are
+    projected as one stack and admitted where ``positivity_indicator``
+    holds. Raises RuntimeError after MAX_TRIES straight failures."""
+    mus = [transform(c, v).ravel() for c, v in initial.by_class().items()]
+    mu, col_class = np.concatenate(mus), np.repeat(range(len(mus)), [m.size for m in mus])
+    rows = np.empty((n, mu.size + len(PARAM_CLASSES)))
     kept = fails = 0
     while kept < n:
-        m = min(n - kept, CHUNK)
-        s = np.empty((m, len(PARAM_CLASSES)))
-        z = {c: np.empty((m,) + mu.shape) for c, mu in mus.items()}
-        for i in range(m):
-            s[i] = [draw_invgamma(rng, hyper.alpha[c], hyper.beta[c]) for c in PARAM_CLASSES]
-            for c in mus:
-                rng.standard_normal(out=z[c][i])
+        chunk = np.empty((min(n - kept, CHUNK), rows.shape[1]))
+        for row in chunk:
+            row[mu.size:] = [draw_invgamma(rng, hyper.alpha[c], hyper.beta[c]) for c in PARAM_CLASSES]
+            rng.standard_normal(out=row[:mu.size])
         with np.errstate(all="ignore"):  # rejected candidates may overflow
-            theta = ThetaVector.from_classes({c: untransform(c, mu + (z[c].T * np.sqrt(s[:, j])).T)
-                                              for j, (c, mu) in enumerate(mus.items())})
+            chunk[:, :mu.size] = mu + chunk[:, :mu.size] * np.sqrt(chunk[:, mu.size:])[:, col_class]
+            views = grid.class_views(chunk)
+            for c, v in views.items():
+                v[...] = untransform(c, v)
+            theta = ThetaVector.from_classes(views)
             ok = positivity_indicator(project_full(theta.baseline, theta, grid).counts)
         for good in ok.tolist():
             fails = 0 if good else fails + 1
-            if fails >= max_tries:
-                raise RuntimeError(f"no positive prior draw in {max_tries} consecutive tries")
+            if fails >= MAX_TRIES:
+                raise RuntimeError(f"no positive prior draw in {MAX_TRIES} consecutive tries")
         new = slice(kept, kept + int(ok.sum()))
-        sig[new] = s[ok]
-        for c, a in theta.by_class().items():
-            draws[c][new] = a[ok]
+        rows[new] = chunk[ok]
         kept = new.stop
-    return sig, draws
+    return rows
 
 
 def draw_joint(initial: ThetaVector, hyper: HyperParams, grid: ModelGrid,
-               rng: np.random.Generator, max_tries: int = 100000):
+               rng: np.random.Generator):
     """One (sigma2, theta) pair from the positivity-restricted joint prior,
     sigma2 the five variances in PARAM_CLASSES order.
 
@@ -75,18 +74,17 @@ def draw_joint(initial: ThetaVector, hyper: HyperParams, grid: ModelGrid,
     discards the variances too; redrawing only theta under a huge
     variance draw would both bias the result and loop forever.
     """
-    sig, draws = _first_admissible(initial, grid, rng, 1, max_tries, hyper)
-    return (sig[0].copy(),
-            ThetaVector.from_classes({c: a[0] for c, a in draws.items()}))
+    row = _first_admissible(initial, grid, rng, 1, hyper)[0]
+    return row[-len(PARAM_CLASSES):], ThetaVector.from_classes(grid.class_views(row))
 
 
 def prior_sample(initial: ThetaVector, hyper: HyperParams, grid: ModelGrid,
                  n_draws: int, seed: int = 0) -> PosteriorSample:
     """Direct Monte Carlo sample from the prior, packaged like an MCMC run."""
-    sig, draws = _first_admissible(initial, grid, np.random.default_rng(seed),
-                                   n_draws, 100000, hyper)
+    rows = _first_admissible(initial, grid, np.random.default_rng(seed), n_draws, hyper)
     config = SamplerConfig(iterations=n_draws, burn_in=0, thin=1, chains=1, seed=seed)
-    return PosteriorSample(grid=grid, draws=draws, sigma2=sig,
+    return PosteriorSample(grid=grid, draws=grid.class_views(rows),
+                           sigma2=rows[:, -len(PARAM_CLASSES):],
                            chain=np.zeros(n_draws, dtype=np.int64),
                            acceptance={}, config=config)
 

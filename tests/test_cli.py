@@ -653,6 +653,19 @@ def test_non_integer_row_label_exit_2_naming_the_line(tmp_path, capsys):
         f"error: {p}:3: row label '15.5' is not an integer age\n"
 
 
+def test_non_year_column_header_exit_2(tmp_path, capsys):
+    grid_yaml, elic_yaml, _, _ = _desk_inputs(tmp_path)
+    p = tmp_path / "initial" / "fertility.csv"
+    lines = p.read_text().splitlines(keepends=True)
+    header = lines[0].rstrip("\r\n").split(",")
+    header[2] = "abc"
+    lines[0] = ",".join(header) + "\n"
+    p.write_text("".join(lines))
+    assert main(_command(tmp_path, grid_yaml, elic_yaml, "project")) == 2
+    assert capsys.readouterr().err == \
+        f"error: {p}:1: column headers after 'age' must be years: {header[1:]}\n"
+
+
 def test_zero_projected_census_year_count_sample_exit_3(tmp_path, capsys):
     """Age-0 survival 0.25 and migration -0.4 in the period that ends at
     the 1965 census make the age-0 factor 0.25 * 0.8 - 0.2 exactly 0: the

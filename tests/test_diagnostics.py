@@ -93,6 +93,16 @@ def test_short_chain_raises():
         raftery_lewis(x)
 
 
+def test_chain_too_short_after_thinning_raises():
+    """Nmin is 1 at q = r = s = 0.5, so only the thinned length refuses. Three
+    draws hold one triple, whose BIC is G^2 - 2 log 1 >= 0, so they are
+    thinned to two draws and refused; four draws stop at thinning 1."""
+    with pytest.raises(ValueError, match="chain too short to estimate the transition matrix"
+                                         " after thinning"):
+        raftery_lewis([0.0, 1.0, 2.0], q=0.5, r=0.5, s=0.5)
+    assert isinstance(raftery_lewis([0.0, 1.0, 2.0, 3.0], q=0.5, r=0.5, s=0.5), RunLengthReport)
+
+
 def test_degenerate_binary_chain_raises():
     # all values identical: the chain never leaves the low state
     x = np.ones(5000)

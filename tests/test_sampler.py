@@ -247,15 +247,22 @@ def test_chain_state_rejects_negative_start(desk_grid, desk_hyper):
                    SamplerConfig(iterations=10, burn_in=5))
 
 
-def test_chain_state_rejects_zero_baseline_count(desk_grid, desk_hyper):
-    """A zero count has no log: the start is not finite on the counts scale.
-    The sampler builds chain states with divide warnings silenced."""
+@pytest.mark.parametrize("field, cell, value, cls", [
+    ("baseline", (2, MALE), 0.0, "counts"),
+    ("baseline", (2, MALE), -5.0, "counts"),  # log gives invalid, not divide
+    ("fertility", (1, 0), 0.0, "fertility"),
+    ("srb", (0,), 0.0, "srb"),
+], ids=["zero-count", "negative-count", "zero-fertility", "zero-srb"])
+def test_chain_state_rejects_nonpositive_start(desk_grid, desk_hyper, field, cell, value, cls):
+    """A start value <= 0 has no log: it is not finite on its class's
+    transformed scale. The refusal names the class, and no numpy warning
+    escapes (the suite turns one into an error)."""
     initial = make_theta(desk_grid, seed=1)
-    baseline = initial.baseline.copy()
-    baseline[2, MALE] = 0.0
-    with np.errstate(divide="ignore"), pytest.raises(
-            SamplingError, match="initial estimates are not finite on the counts transformed scale"):
-        ChainState(desk_grid, initial.replace(baseline=baseline), None, desk_hyper,
+    arr = getattr(initial, field).copy()
+    arr[cell] = value
+    with pytest.raises(SamplingError,
+                       match=f"initial estimates are not finite on the {cls} transformed scale"):
+        ChainState(desk_grid, initial.replace(**{field: arr}), None, desk_hyper,
                    SamplerConfig(iterations=10, burn_in=5))
 
 

@@ -147,15 +147,17 @@ def test_simulate_dataset_takes_truth_then_noise_from_one_stream(problems, seed)
         assert data.theta_true.by_class()[c].tobytes() == a.tobytes()
 
 
-def test_draw_joint_gives_up_when_positivity_unreachable(desk_grid, desk_hyper):
+def test_draw_joint_gives_up_when_positivity_unreachable(desk_grid, desk_hyper, monkeypatch):
+    monkeypatch.setattr(simulate, "MAX_TRIES", 50)
     initial = make_theta(desk_grid, seed=1)
     hopeless = initial.replace(migration=np.full_like(initial.migration, -3.0))
     with pytest.raises(RuntimeError, match="in 50 consecutive tries"):
-        draw_joint(hopeless, desk_hyper, desk_grid, np.random.default_rng(3), max_tries=50)
+        draw_joint(hopeless, desk_hyper, desk_grid, np.random.default_rng(3))
 
 
-def test_overflowing_candidate_is_rejected(desk_grid):
+def test_overflowing_candidate_is_rejected(desk_grid, monkeypatch):
     """Finite parameters whose projection overflows to inf are no population."""
+    monkeypatch.setattr(simulate, "MAX_TRIES", 5)
     initial = make_theta(desk_grid, seed=1)
     huge = initial.replace(baseline=np.full_like(initial.baseline, 1e308),
                            migration=np.full_like(initial.migration, 0.01))
@@ -166,7 +168,7 @@ def test_overflowing_candidate_is_rejected(desk_grid):
     tight = HyperParams(alpha={c: 1.0 for c in PARAM_CLASSES},
                         beta={c: 1e-12 for c in PARAM_CLASSES})
     with pytest.raises(RuntimeError, match="in 5 consecutive tries"):
-        draw_joint(huge, tight, desk_grid, np.random.default_rng(0), max_tries=5)
+        draw_joint(huge, tight, desk_grid, np.random.default_rng(0))
 
 
 def test_prior_sample_skips_a_planted_overflow(problems, monkeypatch):
