@@ -122,7 +122,7 @@ def _parse_joint(expr: str):
         except ValueError:  # a year that is not an integer
             pass
         raise _Invalid(f"joint predicate {part!r} must be indicator:yearA:yearB:> or :<")
-    return label, preds
+    return label or body, tuple(preds)  # an empty label is named by its predicates
 
 
 def _sample_grid(sample_dir):
@@ -138,9 +138,12 @@ def _cmd_summarize(args) -> int:
     probs = list(dict.fromkeys(args.prob or [0.025, 0.5, 0.975]))
     thresholds = list(dict.fromkeys(_parse_threshold(t) for t in args.threshold or []))
     trends = list(dict.fromkeys(args.trend or []))
-    joints = [_parse_joint(j) for j in dict.fromkeys(args.joint or [])]
+    joints = {}  # label -> predicates
+    for label, preds in map(_parse_joint, args.joint or []):
+        if joints.setdefault(label, preds) != preds:
+            raise _Invalid(f"joint label {label!r} is given to different predicates")
     named = indicators + [t[0] for t in thresholds] + trends \
-        + [pred[0] for _, preds in joints for pred in preds]
+        + [pred[0] for preds in joints.values() for pred in preds]
     unknown = [n for n in dict.fromkeys(named) if n not in INDICATOR_NAMES]
     if unknown:
         raise _Invalid(f"unknown indicators {unknown}; choose from {list(INDICATOR_NAMES)}")
@@ -150,7 +153,7 @@ def _cmd_summarize(args) -> int:
     for name in trends:
         if len(years := indicator_years(grid, name)) < 2:
             raise _Invalid(f"trend {name} needs at least two years, has {list(years)}")
-    for label, preds in joints:
+    for label, preds in joints.items():
         for name, year_a, year_b, _ in preds:
             years = indicator_years(grid, name)
             for year in (year_a, year_b):
@@ -160,7 +163,7 @@ def _cmd_summarize(args) -> int:
     sample = io.read_samples(Path(args.sample_dir) / "samples.csv", grid)
     try:
         rows = summary_rows(sample, indicators, probs=probs, thresholds=thresholds,
-                            trends=trends, joints=joints)
+                            trends=trends, joints=joints.items())
     except ValueError as e:  # draws outside an indicator's domain
         raise RuntimeError(f"cannot summarize {args.sample_dir}: {e}") from e
     out = Path(args.out_dir or args.sample_dir)

@@ -40,28 +40,8 @@ class TrajectoryMatrix:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "years", tuple(int(y) for y in self.years))
 
-    @property
-    def n_draws(self) -> int:
-        return self.values.shape[0]
-
     def column(self, year: int) -> np.ndarray:
         return self.values[:, self.years.index(year)]
-
-
-def marginal_quantiles(tm: TrajectoryMatrix, probs) -> np.ndarray:
-    """Empirical quantiles per period: shape (len(probs), n_years)."""
-    if tm.n_draws == 0:
-        raise ValueError("empty sample")
-    return np.quantile(tm.values, np.asarray(probs, dtype=np.float64), axis=0)
-
-
-def mean_half_width(lower: np.ndarray, upper: np.ndarray) -> float:
-    """Mean over all cells of (upper - lower) / 2."""
-    lo = np.asarray(lower, dtype=np.float64)
-    hi = np.asarray(upper, dtype=np.float64)
-    if lo.shape != hi.shape:
-        raise ValueError(f"shape mismatch: {lo.shape} vs {hi.shape}")
-    return float(np.mean((hi - lo) / 2.0))
 
 
 # threshold comparisons; ">=" and "<=" come before ">" and "<", so a
@@ -177,6 +157,11 @@ def indicator_trajectories(sample: PosteriorSample, name: str, counts=None) -> T
                             indicator_years(sample.grid, name))
 
 
+def _label_number(v) -> str:
+    """v in a statistic label: ``:g`` where that reads back as v, else the exact repr."""
+    return f"{v:g}" if float(f"{v:g}") == v else repr(float(v))
+
+
 def summary_rows(sample: PosteriorSample, indicators, probs=(0.025, 0.5, 0.975),
                  thresholds=(), trends=(), joints=()) -> list:
     """Tidy summary table: one dict per (indicator, year, statistic).
@@ -189,6 +174,8 @@ def summary_rows(sample: PosteriorSample, indicators, probs=(0.025, 0.5, 0.975),
     value(year_b) - value(year_a) is > 0 (a rise from year_a to year_b)
     or < 0, matching the direction sign.
     """
+    if sample.n_draws == 0:
+        raise ValueError("empty sample")
     rows = []
     probs = tuple(float(p) for p in probs)
     named = dict.fromkeys([*indicators, *(t[0] for t in thresholds), *trends,
@@ -200,34 +187,31 @@ def summary_rows(sample: PosteriorSample, indicators, probs=(0.025, 0.5, 0.975),
 
     for name in indicators:
         t = tm[name]
-        qs = marginal_quantiles(t, probs)
+        qs = np.quantile(t.values, probs, axis=0)
         for j, year in enumerate(t.years):
             rows.append({"indicator": name, "year": year, "statistic": "mean",
                          "value": float(t.values[:, j].mean())})
             for p, q in zip(probs, qs[:, j]):
                 rows.append({"indicator": name, "year": year,
-                             "statistic": f"q{p:g}", "value": float(q)})
+                             "statistic": f"q{_label_number(p)}", "value": float(q)})
         if len(probs) >= 2:
+            half = (qs[np.argmax(probs)] - qs[np.argmin(probs)]) / 2.0
             rows.append({"indicator": name, "year": "", "statistic": "mean_half_width",
-                         "value": mean_half_width(qs[np.argmin(probs)], qs[np.argmax(probs)])})
+                         "value": float(np.mean(half))})
 
     for name, direction, value in thresholds:
-        t = tm[name]
-        p = exceedance_prob(t, value, direction)
-        stat = f"p({name}{direction}{value:g})"
-        for j, year in enumerate(t.years):
-            rows.append({"indicator": name, "year": year, "statistic": stat,
-                         "value": float(p[j])})
+        stat = f"p({name}{direction}{_label_number(value)})"
+        for year, p in zip(tm[name].years, exceedance_prob(tm[name], value, direction)):
+            rows.append({"indicator": name, "year": year, "statistic": stat, "value": float(p)})
 
     for name in trends:
         t = tm[name]
         for label, vals in (("endpoint_diff", endpoint_diff(t)), ("ols_slope", ols_slope(t))):
             rows.append({"indicator": name, "year": "", "statistic": f"{label}_mean",
                          "value": float(vals.mean())})
-            for p in probs:
+            for p, q in zip(probs, np.quantile(vals, probs)):
                 rows.append({"indicator": name, "year": "",
-                             "statistic": f"{label}_q{p:g}",
-                             "value": float(np.quantile(vals, p))})
+                             "statistic": f"{label}_q{_label_number(p)}", "value": float(q)})
             rows.append({"indicator": name, "year": "", "statistic": f"p({label}>0)",
                          "value": float(np.mean(vals > 0))})
 

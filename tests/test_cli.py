@@ -817,13 +817,30 @@ def test_summarize_joint_on_stock_years(tmp_path, desk_grid):
 
 
 def test_summarize_joint_without_label_is_named_by_its_expression(tmp_path, desk_grid):
+    """A joint without a label, or with an empty one, is named by its predicates."""
     run = _sample_dir(tmp_path / "run", desk_grid, [make_theta(desk_grid, seed=s)
                                                      for s in range(3)])
-    assert main(["summarize", "--sample-dir", str(run), "--indicator", "srb",
-                 "--joint", "srb:1960:1970:>"]) == 0
+    for expr in ("srb:1960:1970:>", "=srb:1960:1970:>"):
+        assert main(["summarize", "--sample-dir", str(run), "--indicator", "srb",
+                     "--joint", expr]) == 0
+        with open(run / "summary.csv") as fh:
+            joint = [r for r in csv.DictReader(fh) if r["indicator"] == "joint"]
+        assert [(r["year"], r["statistic"]) for r in joint] == [("", "srb:1960:1970:>")]
+
+
+def test_summarize_joint_label_names_one_set_of_predicates(tmp_path, capsys, desk_grid):
+    """One label given to different predicates exits 2 naming it; given to
+    the same predicates, however spaced, it counts once."""
+    run = _sample_dir(tmp_path / "run", desk_grid, [make_theta(desk_grid, seed=s)
+                                                     for s in range(3)])
+    base = ["summarize", "--sample-dir", str(run), "--indicator", "srb"]
+    assert main(base + ["--joint", "a=srb:1960:1965:>", "--joint", "a=srb:1965:1970:<"]) == 2
+    assert "joint label 'a' is given to different predicates" in capsys.readouterr().err
+    assert not (run / "summary.csv").exists()
+    assert main(base + ["--joint", "a=srb:1960:1965:>", "--joint", "a= srb:1960:1965:>"]) == 0
     with open(run / "summary.csv") as fh:
         joint = [r for r in csv.DictReader(fh) if r["indicator"] == "joint"]
-    assert [(r["year"], r["statistic"]) for r in joint] == [("", "srb:1960:1970:>")]
+    assert [(r["year"], r["statistic"]) for r in joint] == [("", "a")]
 
 
 def test_summarize_divergent_life_expectancy_exit_3(tmp_path, capsys, desk_grid):

@@ -1,12 +1,15 @@
 """Posterior summary statistics over indicator trajectories."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from demrecon import (INDICATOR_NAMES, TrajectoryMatrix, endpoint_diff,
+from demrecon import (INDICATOR_NAMES, ModelGrid, TrajectoryMatrix, endpoint_diff,
                       exceedance_prob, indicator_trajectories, joint_event_prob,
-                      marginal_quantiles, mean_half_width, ols_slope,
-                      project_full, summaries, summary_rows)
+                      ols_slope, project_full, summaries, summary_rows)
 from demrecon.summaries import indicator_years
 from conftest import make_theta, sample_from_thetas
 from oracles import (FEMALE, MALE, e0_oracle, ols_slope_oracle,
@@ -47,46 +50,6 @@ def test_trajectory_matrix_freezes_a_view_not_the_callers_array():
 def test_column_selects_by_year():
     tm = _toy([[1.0, 10.0], [2.0, 20.0]], years=(1960, 1965))
     assert np.array_equal(tm.column(1965), [10.0, 20.0])
-    assert tm.n_draws == 2
-
-
-def test_marginal_quantiles_toy():
-    tm = _toy([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]], years=(1960, 1965))
-    qs = marginal_quantiles(tm, (0.0, 0.5, 1.0))
-    assert np.array_equal(qs, [[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
-
-
-def test_marginal_quantiles_match_type7_oracle():
-    rng = np.random.default_rng(0)
-    vals = rng.random((40, 3))
-    tm = _toy(vals)
-    for p in (0.025, 0.31, 0.5, 0.9):
-        got = marginal_quantiles(tm, [p])[0]
-        want = [quantile_type7_oracle(vals[:, j], p) for j in range(3)]
-        assert got == pytest.approx(want, rel=1e-13)
-
-
-def test_marginal_quantiles_empty_sample():
-    tm = _toy(np.empty((0, 2)), years=(1960, 1965))
-    with pytest.raises(ValueError):
-        marginal_quantiles(tm, [0.5])
-
-
-def test_quantiles_invariant_to_draw_order():
-    rng = np.random.default_rng(1)
-    vals = rng.random((30, 4))
-    shuffled = vals[rng.permutation(30)]
-    assert np.array_equal(marginal_quantiles(_toy(vals), (0.1, 0.9)),
-                          marginal_quantiles(_toy(shuffled), (0.1, 0.9)))
-
-
-def test_mean_half_width_cases():
-    assert mean_half_width([0.0], [2.0]) == 1.0
-    assert mean_half_width([1.0], [1.22]) == (1.22 - 1.0) / 2.0
-    assert mean_half_width([1.0], [1.22]) == pytest.approx(0.11, abs=1e-12)
-    assert mean_half_width([0.0, 1.0], [2.0, 5.0]) == 1.5
-    with pytest.raises(ValueError):
-        mean_half_width([0.0], [1.0, 2.0])
 
 
 def test_exceedance_directions():
@@ -276,6 +239,89 @@ def test_summary_rows_projects_once_for_every_flow_and_stock(desk_sample, monkey
 # tidy rows
 
 
+def _srb_sample(srb):
+    """A sample whose srb draws, which the srb indicator passes through, are
+    the rows of srb (draws, periods), on a grid of as many periods."""
+    srb = np.asarray(srb, dtype=np.float64)
+    grid = ModelGrid(start_year=1960, end_year=1960 + 5 * srb.shape[1], open_age=15,
+                     fert_min_age=10, fert_max_age=15, census_years=(1960,))
+    return sample_from_thetas(grid, [make_theta(grid).replace(srb=row) for row in srb])
+
+
+def _stat(rows, statistic):
+    """Values of one statistic, in row order."""
+    return [r["value"] for r in rows if r["statistic"] == statistic]
+
+
+def test_summary_rows_quantiles_toy():
+    rows = summary_rows(_srb_sample([[1.0, 10.0], [3.0, 30.0], [2.0, 20.0]]), ["srb"],
+                        probs=(0.0, 0.5, 1.0))
+    assert [_stat(rows, s) for s in ("q0", "q0.5", "q1")] == \
+        [[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]]
+
+
+def test_summary_rows_quantiles_match_type7_oracle():
+    """Indicator and trend quantiles are type-7 sample quantiles."""
+    vals = np.random.default_rng(0).random((40, 3))
+    probs = (0.025, 0.31, 0.5, 0.9)
+    rows = summary_rows(_srb_sample(vals), ["srb"], probs=probs, trends=["srb"])
+    diff = vals[:, -1] - vals[:, 0]
+    for p in probs:
+        want = [quantile_type7_oracle(vals[:, j], p) for j in range(3)]
+        assert _stat(rows, f"q{p:g}") == pytest.approx(want, rel=1e-13)
+        assert _stat(rows, f"endpoint_diff_q{p:g}") == pytest.approx(
+            [quantile_type7_oracle(diff, p)], rel=1e-12, abs=1e-15)
+
+
+def test_summary_rows_refuses_an_empty_sample(desk_sample):
+    """A sample without draws is refused, whatever the summary asks for."""
+    empty = dataclasses.replace(
+        desk_sample, draws={c: a[:0] for c, a in desk_sample.draws.items()},
+        sigma2=desk_sample.sigma2[:0], chain=desk_sample.chain[:0])
+    for kwargs in ({"indicators": ["tfr"]},
+                   {"indicators": [], "thresholds": [("srb", ">", 1.0)]}):
+        with pytest.raises(ValueError, match="empty sample"):
+            summary_rows(empty, **kwargs)
+
+
+def test_quantiles_invariant_to_draw_order():
+    """Every statistic but the means, whose sums may round differently,
+    is the same for the draws in any order."""
+    rng = np.random.default_rng(1)
+    vals = rng.random((30, 4))
+    shuffled = vals[rng.permutation(30)]
+    got = [[r for r in summary_rows(_srb_sample(v), ["srb"], probs=(0.1, 0.9),
+                                    thresholds=[("srb", ">", 0.5)], trends=["srb"])
+            if not r["statistic"].endswith("mean")] for v in (vals, shuffled)]
+    assert got[0] == got[1]
+
+
+def test_summary_rows_half_width_cases():
+    """With probabilities 1 and 0 the half-width is half the range of the
+    draws, averaged over the periods."""
+    for lo, hi, want in (([0.0], [2.0], 1.0), ([1.0], [1.22], (1.22 - 1.0) / 2.0),
+                         ([0.0, 1.0], [2.0, 5.0], 1.5)):
+        rows = summary_rows(_srb_sample([hi, lo]), ["srb"], probs=(1.0, 0.0))
+        assert _stat(rows, "mean_half_width") == [want]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(base=st.floats(0.0, 1.0), steps=st.lists(st.integers(-2, 2), min_size=1, max_size=4),
+       others=st.lists(st.floats(-1e9, 1e9), max_size=3),
+       op=st.sampled_from(list(summaries.COMPARISONS)))
+@example(base=0.5, steps=[0, 10], others=[1.06, 1.0600001], op=">")
+def test_summary_rows_labels_are_unique(base, steps, others, op):
+    """Distinct probabilities and threshold values give distinct statistic
+    labels, also where they agree in the six digits of ``:g``."""
+    probs = list(dict.fromkeys(min(1.0, max(0.0, base + k * 1e-9)) for k in steps))
+    values = list(dict.fromkeys(probs + others))
+    sample = _srb_sample(np.random.default_rng(2).uniform(0.9, 1.2, (5, 3)))
+    rows = summary_rows(sample, ["srb"], probs=probs,
+                        thresholds=[("srb", op, v) for v in values], trends=["srb"])
+    keys = [(r["indicator"], r["year"], r["statistic"]) for r in rows]
+    assert len(keys) == len(set(keys))
+
+
 def test_summary_rows_structure(desk_grid, desk_sample):
     y0, y1 = int(desk_grid.period_years[0]), int(desk_grid.period_years[-1])
     rows = summary_rows(
@@ -322,7 +368,6 @@ def test_summary_rows_half_width_uses_outer_quantiles(desk_sample, probs):
     equal to quantiles computed for its two ends alone."""
     rows = summary_rows(desk_sample, ["tfr"], probs=probs)
     tm = indicator_trajectories(desk_sample, "tfr")
-    lo = marginal_quantiles(tm, [min(probs)])[0]
-    hi = marginal_quantiles(tm, [max(probs)])[0]
-    [got] = [r["value"] for r in rows if r["statistic"] == "mean_half_width"]
-    assert got == mean_half_width(lo, hi)
+    lo = np.quantile(tm.values, min(probs), axis=0)
+    hi = np.quantile(tm.values, max(probs), axis=0)
+    assert _stat(rows, "mean_half_width") == [float(np.mean((hi - lo) / 2.0))]
