@@ -57,8 +57,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .grid import (FEMALE, MALE, PARAM_CLASSES, SEX_LABELS, STEP,
-                   CensusData, Elicitation, ModelGrid, ThetaVector)
+from .grid import PARAM_CLASSES, SEX_LABELS, STEP, CensusData, Elicitation, ModelGrid, ThetaVector
 from .projection import Trajectory
 from .sampler import (SAMPLER_SETTINGS, PosteriorSample, SamplerConfig, _can_fork, _fork_map,
                       _usable_cpus, parameter_names)
@@ -235,12 +234,16 @@ def _read_matrix(path, index_name="age", columns=None):
     return ([rows[i] for i in order], [cols[i] for i in corder], mat)
 
 
-def _write_matrix(path, row_labels, col_labels, matrix, index_name="age"):
+def _write_table(path, header, rows):
+    """Write a CSV table: the header, then each of rows."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([index_name] + [str(c) for c in col_labels])
-        for lab, row in zip(row_labels, np.asarray(matrix)):
-            w.writerow([str(lab)] + [repr(float(v)) for v in row])
+        csv.writer(fh).writerows([header, *rows])
+
+
+def _write_matrix(path, row_labels, col_labels, matrix, index_name="age"):
+    _write_table(path, [index_name, *map(str, col_labels)],
+                 ([str(lab), *map(repr, row)]
+                  for lab, row in zip(row_labels, np.asarray(matrix, np.float64).tolist())))
 
 
 def _expect_labels(path, kind, got, want):
@@ -328,15 +331,12 @@ def write_census(directory, census: CensusData, grid: ModelGrid):
 
 def write_trajectory(path, trajectory: Trajectory):
     """Tidy projection dump: year, sex, age, count."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["year", "sex", "age", "count"])
-        K = trajectory.counts.shape[1]
-        for ti, year in enumerate(trajectory.years):
-            for sex, label in ((FEMALE, "female"), (MALE, "male")):
-                for ai in range(K):
-                    w.writerow([year, label, ai * 5,
-                                repr(float(trajectory.counts[ti, ai, sex]))])
+    counts = trajectory.counts.tolist()  # [year][age][sex]
+    _write_table(path, ["year", "sex", "age", "count"],
+                 ([year, label, ai * STEP, repr(by_age[sex])]
+                  for year, ages in zip(trajectory.years, counts)
+                  for sex, label in enumerate(SEX_LABELS)
+                  for ai, by_age in enumerate(ages)))
 
 
 # A sample table is parsed in one block per BLOCK_BYTES, on up to the
@@ -510,11 +510,7 @@ def _raise_bad_row(path, columns, cause):
 
 def write_rows(path, rows, columns):
     """Write a list of dicts as CSV with the given column order."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(columns)
-        for r in rows:
-            w.writerow([r.get(c, "") for c in columns])
+    _write_table(path, columns, ([r.get(c, "") for c in columns] for r in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,13 @@ def log_invgamma(sigma2: float, alpha: float, beta: float) -> float:
 
 
 def draw_invgamma(rng: np.random.Generator, shape: float, scale: float, size=None):
-    """Inverse-gamma draws, reciprocals of gamma(shape, 1/scale) draws."""
-    return 1.0 / rng.gamma(shape, 1.0 / scale, size)
+    """Inverse-gamma draws, reciprocals of gamma(shape, 1/scale) draws. A
+    gamma draw that underflows to 0 gives inf; one that overflows gives 0."""
+    g = rng.gamma(shape, 1.0 / scale, size)
+    if size is None:  # a float, whose division by 0 raises
+        return 1.0 / g if g else np.inf
+    with np.errstate(divide="ignore"):
+        return 1.0 / g
 
 
 @dataclass(frozen=True)
@@ -114,32 +119,25 @@ def beta_from_elicitation(elicitation: Elicitation,
                                " baseline counts, which must be finite and positive: "
                                + "; ".join(bad))
 
-    beta = {}
-    for cls in LOG_SCALE_CLASSES:
-        half = np.log1p(eta[cls])
-        beta[cls] = alpha[cls] * (half / t_quantile_95(alpha[cls])) ** 2
-    beta["migration"] = alpha["migration"] * (eta["migration"] / t_quantile_95(alpha["migration"])) ** 2
-
     if eta["survival"] >= 1.0:
-        raise ElicitationError(
-            f"survival: relative error {eta['survival']} >= 1 puts the lower"
-            " bound at or below 0, where the logit is undefined"
-        )
+        raise ElicitationError(f"survival: relative error {eta['survival']} >= 1 puts the"
+                               " lower bound at or below 0, where the logit is undefined")
     s_star = initial.survival
     up_raw = s_star * (1.0 + eta["survival"])
     if np.all(up_raw >= 1.0):
-        raise ElicitationError(
-            "survival: estimate*(1+eta) is at or above 1 for every cell;"
-            " the elicited upper bounds are unattainable"
-        )
+        raise ElicitationError("survival: estimate*(1+eta) is at or above 1 for every cell;"
+                               " the elicited upper bounds are unattainable")
     upper = np.minimum(up_raw, 1.0 - SURVIVAL_CLAMP)
     lower = s_star * (1.0 - eta["survival"])
     center = logit(s_star)
-    d = max(float(np.max(np.abs(logit(upper) - center))),
-            float(np.max(np.abs(center - logit(lower)))))
-    beta["survival"] = alpha["survival"] * (d / t_quantile_95(alpha["survival"])) ** 2
+    half = {cls: np.log1p(eta[cls]) for cls in LOG_SCALE_CLASSES}
+    half["migration"] = eta["migration"]
+    half["survival"] = max(float(np.max(np.abs(logit(upper) - center))),
+                           float(np.max(np.abs(center - logit(lower)))))
 
-    for cls, b in beta.items():
+    beta = {}
+    for cls, h in half.items():
+        beta[cls] = b = alpha[cls] * (h / t_quantile_95(alpha[cls])) ** 2
         if not 0.0 < b < np.inf:  # underflow or overflow of a finite elicitation
             raise ElicitationError(f"{cls}: eta {eta[cls]} and alpha {alpha[cls]} give"
                                    f" beta = {b}; it must be finite and positive")

@@ -12,8 +12,8 @@ calibrated, which is what makes interval-coverage tests well posed.
 but drawn directly from the prior, so every posterior summary can also
 be computed under the prior with the same code. It and ``draw_joint``
 share one routine: draw candidates, project them in stacks of up to
-``CHUNK`` and keep, in draw order, those that pass
-``positivity_indicator``; so both give the same draws from one stream.
+``CHUNK`` and keep, in draw order, those with variances in (0, inf) that
+pass ``positivity_indicator``; so both give the same draws from one stream.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ def _first_admissible(initial: ThetaVector, grid: ModelGrid, rng: np.random.Gene
     one (n, n_params) matrix in ``parameter_names`` order. A candidate takes
     from rng its five variances from hyper, then all its standard-normal
     theta columns in one call. Up to ``CHUNK`` candidates still needed are
-    projected as one stack and admitted where ``positivity_indicator``
-    holds. Raises RuntimeError after MAX_TRIES straight failures."""
+    projected as one stack, and admitted where all five variances lie in
+    (0, inf) and ``positivity_indicator`` holds. Raises RuntimeError after
+    MAX_TRIES straight failures."""
     mus = [transform(c, v).ravel() for c, v in initial.by_class().items()]
     mu, col_class = np.concatenate(mus), np.repeat(range(len(mus)), [m.size for m in mus])
     rows = np.empty((n, mu.size + len(PARAM_CLASSES)))
@@ -55,6 +56,7 @@ def _first_admissible(initial: ThetaVector, grid: ModelGrid, rng: np.random.Gene
                 v[...] = untransform(c, v)
             theta = ThetaVector.from_classes(views)
             ok = positivity_indicator(project_full(theta.baseline, theta, grid).counts)
+        ok &= np.all((chunk[:, mu.size:] > 0.0) & (chunk[:, mu.size:] < np.inf), axis=1)
         for good in ok.tolist():
             fails = 0 if good else fails + 1
             if fails >= MAX_TRIES:

@@ -239,9 +239,10 @@ def ols_slope_oracle(xs, ys):
 def prior_draws_oracle(initial, hyper, grid, rng, n_draws):
     """n_draws from the positivity-restricted joint prior, one candidate at
     a time: five inverse-gamma variances in class order, one standard-normal
-    block per class, one projection, kept if every count is finite and
-    nonnegative, else discarded with its variances. Returns the kept
-    (sigma2 rows, theta list) and the number of candidates tried.
+    block per class, one projection, kept if every variance lies in
+    (0, inf) and every count is finite and nonnegative, else discarded
+    with its variances. Returns the kept (sigma2 rows, theta list) and
+    the number of candidates tried.
 
     The transforms and the projection are the package's own; what this
     loop is the reference for is the order of draws and the acceptance.
@@ -253,14 +254,16 @@ def prior_draws_oracle(initial, hyper, grid, rng, n_draws):
     for _ in range(n_draws):
         for _ in range(100000):
             tried += 1
-            v = [float(1.0 / rng.gamma(hyper.alpha[c], 1.0 / hyper.beta[c], size=1)[0])
+            g = [float(rng.gamma(hyper.alpha[c], 1.0 / hyper.beta[c], size=1)[0])
                  for c in PARAM_CLASSES]
+            v = [1.0 / x if x else np.inf for x in g]
             with np.errstate(all="ignore"):
                 theta = ThetaVector.from_classes({
                     c: untransform(c, mus[c] + np.sqrt(v[j]) * rng.standard_normal(mus[c].shape))
                     for j, c in enumerate(PARAM_CLASSES)})
                 counts = project_full(theta.baseline, theta, grid).counts
-            if np.all(np.isfinite(counts)) and np.all(counts >= 0):
+            if (all(0.0 < x < np.inf for x in v)
+                    and np.all(np.isfinite(counts)) and np.all(counts >= 0)):
                 break
         else:
             raise RuntimeError("no positive draw in 100000 tries")

@@ -22,7 +22,7 @@ from demrecon import (FEMALE, PARAM_CLASSES, CensusData, ModelGrid, beta_from_el
                       gelman_rubin, load_census, load_elicitation, load_grid,
                       make_manifest, parameter_names, project_full, write_census,
                       write_samples, write_theta)
-from demrecon import cli, sampler
+from demrecon import cli, sampler, simulate
 from demrecon.cli import main
 from conftest import make_theta, sample_from_thetas
 from oracles import prior_draws_oracle
@@ -401,6 +401,24 @@ def test_zero_eta_exit_2(tmp_path):
                  "--elicitation", str(elic_yaml), "--out-dir",
                  str(tmp_path / "sim")])
     assert code == 2
+
+
+def test_simulate_variances_past_float_range_exit_3(tmp_path, capsys, monkeypatch):
+    """With alpha 0.001 for every class, most variance draws underflow or
+    overflow and the rest centre no positive population: simulate gives up
+    with one error line, no traceback, and nothing written."""
+    monkeypatch.setattr(simulate, "MAX_TRIES", 1000)  # 100000 tries take ~18 s
+    elic = tmp_path / "elicitation.yaml"
+    elic.write_text((DEMO / "elicitation.yaml").read_text()
+                    + "  alpha: {counts: 0.001, fertility: 0.001, survival: 0.001,"
+                      " migration: 0.001, srb: 0.001}\n")
+    code = main(["simulate", "--grid", str(DEMO / "grid.yaml"),
+                 "--initial-estimates-dir", str(DEMO / "initial"),
+                 "--elicitation", str(elic), "--seed", "1", "--out-dir", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: no positive prior draw in 1000 consecutive tries"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_initial_estimates_exit_2(tmp_path):

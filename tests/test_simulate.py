@@ -42,6 +42,16 @@ def test_variance_draws_follow_prior(desk_hyper):
     assert stats.kstest(draws, cdf).pvalue > 0.01
 
 
+def test_variance_draw_past_float_range_is_inf():
+    """With shape 0.001, the third gamma draw of seed 1 underflows to 0: its
+    variance is inf, as a float and in an array, with no error or warning."""
+    rng = np.random.default_rng(1)
+    floats = [draw_invgamma(rng, 0.001, 1.0) for _ in range(3)]
+    array = draw_invgamma(np.random.default_rng(1), 0.001, 1.0, 3)
+    assert floats[:2] == array[:2].tolist() and 0.0 < floats[0] < np.inf
+    assert floats[2] == array[2] == np.inf
+
+
 def test_draw_joint_returns_positive_trajectory(desk_grid, desk_hyper):
     initial = make_theta(desk_grid, seed=1)
     rng = np.random.default_rng(4)
@@ -213,3 +223,35 @@ def test_prior_sample_rejections_stay_silent(problems):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         prior_sample(initial, hyper, grid, 50, seed=0)
+
+
+def test_prior_sample_redraws_variances_past_float_range(problems):
+    """With alpha 0.01 for srb, about 0.06% of srb gamma draws underflow
+    to 0, and one at seed 1 is among the first 300 draws. Its candidate,
+    variance inf, is drawn again: every kept variance lies in (0, inf), and
+    the draws are those of the one-candidate-at-a-time oracle."""
+    grid, initial, _ = problems["demo"]
+    elic = load_elicitation(DEMO / "elicitation.yaml")
+    hyper = beta_from_elicitation(dataclasses.replace(elic, alpha={"srb": 0.01}), initial)
+    s = prior_sample(initial, hyper, grid, 300, seed=1)
+    assert np.all((0.0 < s.sigma2) & (s.sigma2 < np.inf))
+    sig, _, _ = prior_draws_oracle(initial, hyper, grid, np.random.default_rng(1), 300)
+    assert s.sigma2.tobytes() == np.array(sig).tobytes()
+
+
+def test_prior_sample_skips_a_planted_zero_variance(problems, monkeypatch):
+    """A gamma draw that overflows gives a variance of 0, whose candidate
+    sits exactly on the initial estimates and passes positivity; it is
+    dropped all the same, and the next admissible candidate takes its place."""
+    grid, initial, hyper = problems["demo"]
+    clean = prior_sample(initial, hyper, grid, 8, seed=0)
+    real, calls = simulate.draw_invgamma, []
+
+    def first_zero(*args):
+        calls.append(1)
+        v = real(*args)
+        return 0.0 if len(calls) == 1 else v
+
+    monkeypatch.setattr(simulate, "draw_invgamma", first_zero)
+    planted = prior_sample(initial, hyper, grid, 7, seed=0)
+    assert planted.flat().tobytes() == clean.flat()[1:].tobytes()
