@@ -20,9 +20,7 @@ from .sampler import (ChainState, ConfigError, PosteriorSample, SamplerConfig,
                       SamplingError, log_posterior, parameter_names, run_chain,
                       variance_posterior)
 from .diagnostics import RunLengthReport, gelman_rubin, raftery_lewis
-from .summaries import (INDICATOR_NAMES, TrajectoryMatrix, endpoint_diff,
-                        exceedance_prob, indicator_trajectories, joint_event_prob,
-                        ols_slope, summary_rows)
+from .summaries import INDICATOR_NAMES, indicator_trajectories, summary_rows
 from .simulate import SimulatedData, draw_joint, prior_sample, simulate_dataset
 from .io import (ParseError, RunManifest, load_census, load_elicitation,
                  load_grid, load_sampler_settings, load_theta, make_manifest,

@@ -137,7 +137,10 @@ def beta_from_elicitation(elicitation: Elicitation,
 
     beta = {}
     for cls, h in half.items():
-        beta[cls] = b = alpha[cls] * (h / t_quantile_95(alpha[cls])) ** 2
+        try:
+            beta[cls] = b = alpha[cls] * (h / t_quantile_95(alpha[cls])) ** 2
+        except OverflowError:  # migration's half width is a Python float, whose square raises
+            b = np.inf
         if not 0.0 < b < np.inf:  # underflow or overflow of a finite elicitation
             raise ElicitationError(f"{cls}: eta {eta[cls]} and alpha {alpha[cls]} give"
                                    f" beta = {b}; it must be finite and positive")

@@ -1,10 +1,9 @@
 """Posterior summaries: quantiles, interval widths, exceedance and trend
 probabilities, and per-draw indicator trajectories.
 
-Everything operates on a TrajectoryMatrix, one scalar indicator per
-draw per period. Quantiles use numpy's default linear interpolation
-(type 7) so results are reproducible bit for bit elsewhere. Trend
-measures regress on the START year of each period.
+Quantiles use numpy's default linear interpolation (type 7) so results
+are reproducible bit for bit elsewhere. Trend measures regress on the
+START year of each period.
 
 ``_INDICATORS`` owns each named indicator's kind and formula. A rate
 reads the parameter draws; a flow or a stock also reads the projected
@@ -13,8 +12,6 @@ counts. A stock has a value per grid year, the rest per period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import FEMALE, MALE, ModelGrid
@@ -22,73 +19,9 @@ from .projection import project_full
 from .sampler import PosteriorSample
 
 
-@dataclass(frozen=True)
-class TrajectoryMatrix:
-    """Per-draw series of one scalar indicator: values is (n_draws, n_years)."""
-
-    name: str
-    values: np.ndarray
-    years: tuple
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64).view()  # the caller's array stays writeable
-        if v.ndim != 2:
-            raise ValueError(f"values must be 2-d (draws, years), got shape {v.shape}")
-        if v.shape[1] != len(self.years):
-            raise ValueError(f"{v.shape[1]} columns but {len(self.years)} years")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "years", tuple(int(y) for y in self.years))
-
-    def column(self, year: int) -> np.ndarray:
-        return self.values[:, self.years.index(year)]
-
-
 # threshold comparisons; ">=" and "<=" come before ">" and "<", so a
 # statement searched for each operator in turn is split on the whole one
 COMPARISONS = {">=": np.greater_equal, "<=": np.less_equal, ">": np.greater, "<": np.less}
-
-
-def exceedance_prob(tm: TrajectoryMatrix, threshold: float, direction: str = ">") -> np.ndarray:
-    """Fraction of draws beyond the threshold, per period."""
-    if direction not in COMPARISONS:
-        raise ValueError(f"direction must be one of {' '.join(COMPARISONS)}, got {direction!r}")
-    return COMPARISONS[direction](tm.values, threshold).mean(axis=0)
-
-
-def endpoint_diff(tm: TrajectoryMatrix, year_a: int = None, year_b: int = None) -> np.ndarray:
-    """Per-draw change value(year_b) - value(year_a); defaults to last minus first."""
-    a = tm.years[0] if year_a is None else year_a
-    b = tm.years[-1] if year_b is None else year_b
-    return tm.column(b) - tm.column(a)
-
-
-def ols_slope(tm: TrajectoryMatrix) -> np.ndarray:
-    """Per-draw least-squares slope of the series against period start years.
-
-    slope = sum((x - xbar) * (y - ybar)) / sum((x - xbar)^2), per year.
-    """
-    if len(tm.years) < 2:
-        raise ValueError("need at least two periods for a slope")
-    x = np.asarray(tm.years, dtype=np.float64)
-    xc = x - x.mean()
-    yc = tm.values - tm.values.mean(axis=1, keepdims=True)
-    return (yc @ xc) / float(xc @ xc)
-
-
-def joint_event_prob(predicates) -> float:
-    """Fraction of draws on which every predicate holds.
-
-    predicates is a sequence of equal-length boolean arrays, one entry
-    per draw (e.g. ``endpoint_diff(tm, 1960, 1980) > 0``).
-    """
-    preds = [np.asarray(p, dtype=bool) for p in predicates]
-    if not preds:
-        raise ValueError("need at least one predicate")
-    n = preds[0].size
-    if any(p.size != n for p in preds):
-        raise ValueError("predicates must cover the same draws")
-    return float(np.logical_and.reduce([p.ravel() for p in preds]).mean())
 
 
 def _e0_matrix(survival: np.ndarray, sex: int) -> np.ndarray:
@@ -146,15 +79,15 @@ def _projected_counts(sample: PosteriorSample) -> np.ndarray:
     return project_full(theta.baseline, theta, sample.grid).counts
 
 
-def indicator_trajectories(sample: PosteriorSample, name: str, counts=None) -> TrajectoryMatrix:
-    """Evaluate one named indicator on every draw of the sample. A flow
-    or a stock reads the sample's projected counts: counts when given,
-    else one stacked ``project_full`` of all draws."""
+def indicator_trajectories(sample: PosteriorSample, name: str, counts=None) -> np.ndarray:
+    """One named indicator on every draw: an (n_draws, n_years) array over
+    ``indicator_years(sample.grid, name)``; srb is the sample's own draws,
+    not a copy. A flow or a stock reads the sample's projected counts:
+    counts when given, else one stacked ``project_full`` of all draws."""
     kind, formula = _INDICATORS[name]
     if kind != "rate" and counts is None:
         counts = _projected_counts(sample)
-    return TrajectoryMatrix(name, formula(sample.draws, counts),
-                            indicator_years(sample.grid, name))
+    return formula(sample.draws, counts)
 
 
 def _label_number(v) -> str:
@@ -166,31 +99,49 @@ def summary_rows(sample: PosteriorSample, indicators, probs=(0.025, 0.5, 0.975),
                  thresholds=(), trends=(), joints=()) -> list:
     """Tidy summary table: one dict per (indicator, year, statistic).
 
-    thresholds: (indicator, direction, value) triples.
+    thresholds: (indicator, direction, value) triples; each yields, per
+    year, the fraction of draws with ``COMPARISONS[direction](draw, value)``.
     trends: indicator names; each yields the posterior of the last-minus-
     first change and of the OLS slope on start years.
     joints: (label, predicates) pairs where predicates is a list of
-    (indicator, year_a, year_b, direction) meaning the draw counts when
-    value(year_b) - value(year_a) is > 0 (a rise from year_a to year_b)
-    or < 0, matching the direction sign.
+    (indicator, year_a, year_b, direction); the row is the fraction of
+    draws on which every change value(year_b) - value(year_a) compares
+    to 0 as its direction says (> 0 is a rise from year_a to year_b).
+
+    Raises ValueError on an empty sample, a direction outside COMPARISONS,
+    a trend on fewer than two years, a joint without predicates, or a
+    joint year outside its indicator's years.
     """
     if sample.n_draws == 0:
         raise ValueError("empty sample")
-    rows = []
-    probs = tuple(float(p) for p in probs)
     named = dict.fromkeys([*indicators, *(t[0] for t in thresholds), *trends,
                            *(pred[0] for _, preds in joints for pred in preds)])
+    years = {name: indicator_years(sample.grid, name) for name in named}
+    for direction in [t[1] for t in thresholds] + [p[3] for _, ps in joints for p in ps]:
+        if direction not in COMPARISONS:
+            raise ValueError(f"direction must be one of {' '.join(COMPARISONS)}, got {direction!r}")
+    for name in trends:
+        if len(years[name]) < 2:
+            raise ValueError(f"trend {name} needs at least two years, has {list(years[name])}")
+    for label, predicates in joints:
+        if not predicates:
+            raise ValueError(f"joint {label!r} has no predicates")
+        for name, year in ((n, y) for n, a, b, _ in predicates for y in (a, b)):
+            if year not in years[name]:
+                raise ValueError(f"joint {label!r}: {name} has no year {year}")
+
     # the flows and stocks share one projection of the draws
     counts = (_projected_counts(sample)
               if any(_INDICATORS[name][0] != "rate" for name in named) else None)
-    tm = {name: indicator_trajectories(sample, name, counts) for name in named}
+    values = {name: indicator_trajectories(sample, name, counts) for name in named}
 
+    rows = []
+    probs = tuple(float(p) for p in probs)
     for name in indicators:
-        t = tm[name]
-        qs = np.quantile(t.values, probs, axis=0)
-        for j, year in enumerate(t.years):
+        qs = np.quantile(values[name], probs, axis=0)
+        for j, year in enumerate(years[name]):
             rows.append({"indicator": name, "year": year, "statistic": "mean",
-                         "value": float(t.values[:, j].mean())})
+                         "value": float(values[name][:, j].mean())})
             for p, q in zip(probs, qs[:, j]):
                 rows.append({"indicator": name, "year": year,
                              "statistic": f"q{_label_number(p)}", "value": float(q)})
@@ -201,12 +152,17 @@ def summary_rows(sample: PosteriorSample, indicators, probs=(0.025, 0.5, 0.975),
 
     for name, direction, value in thresholds:
         stat = f"p({name}{direction}{_label_number(value)})"
-        for year, p in zip(tm[name].years, exceedance_prob(tm[name], value, direction)):
+        for year, p in zip(years[name], COMPARISONS[direction](values[name], value).mean(axis=0)):
             rows.append({"indicator": name, "year": year, "statistic": stat, "value": float(p)})
 
     for name in trends:
-        t = tm[name]
-        for label, vals in (("endpoint_diff", endpoint_diff(t)), ("ols_slope", ols_slope(t))):
+        # slope = sum((x - xbar) * (y - ybar)) / sum((x - xbar)^2), per draw
+        x = np.asarray(years[name], dtype=np.float64)
+        xc = x - x.mean()
+        yc = values[name] - values[name].mean(axis=1, keepdims=True)
+        slope = (yc @ xc) / float(xc @ xc)
+        diff = values[name][:, -1] - values[name][:, 0]
+        for label, vals in (("endpoint_diff", diff), ("ols_slope", slope)):
             rows.append({"indicator": name, "year": "", "statistic": f"{label}_mean",
                          "value": float(vals.mean())})
             for p, q in zip(probs, np.quantile(vals, probs)):
@@ -216,7 +172,8 @@ def summary_rows(sample: PosteriorSample, indicators, probs=(0.025, 0.5, 0.975),
                          "value": float(np.mean(vals > 0))})
 
     for label, predicates in joints:
-        arrays = [COMPARISONS[d](endpoint_diff(tm[n], a, b), 0) for n, a, b, d in predicates]
+        held = [COMPARISONS[d](values[n][:, years[n].index(b)] - values[n][:, years[n].index(a)], 0)
+                for n, a, b, d in predicates]
         rows.append({"indicator": "joint", "year": "", "statistic": label,
-                     "value": joint_event_prob(arrays)})
+                     "value": float(np.logical_and.reduce(held).mean())})
     return rows

@@ -13,11 +13,10 @@ import pytest
 from scipy import stats
 
 from demrecon import (CensusData, ChainState, Elicitation, ModelGrid,
-                      SamplerConfig, ThetaVector, TrajectoryMatrix,
-                      beta_from_elicitation, endpoint_diff, exceedance_prob,
-                      indicator_trajectories, joint_event_prob, ols_slope,
-                      project_full, raftery_lewis, run_chain, simulate_dataset,
-                      summary_rows, total_births, transform, variance_posterior)
+                      SamplerConfig, ThetaVector, beta_from_elicitation,
+                      indicator_trajectories, project_full, raftery_lewis, run_chain,
+                      simulate_dataset, summary_rows, total_births, transform,
+                      variance_posterior)
 from demrecon.priors import draw_invgamma
 from demrecon.sampler import _can_fork, _usable_cpus
 from conftest import make_theta, flat_elicitation, sample_from_thetas
@@ -87,10 +86,10 @@ def test_criterion_03_closed_form_indicators():
     sample = sample_from_thetas(grid, [
         theta.replace(survival=ones, fertility=np.full((7, P), 0.03)),
         theta.replace(survival=halves)])
-    e0 = indicator_trajectories(sample, "e0_female").values
+    e0 = indicator_trajectories(sample, "e0_female")
     assert np.all(e0[0] == 85.0)
     assert np.all(e0[1] == 5.0)
-    assert indicator_trajectories(sample, "tfr").values[0] == pytest.approx(1.05, rel=1e-12)
+    assert indicator_trajectories(sample, "tfr")[0] == pytest.approx(1.05, rel=1e-12)
 
 
 def test_criterion_04_elicitation_beta_pinned_value():
@@ -300,26 +299,39 @@ def test_criterion_09_run_length_diagnostic():
 
 def test_criterion_10_summary_exactness():
     """Exceedance probabilities, endpoint differences, OLS slopes and
-    joint-event probabilities reproduce hand-computed values exactly on
-    3-draw toy trajectory matrices."""
-    tm = TrajectoryMatrix("toy", np.array([[1.0, 2.0, 3.0],
-                                           [2.0, 2.0, 2.0],
-                                           [3.0, 2.0, 1.0]]),
-                          (1960, 1965, 1970))
-    assert np.array_equal(exceedance_prob(tm, 2.0, ">"),
-                          [1.0 / 3.0, 0.0, 1.0 / 3.0])
-    assert np.array_equal(exceedance_prob(tm, 2.0, ">="),
-                          [2.0 / 3.0, 1.0, 2.0 / 3.0])
-    assert np.array_equal(endpoint_diff(tm), [2.0, 0.0, -2.0])
-    assert np.array_equal(endpoint_diff(tm, 1965, 1960), [-1.0, 0.0, 1.0])
+    joint-event probabilities reproduce hand-computed values exactly in
+    the rows of ``summary_rows`` on a 3-draw toy srb series. With
+    probabilities 0, 0.5 and 1 the change and slope quantiles are the
+    draws' own values, smallest first."""
+    grid = ModelGrid(start_year=1960, end_year=1975, open_age=15,
+                     fert_min_age=10, fert_max_age=15, census_years=(1960,))
+    theta = make_theta(grid)
+    sample = sample_from_thetas(grid, [theta.replace(srb=np.array(srb)) for srb in
+                                       ([1.0, 2.0, 3.0], [2.0, 2.0, 2.0], [3.0, 2.0, 1.0])])
+    up, down = ("srb", 1960, 1970, ">"), ("srb", 1960, 1970, "<")
+    rows = summary_rows(
+        sample, [], probs=(0.0, 0.5, 1.0),
+        thresholds=[("srb", ">", 2.0), ("srb", ">=", 2.0)], trends=["srb"],
+        joints=[("up", [up]), ("up_and_down", [up, down]),
+                ("back_up", [("srb", 1965, 1960, ">")]),
+                ("flat", [("srb", 1960, 1970, ">="), ("srb", 1960, 1970, "<=")])])
+
+    def stat(statistic):
+        return [r["value"] for r in rows if r["statistic"] == statistic]
+
+    assert stat("p(srb>2)") == [1.0 / 3.0, 0.0, 1.0 / 3.0]
+    assert stat("p(srb>=2)") == [2.0 / 3.0, 1.0, 2.0 / 3.0]
+    # the changes 1970 - 1960 are 2, 0 and -2
+    assert [stat(f"endpoint_diff_q{p}") for p in ("0", "0.5", "1")] == [[-2.0], [0.0], [2.0]]
     # centered x = (-5, 0, 5); slopes are +-0.2 and 0
-    assert np.array_equal(ols_slope(tm), [0.2, 0.0, -0.2])
-    up = endpoint_diff(tm) > 0
-    down = endpoint_diff(tm) < 0
-    assert joint_event_prob([up]) == 1.0 / 3.0
-    assert joint_event_prob([up, down]) == 0.0
-    assert joint_event_prob([np.array([True, True, False]),
-                             np.array([True, False, True])]) == 1.0 / 3.0
+    assert [stat(f"ols_slope_q{p}") for p in ("0", "0.5", "1")] == [[-0.2], [0.0], [0.2]]
+    assert stat("endpoint_diff_mean") == stat("ols_slope_mean") == [0.0]
+    assert stat("p(endpoint_diff>0)") == stat("p(ols_slope>0)") == [1.0 / 3.0]
+    assert stat("up") == [1.0 / 3.0]
+    assert stat("up_and_down") == [0.0]
+    # the changes 1960 - 1965 are -1, 0 and 1
+    assert stat("back_up") == [1.0 / 3.0]
+    assert stat("flat") == [1.0 / 3.0]
 
 
 def test_criterion_11_original_application_not_reproducible():

@@ -468,14 +468,16 @@ def _write_census(tmp_path, grid):
     ("counts: 0.1", "counts: .inf",
      "counts: elicited relative error must be finite and positive, got inf"),
     ("counts: 0.1", "counts: 1e-300", "counts: eta 1e-300 and alpha 0.5 give beta = 0.0"),
+    ("migration: 0.2", "migration: 1.0e+200",
+     "migration: eta 1e+200 and alpha 0.5 give beta = inf; it must be finite and positive"),
     ("counts: 0.1", "counts: true", "eta counts must be a number, got True"),
     ("srb: 0.1\n", "srb: 0.1\n  alpha: {srb: .nan}\n",
      "srb: alpha must be finite and positive, got nan"),
     ("srb: 0.1\n", "srb: 0.1\n  alpha: {srb: .inf}\n",
      "srb: alpha must be finite and positive, got inf"),
     ("srb: 0.1\n", "srb: 0.1\n  alpha: {srb: true}\n", "alpha srb must be a number, got True"),
-], ids=["eta_nan", "eta_inf", "eta_underflow", "eta_bool", "alpha_nan", "alpha_inf",
-        "alpha_bool"])
+], ids=["eta_nan", "eta_inf", "eta_underflow", "eta_overflow", "eta_bool", "alpha_nan",
+        "alpha_inf", "alpha_bool"])
 def test_elicitation_values_must_be_finite_positive_numbers(tmp_path, capsys, old, new,
                                                             message):
     grid_yaml, elic_yaml, grid, _ = _desk_inputs(tmp_path)
@@ -483,6 +485,18 @@ def test_elicitation_values_must_be_finite_positive_numbers(tmp_path, capsys, ol
     elic_yaml.write_text(elic_yaml.read_text().replace(old, new))
     assert main(_command(tmp_path, grid_yaml, elic_yaml, "sample")) == 2
     assert message in capsys.readouterr().err
+
+
+def test_simulate_refuses_an_elicitation_whose_beta_overflows(tmp_path, capsys):
+    """An eta whose squared half width passes float range ends simulate
+    with exit 2 and one error line, and writes nothing."""
+    grid_yaml, elic_yaml, _, _ = _desk_inputs(tmp_path)
+    elic_yaml.write_text(elic_yaml.read_text().replace("migration: 0.2", "migration: 1.0e+200"))
+    assert main(_command(tmp_path, grid_yaml, elic_yaml, "simulate")) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: migration: eta 1e+200 and alpha 0.5 give beta = inf;"
+        " it must be finite and positive"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, where", [("sample", "flag"), ("sample", "sampler"),

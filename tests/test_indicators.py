@@ -13,7 +13,7 @@ def _series(grid, name, seed=0, **arrays):
     """One-draw series of an indicator at make_theta(grid, seed) with some
     arrays replaced."""
     theta = make_theta(grid, seed=seed).replace(**arrays)
-    return indicator_trajectories(sample_from_thetas(grid, [theta]), name).values[0]
+    return indicator_trajectories(sample_from_thetas(grid, [theta]), name)[0]
 
 
 def _every_cell(grid, column):
@@ -166,16 +166,15 @@ def test_indicator_series_dispatch(desk_grid):
     years = tuple(int(y) for y in desk_grid.period_years)
 
     tfr = indicator_trajectories(sample, "tfr")
-    assert tfr.name == "tfr"
-    assert tfr.years == years
+    assert tfr.shape == (1, len(years))
     for j in range(len(years)):
-        assert tfr.values[0, j] == pytest.approx(tfr_oracle(theta.fertility[:, j].tolist()),
+        assert tfr[0, j] == pytest.approx(tfr_oracle(theta.fertility[:, j].tolist()),
                                                  rel=1e-14)
 
     e0f = indicator_trajectories(sample, "e0_female")
     for j in range(len(years)):
-        assert e0f.values[0, j] == pytest.approx(
+        assert e0f[0, j] == pytest.approx(
             e0_oracle(theta.survival[:, j, FEMALE].tolist()), rel=1e-14)
 
     srbs = indicator_trajectories(sample, "srb")
-    assert srbs.values[0, -1] == theta.srb[-1]
+    assert srbs[0, -1] == theta.srb[-1]

@@ -36,12 +36,22 @@ PINS = {
     "prior/samples.csv": "5dc96b242859a9b86d4df782e5862365d043c5e48bf94aca63e5b96d948a9185",
     "prior/summary.csv": "dcf0e9da7d4a4f34d1eaa1215dc5868945ff9da7f2aaaec0b2edb89792b6cb9a",
     "prior/diagnostics.csv": "26e35d320305d98bf0a9649f49390d0cfb2dd4ff7e8d52092a401ecd6cee345d",
+    "flags/summary.csv": "c05abe7186b0de5c316df3b54a246558ac8fcaff896a68a799304cbea718ca81",
 }
+
+# a second summarize of the same sample, writing threshold (one per
+# operator), trend (on a rate and a stock) and joint rows; its pin was
+# recorded before those statistics were folded into ``summary_rows``
+FLAGS = ["--threshold", "srb>1.05", "--threshold", "tfr>=2", "--threshold", "e0_female<60",
+         "--threshold", "srtp<=1", "--trend", "srb", "--trend", "srtp",
+         "--joint", "rise=srb:1960:1975:>;e0_male:1960:1975:<",
+         "--prob", "0", "--prob", "0.5", "--prob", "1"]
 
 
 def test_cli_tables_match_their_pins(tmp_path):
-    """``project`` and ``simulate --seed 7`` on the demo, and ``summarize``
-    and ``diagnose`` with default flags on a 200-draw prior sample."""
+    """``project`` and ``simulate --seed 7`` on the demo, ``summarize``
+    and ``diagnose`` with default flags on a 200-draw prior sample, and
+    ``summarize`` of that sample with the statistic flags."""
     inputs = ["--grid", str(DEMO / "grid.yaml"), "--initial-estimates-dir", str(DEMO / "initial")]
     assert main(["project", *inputs, "--out-dir", str(tmp_path / "proj")]) == 0
     assert main(["simulate", *inputs, "--elicitation", str(DEMO / "elicitation.yaml"),
@@ -55,6 +65,8 @@ def test_cli_tables_match_their_pins(tmp_path):
     make_manifest(0, {}, grid, None, None, [], 0.0).write(prior / "manifest.json")
     for command in ("summarize", "diagnose"):
         assert main([command, "--sample-dir", str(prior), "--out-dir", str(prior)]) == 0
+    assert main(["summarize", "--sample-dir", str(prior), *FLAGS,
+                 "--out-dir", str(tmp_path / "flags")]) == 0
     written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.csv"))
     assert written == sorted(PINS)
     got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in PINS}

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from demrecon import (INDICATOR_NAMES, ModelGrid, TrajectoryMatrix, endpoint_diff,
-                      exceedance_prob, indicator_trajectories, joint_event_prob,
-                      ols_slope, project_full, summaries, summary_rows)
+from demrecon import (INDICATOR_NAMES, ModelGrid, indicator_trajectories, project_full,
+                      summaries, summary_rows)
 from demrecon.summaries import indicator_years
 from conftest import make_theta, sample_from_thetas
 from oracles import (FEMALE, MALE, e0_oracle, ols_slope_oracle,
@@ -22,87 +21,99 @@ def desk_sample(desk_grid):
                                [make_theta(desk_grid, seed=s) for s in range(5)])
 
 
-def _toy(values, years=None):
-    v = np.asarray(values, dtype=np.float64)
-    years = tuple(range(0, 5 * v.shape[1], 5)) if years is None else years
-    return TrajectoryMatrix("toy", v, years)
+def _srb_sample(srb):
+    """A sample whose srb draws, which the srb indicator passes through, are
+    the rows of srb (draws, periods), on a grid of as many periods from 1960."""
+    srb = np.asarray(srb, dtype=np.float64)
+    grid = ModelGrid(start_year=1960, end_year=1960 + 5 * srb.shape[1], open_age=15,
+                     fert_min_age=10, fert_max_age=15, census_years=(1960,))
+    return sample_from_thetas(grid, [make_theta(grid).replace(srb=row) for row in srb])
+
+
+def _stat(rows, statistic):
+    """Values of one statistic, in row order."""
+    return [r["value"] for r in rows if r["statistic"] == statistic]
+
+
+def _slopes(srb):
+    """OLS slope of each row of srb, each summarized alone as a one-draw
+    sample, whose slope mean is the draw's own slope."""
+    return [_stat(summary_rows(_srb_sample([row]), [], trends=["srb"]), "ols_slope_mean")[0]
+            for row in srb]
 
 
 # ---------------------------------------------------------------------------
-# scalar summaries
-
-
-def test_trajectory_matrix_validates_shape():
-    with pytest.raises(ValueError):
-        TrajectoryMatrix("x", np.zeros((3, 2)), (1960,))
-
-
-def test_trajectory_matrix_freezes_a_view_not_the_callers_array():
-    a = np.arange(6.0).reshape(3, 2)
-    tm = TrajectoryMatrix("x", a, (1960, 1965))
-    assert a.flags.writeable and not tm.values.flags.writeable
-    assert np.shares_memory(tm.values, a)
-    a[0, 0] = 7.0  # the caller may still write its own array
-    with pytest.raises(ValueError):
-        tm.values[0, 0] = 1.0
-
-
-def test_column_selects_by_year():
-    tm = _toy([[1.0, 10.0], [2.0, 20.0]], years=(1960, 1965))
-    assert np.array_equal(tm.column(1965), [10.0, 20.0])
+# threshold, trend and joint statistics
 
 
 def test_exceedance_directions():
-    tm = _toy([[1.0], [2.0], [3.0]], years=(1960,))
-    assert exceedance_prob(tm, 2.0, ">")[0] == pytest.approx(1.0 / 3.0)
-    assert exceedance_prob(tm, 2.0, ">=")[0] == pytest.approx(2.0 / 3.0)
-    assert exceedance_prob(tm, 2.0, "<")[0] == pytest.approx(1.0 / 3.0)
-    assert exceedance_prob(tm, 2.0, "<=")[0] == pytest.approx(2.0 / 3.0)
-    with pytest.raises(ValueError):
-        exceedance_prob(tm, 2.0, "!=")
+    sample = _srb_sample([[1.0], [2.0], [3.0]])
+    rows = summary_rows(sample, [], thresholds=[("srb", op, 2.0) for op in (">", ">=", "<", "<=")])
+    assert [_stat(rows, f"p(srb{op}2)") for op in (">", ">=", "<", "<=")] == \
+        [[pytest.approx(1.0 / 3.0)], [pytest.approx(2.0 / 3.0)],
+         [pytest.approx(1.0 / 3.0)], [pytest.approx(2.0 / 3.0)]]
 
 
 def test_exceedance_complement_invariant():
     rng = np.random.default_rng(2)
-    tm = _toy(rng.random((25, 3)))
-    t = 0.4
-    assert np.allclose(exceedance_prob(tm, t, ">") + exceedance_prob(tm, t, "<="),
-                       1.0)
+    rows = summary_rows(_srb_sample(rng.random((25, 3))), [],
+                        thresholds=[("srb", ">", 0.4), ("srb", "<=", 0.4)])
+    assert np.allclose(np.add(_stat(rows, "p(srb>0.4)"), _stat(rows, "p(srb<=0.4)")), 1.0)
 
 
 def test_endpoint_diff_and_slope_toy():
-    tm = _toy([[1.0, 2.0, 3.0]], years=(0, 5, 10))
-    assert endpoint_diff(tm)[0] == 2.0
-    assert endpoint_diff(tm, 10, 0)[0] == -2.0
-    assert ols_slope(tm)[0] == pytest.approx(0.2, rel=1e-14)
+    """On one draw of 1, 2, 3 at 1960, 1965, 1970 the change is 2 and the
+    slope 0.2; the change read backwards is a fall."""
+    rows = summary_rows(_srb_sample([[1.0, 2.0, 3.0]]), [], trends=["srb"],
+                        joints=[("fall", [("srb", 1970, 1960, "<")])])
+    assert _stat(rows, "endpoint_diff_mean") == [2.0]
+    assert _stat(rows, "ols_slope_mean") == [pytest.approx(0.2, rel=1e-14)]
+    assert _stat(rows, "fall") == [1.0]
 
 
 def test_slope_matches_oracle_and_is_equivariant():
     rng = np.random.default_rng(3)
     vals = rng.random((10, 4))
     years = (1960, 1965, 1970, 1975)
-    tm = _toy(vals, years=years)
-    got = ols_slope(tm)
+    got = _slopes(vals)
     want = [ols_slope_oracle(years, vals[i]) for i in range(10)]
     assert got == pytest.approx(want, rel=1e-12)
-    scaled = _toy(3.0 * vals + 7.0, years=years)
-    assert ols_slope(scaled) == pytest.approx(3.0 * got, rel=1e-12)
+    assert _slopes(3.0 * vals + 7.0) == pytest.approx(3.0 * np.array(got), rel=1e-12)
 
 
 def test_slope_needs_two_periods():
-    with pytest.raises(ValueError):
-        ols_slope(_toy([[1.0]], years=(1960,)))
+    with pytest.raises(ValueError, match="trend srb needs at least two years"):
+        summary_rows(_srb_sample([[1.0]]), [], trends=["srb"])
 
 
 def test_joint_event_prob():
-    a = np.array([True, True, False])
-    b = np.array([True, False, False])
-    assert joint_event_prob([a, b]) == pytest.approx(1.0 / 3.0)
-    assert joint_event_prob([a]) == pytest.approx(np.mean(a))
-    with pytest.raises(ValueError):
-        joint_event_prob([])
-    with pytest.raises(ValueError):
-        joint_event_prob([a, np.array([True])])
+    """Draws 1, 2, 3 / 1, 2, 1 / 2, 1, 1 rise from 1960 to 1965 on the
+    first two draws and from 1965 to 1970 on the first alone."""
+    sample = _srb_sample([[1.0, 2.0, 3.0], [1.0, 2.0, 1.0], [2.0, 1.0, 1.0]])
+    a, b = ("srb", 1960, 1965, ">"), ("srb", 1965, 1970, ">")
+    rows = summary_rows(sample, [], joints=[("ab", [a, b]), ("a", [a])])
+    assert _stat(rows, "ab") == [pytest.approx(1.0 / 3.0)]
+    assert _stat(rows, "a") == [pytest.approx(2.0 / 3.0)]
+
+
+def test_summary_rows_refuses_an_unknown_direction():
+    sample = _srb_sample([[1.0, 2.0]])
+    for kwargs in ({"thresholds": [("srb", "!=", 2.0)]},
+                   {"joints": [("ne", [("srb", 1960, 1965, "!=")])]}):
+        with pytest.raises(ValueError, match="direction must be one of >= <= > <, got '!='"):
+            summary_rows(sample, [], **kwargs)
+
+
+def test_summary_rows_refuses_a_joint_year_off_the_series():
+    """srb is a rate: its years are period starts, without the end year."""
+    with pytest.raises(ValueError, match="joint 'up': srb has no year 1970"):
+        summary_rows(_srb_sample([[1.0, 2.0]]), [], joints=[("up", [("srb", 1960, 1970, ">")])])
+
+
+def test_summary_rows_refuses_a_joint_without_predicates():
+    """A logical and over no predicates would hold on every draw and read 1."""
+    with pytest.raises(ValueError, match="joint 'none' has no predicates"):
+        summary_rows(_srb_sample([[1.0, 2.0]]), ["srb"], joints=[("none", [])])
 
 
 # ---------------------------------------------------------------------------
@@ -110,33 +121,30 @@ def test_joint_event_prob():
 
 
 def test_srb_is_passthrough(desk_grid, desk_sample):
-    tm = indicator_trajectories(desk_sample, "srb")
-    assert np.array_equal(tm.values, desk_sample.draws["srb"])
-    assert tm.years == tuple(int(y) for y in desk_grid.period_years)
+    assert np.array_equal(indicator_trajectories(desk_sample, "srb"), desk_sample.draws["srb"])
+    assert indicator_years(desk_grid, "srb") == tuple(int(y) for y in desk_grid.period_years)
 
 
 def test_tfr_matches_oracle(desk_sample):
-    tm = indicator_trajectories(desk_sample, "tfr")
+    tfr = indicator_trajectories(desk_sample, "tfr")
     f = desk_sample.draws["fertility"]
     for i in range(desk_sample.n_draws):
         for j in range(f.shape[2]):
-            assert tm.values[i, j] == pytest.approx(tfr_oracle(f[i, :, j]),
-                                                    rel=1e-14)
+            assert tfr[i, j] == pytest.approx(tfr_oracle(f[i, :, j]), rel=1e-14)
 
 
 def test_e0_matches_oracle(desk_sample):
-    tm = indicator_trajectories(desk_sample, "e0_female")
+    e0 = indicator_trajectories(desk_sample, "e0_female")
     s = desk_sample.draws["survival"]
     for i in range(desk_sample.n_draws):
         for j in range(s.shape[2]):
-            assert tm.values[i, j] == pytest.approx(
+            assert e0[i, j] == pytest.approx(
                 e0_oracle(s[i, :, j, FEMALE]), rel=1e-12)
 
 
 def test_u5mr_formula(desk_sample):
-    tm = indicator_trajectories(desk_sample, "u5mr_male")
     s0 = desk_sample.draws["survival"][:, 0, :, MALE]
-    assert np.array_equal(tm.values, 1000.0 * (1.0 - s0))
+    assert np.array_equal(indicator_trajectories(desk_sample, "u5mr_male"), 1000.0 * (1.0 - s0))
 
 
 def test_symmetric_survival_ratios(desk_grid):
@@ -144,38 +152,39 @@ def test_symmetric_survival_ratios(desk_grid):
     s = theta.survival.copy()
     s[:, :, MALE] = s[:, :, FEMALE]
     sample = sample_from_thetas(desk_grid, [theta.replace(survival=s)])
-    assert np.allclose(indicator_trajectories(sample, "sex_ratio_u5mr").values, 1.0)
-    assert np.allclose(indicator_trajectories(sample, "sex_diff_e0").values, 0.0)
+    assert np.allclose(indicator_trajectories(sample, "sex_ratio_u5mr"), 1.0)
+    assert np.allclose(indicator_trajectories(sample, "sex_diff_e0"), 0.0)
 
 
 def test_stock_indicators_reproject_each_draw(desk_grid, desk_sample):
     for name, pick in (("srtp", lambda t: t[:, :, MALE].sum(axis=1)
                         / t[:, :, FEMALE].sum(axis=1)),
                        ("sru5", lambda t: t[:, 0, MALE] / t[:, 0, FEMALE])):
-        tm = indicator_trajectories(desk_sample, name)
-        assert tm.years == tuple(int(y) for y in desk_grid.stock_years)
+        values = indicator_trajectories(desk_sample, name)
+        assert indicator_years(desk_grid, name) == tuple(int(y) for y in desk_grid.stock_years)
         for i in range(desk_sample.n_draws):
             theta = desk_sample.theta_at(i)
             traj = project_full(theta.baseline, theta, desk_grid).counts
-            assert tm.values[i] == pytest.approx(pick(traj), rel=1e-13)
+            assert values[i] == pytest.approx(pick(traj), rel=1e-13)
 
 
 def test_net_migrants_formula(desk_grid, desk_sample):
-    tm = indicator_trajectories(desk_sample, "net_migrants_female")
-    assert tm.years == tuple(int(y) for y in desk_grid.period_years)
+    values = indicator_trajectories(desk_sample, "net_migrants_female")
+    assert indicator_years(desk_grid, "net_migrants_female") == \
+        tuple(int(y) for y in desk_grid.period_years)
     for i in range(desk_sample.n_draws):
         theta = desk_sample.theta_at(i)
         traj = project_full(theta.baseline, theta, desk_grid).counts
         want = np.sum(traj[:-1, :, FEMALE] * theta.migration[:, :, FEMALE].T,
                       axis=1) / 5.0
-        assert tm.values[i] == pytest.approx(want, rel=1e-13)
+        assert values[i] == pytest.approx(want, rel=1e-13)
 
 
 def test_zero_migration_means_zero_net_migrants(desk_grid):
     theta = make_theta(desk_grid, seed=0, mig_width=0.0)
     sample = sample_from_thetas(desk_grid, [theta])
     for name in ("net_migrants_female", "net_migrants_male"):
-        assert np.array_equal(indicator_trajectories(sample, name).values,
+        assert np.array_equal(indicator_trajectories(sample, name),
                               np.zeros((1, desk_grid.n_periods)))
 
 
@@ -186,8 +195,7 @@ def test_unknown_indicator_raises(desk_sample):
 
 def test_all_named_indicators_evaluate(desk_sample):
     for name in INDICATOR_NAMES:
-        tm = indicator_trajectories(desk_sample, name)
-        assert np.all(np.isfinite(tm.values))
+        assert np.all(np.isfinite(indicator_trajectories(desk_sample, name)))
 
 
 def test_indicator_names_and_years_are_pinned(desk_grid, desk_sample):
@@ -201,15 +209,15 @@ def test_indicator_names_and_years_are_pinned(desk_grid, desk_sample):
     for name in INDICATOR_NAMES:
         years = desk_grid.stock_years if name in ("srtp", "sru5") else desk_grid.period_years
         assert indicator_years(desk_grid, name) == tuple(int(y) for y in years), name
-        assert indicator_trajectories(desk_sample, name).years == indicator_years(desk_grid, name)
+        assert indicator_trajectories(desk_sample, name).shape == \
+            (desk_sample.n_draws, len(indicator_years(desk_grid, name)))
 
 
 def test_summary_rows_projects_once_for_every_flow_and_stock(desk_sample, monkeypatch):
     """The flows and stocks of one summary share one stacked projection;
     each named series is still one ``indicator_trajectories`` call, and
     its values equal those from evaluating the name alone, bit for bit."""
-    alone = {name: indicator_trajectories(desk_sample, name).values
-             for name in INDICATOR_NAMES}
+    alone = {name: indicator_trajectories(desk_sample, name) for name in INDICATOR_NAMES}
     projections, evaluated = [], []
     real_project, real_evaluate = summaries.project_full, summaries.indicator_trajectories
 
@@ -218,17 +226,17 @@ def test_summary_rows_projects_once_for_every_flow_and_stock(desk_sample, monkey
         return real_project(*args)
 
     def evaluate(sample, name, *args):
-        tm = real_evaluate(sample, name, *args)
-        evaluated.append(tm)
-        return tm
+        values = real_evaluate(sample, name, *args)
+        evaluated.append((name, values))
+        return values
 
     monkeypatch.setattr(summaries, "project_full", project)
     monkeypatch.setattr(summaries, "indicator_trajectories", evaluate)
     summary_rows(desk_sample, INDICATOR_NAMES)
     assert len(projections) == 1
-    assert [tm.name for tm in evaluated] == list(INDICATOR_NAMES)
-    for tm in evaluated:
-        assert tm.values.tobytes() == alone[tm.name].tobytes(), tm.name
+    assert [name for name, _ in evaluated] == list(INDICATOR_NAMES)
+    for name, values in evaluated:
+        assert values.tobytes() == alone[name].tobytes(), name
 
     projections.clear()
     summary_rows(desk_sample, ["tfr", "srb"])
@@ -237,20 +245,6 @@ def test_summary_rows_projects_once_for_every_flow_and_stock(desk_sample, monkey
 
 # ---------------------------------------------------------------------------
 # tidy rows
-
-
-def _srb_sample(srb):
-    """A sample whose srb draws, which the srb indicator passes through, are
-    the rows of srb (draws, periods), on a grid of as many periods."""
-    srb = np.asarray(srb, dtype=np.float64)
-    grid = ModelGrid(start_year=1960, end_year=1960 + 5 * srb.shape[1], open_age=15,
-                     fert_min_age=10, fert_max_age=15, census_years=(1960,))
-    return sample_from_thetas(grid, [make_theta(grid).replace(srb=row) for row in srb])
-
-
-def _stat(rows, statistic):
-    """Values of one statistic, in row order."""
-    return [r["value"] for r in rows if r["statistic"] == statistic]
 
 
 def test_summary_rows_quantiles_toy():
@@ -352,9 +346,8 @@ def test_summary_rows_structure(desk_grid, desk_sample):
 
 def test_summary_rows_threshold_matches_direct(desk_sample):
     rows = summary_rows(desk_sample, [], thresholds=[("tfr", "<", 3.0)])
-    tm = indicator_trajectories(desk_sample, "tfr")
-    direct = exceedance_prob(tm, 3.0, "<")
-    for j, year in enumerate(tm.years):
+    direct = (indicator_trajectories(desk_sample, "tfr") < 3.0).mean(axis=0)
+    for j, year in enumerate(indicator_years(desk_sample.grid, "tfr")):
         r = [row for row in rows if row["year"] == year]
         assert len(r) == 1
         assert r[0]["value"] == pytest.approx(direct[j], rel=1e-14)
@@ -367,7 +360,7 @@ def test_summary_rows_half_width_uses_outer_quantiles(desk_sample, probs):
     """The half-width comes from the widest requested interval, bitwise
     equal to quantiles computed for its two ends alone."""
     rows = summary_rows(desk_sample, ["tfr"], probs=probs)
-    tm = indicator_trajectories(desk_sample, "tfr")
-    lo = np.quantile(tm.values, min(probs), axis=0)
-    hi = np.quantile(tm.values, max(probs), axis=0)
+    tfr = indicator_trajectories(desk_sample, "tfr")
+    lo = np.quantile(tfr, min(probs), axis=0)
+    hi = np.quantile(tfr, max(probs), axis=0)
     assert _stat(rows, "mean_half_width") == [float(np.mean((hi - lo) / 2.0))]
