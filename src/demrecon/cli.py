@@ -29,7 +29,7 @@ from .priors import ElicitationError, beta_from_elicitation
 from .projection import project_full
 from .sampler import (SAMPLER_SETTINGS, ConfigError, SamplerConfig, parameter_names,
                       run_chain)
-from .summaries import COMPARISONS, INDICATOR_NAMES, indicator_years, summary_rows
+from .summaries import COMPARISONS, INDICATOR_NAMES, check_statistics, summary_rows
 
 VALIDATION_EXIT = 2
 RUNTIME_EXIT = 3
@@ -150,16 +150,10 @@ def _cmd_summarize(args) -> int:
     if not all(0.0 <= p <= 1.0 for p in probs):
         raise _Invalid(f"probabilities {probs} must lie in [0, 1]")
     grid = _sample_grid(args.sample_dir)
-    for name in trends:
-        if len(years := indicator_years(grid, name)) < 2:
-            raise _Invalid(f"trend {name} needs at least two years, has {list(years)}")
-    for label, preds in joints.items():
-        for name, year_a, year_b, _ in preds:
-            years = indicator_years(grid, name)
-            for year in (year_a, year_b):
-                if year not in years:
-                    raise _Invalid(f"joint {label!r}: {name} has no year {year};"
-                                   f" its years are {list(years)}")
+    try:
+        check_statistics(grid, thresholds, trends, joints.items())
+    except ValueError as e:
+        raise _Invalid(str(e)) from None
     sample = io.read_samples(Path(args.sample_dir) / "samples.csv", grid)
     try:
         rows = summary_rows(sample, indicators, probs=probs, thresholds=thresholds,

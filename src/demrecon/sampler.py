@@ -57,7 +57,7 @@ every chain in one process. The calling process keeps a group so that a
 profiler or wrapper installed in it still sees the work of that group's
 chains, and forked rather than spawned workers need not import the
 package again. ``io.read_samples`` parses the blocks of a large sample
-table the same way.
+table the same way, and ``io.write_samples`` writes them.
 """
 
 from __future__ import annotations
@@ -156,7 +156,9 @@ class PosteriorSample:
 
     def flat(self) -> np.ndarray:
         """(n_draws, n_params) matrix in ``parameter_names`` order."""
-        cols = [self.draws[c].reshape(self.n_draws, -1) for c in PARAM_CLASSES]
+        # widths are explicit: a reshape to -1 fails on a 0-draw sample
+        cols = [d.reshape(self.n_draws, math.prod(d.shape[1:]))
+                for d in (self.draws[c] for c in PARAM_CLASSES)]
         cols.append(self.sigma2)
         return np.concatenate(cols, axis=1)
 
@@ -532,12 +534,21 @@ def _fork_map(fn, items: list) -> list:
     workers through the fork, not by pickling, so it may close over what
     cannot be pickled, such as a shared mapping; items and results are
     pickled. A worker's exception is raised here; a worker that dies
-    raises BrokenProcessPool, a RuntimeError."""
+    raises BrokenProcessPool, a RuntimeError. A fork the system refuses
+    raises its OSError here, after the workers already forked are ended:
+    left waiting for work, they would also hold this process at exit."""
     if len(items) == 1:
         return [fn(*items[0])]
+    before = set(multiprocessing.active_children())
     with ProcessPoolExecutor(len(items) - 1, mp_context=multiprocessing.get_context("fork"),
                              initializer=_set_forked_fn, initargs=(fn,)) as pool:
-        futures = [pool.submit(_call_forked_fn, *item) for item in items[1:]]
+        try:
+            futures = [pool.submit(_call_forked_fn, *item) for item in items[1:]]
+        except OSError:
+            for worker in set(multiprocessing.active_children()) - before:
+                worker.kill()
+                worker.join()
+            raise
         return [fn(*items[0])] + [f.result() for f in futures]
 
 

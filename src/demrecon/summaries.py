@@ -95,6 +95,26 @@ def _label_number(v) -> str:
     return f"{v:g}" if float(f"{v:g}") == v else repr(float(v))
 
 
+def check_statistics(grid: ModelGrid, thresholds=(), trends=(), joints=()):
+    """Raise ValueError on a statistic of ``summary_rows`` that no sample on
+    grid can give: a direction outside COMPARISONS, a trend on fewer than
+    two years, a joint without predicates, or a joint year outside its
+    indicator's years. The arguments are those of ``summary_rows``."""
+    for direction in [t[1] for t in thresholds] + [p[3] for _, ps in joints for p in ps]:
+        if direction not in COMPARISONS:
+            raise ValueError(f"direction must be one of {' '.join(COMPARISONS)}, got {direction!r}")
+    for name in trends:
+        if len(years := indicator_years(grid, name)) < 2:
+            raise ValueError(f"trend {name} needs at least two years, has {list(years)}")
+    for label, predicates in joints:
+        if not predicates:
+            raise ValueError(f"joint {label!r} has no predicates")
+        for name, year in ((n, y) for n, a, b, _ in predicates for y in (a, b)):
+            if year not in (years := indicator_years(grid, name)):
+                raise ValueError(f"joint {label!r}: {name} has no year {year};"
+                                 f" its years are {list(years)}")
+
+
 def summary_rows(sample: PosteriorSample, indicators, probs=(0.025, 0.5, 0.975),
                  thresholds=(), trends=(), joints=()) -> list:
     """Tidy summary table: one dict per (indicator, year, statistic).
@@ -108,27 +128,15 @@ def summary_rows(sample: PosteriorSample, indicators, probs=(0.025, 0.5, 0.975),
     draws on which every change value(year_b) - value(year_a) compares
     to 0 as its direction says (> 0 is a rise from year_a to year_b).
 
-    Raises ValueError on an empty sample, a direction outside COMPARISONS,
-    a trend on fewer than two years, a joint without predicates, or a
-    joint year outside its indicator's years.
+    Raises ValueError on an empty sample and on what ``check_statistics``
+    refuses.
     """
     if sample.n_draws == 0:
         raise ValueError("empty sample")
+    check_statistics(sample.grid, thresholds, trends, joints)
     named = dict.fromkeys([*indicators, *(t[0] for t in thresholds), *trends,
                            *(pred[0] for _, preds in joints for pred in preds)])
     years = {name: indicator_years(sample.grid, name) for name in named}
-    for direction in [t[1] for t in thresholds] + [p[3] for _, ps in joints for p in ps]:
-        if direction not in COMPARISONS:
-            raise ValueError(f"direction must be one of {' '.join(COMPARISONS)}, got {direction!r}")
-    for name in trends:
-        if len(years[name]) < 2:
-            raise ValueError(f"trend {name} needs at least two years, has {list(years[name])}")
-    for label, predicates in joints:
-        if not predicates:
-            raise ValueError(f"joint {label!r} has no predicates")
-        for name, year in ((n, y) for n, a, b, _ in predicates for y in (a, b)):
-            if year not in years[name]:
-                raise ValueError(f"joint {label!r}: {name} has no year {year}")
 
     # the flows and stocks share one projection of the draws
     counts = (_projected_counts(sample)

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import re
 import textwrap
+import threading
 import warnings
 from pathlib import Path
 
@@ -551,7 +552,8 @@ _ORACLE_CASES = {
 
 
 def _set_blocks(monkeypatch, n):
-    """Make read_samples cut a file of n bytes or more into up to n blocks."""
+    """Make read_samples cut a file of n bytes or more, and write_samples a
+    table of n values or more, into up to n blocks."""
     monkeypatch.setattr(demrecon_io, "BLOCK_BYTES", 1)
     monkeypatch.setattr(demrecon_io, "_usable_cpus", lambda: n)
 
@@ -672,20 +674,35 @@ def test_read_samples_in_one_block_starts_no_process(tmp_path, desk_grid, monkey
     assert read_samples(p, desk_grid).flat().tobytes() == sample.flat().tobytes()
 
 
-@pytest.mark.parametrize("case", ["no mapping", "no fork"])
+def _refuse_forks(monkeypatch, allowed):
+    """Make os.fork refuse, as a system out of processes does, every fork
+    after the first ``allowed``."""
+    fork, forks = os.fork, []
+
+    def refused():
+        forks.append(None)
+        if len(forks) > allowed:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", refused)
+
+
+@pytest.mark.parametrize("case", ["no mapping", "no fork", "second fork refused"])
 def test_read_samples_in_one_block_when_blocks_cannot_start(tmp_path, desk_grid, monkeypatch,
                                                             case):
-    """A shared mapping or a worker that the system refuses sends the file
-    to the one-call parse, which reads it as usual."""
+    """A shared mapping or a worker that the system refuses, the first or
+    one after a worker has started, sends the file to the one-call parse,
+    which reads it as usual, and leaves no process running."""
     def refused(*args, **kwargs):
         raise OSError(12, "Cannot allocate memory")
 
     sample, p, _ = _two_chain_samples(tmp_path, desk_grid)
-    _set_blocks(monkeypatch, 2)
+    _set_blocks(monkeypatch, 3 if case == "second fork refused" else 2)
     if case == "no mapping":
         monkeypatch.setattr(demrecon_io.mmap, "mmap", refused)
     else:
-        monkeypatch.setattr(os, "fork", refused)
+        _refuse_forks(monkeypatch, 1 if case == "second fork refused" else 0)
     assert read_samples(p, desk_grid).flat().tobytes() == sample.flat().tobytes()
     assert multiprocessing.active_children() == []
 
@@ -711,6 +728,157 @@ def test_worker_that_dies_in_a_block_parse_exits_3(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err, err
     assert multiprocessing.active_children() == []
+
+
+# the chain labels of each row: a block cut into 2 or 3 falls inside a chain,
+# and a block that starts mid-chain must carry on that chain's draw count
+_WRITE_CASES = {
+    "interleaved_chains": [2, 0, 1, 0, 2, 1, 0],
+    "cut_inside_a_chain": [0, 0, 0, 0, 1, 1, 1],
+    "one_draw": [3],
+    "no_draws": [],
+}
+
+
+def _special_sample(grid, chain):
+    """A sample with the given chain labels and random draws, with -0.0,
+    inf, nan and the extremes of float range among the values."""
+    rng = np.random.default_rng(6)
+    n = len(chain)
+    draws = {c: rng.uniform(0.1, 0.9, (n,) + shape) for c, shape in grid.class_shapes().items()}
+    sigma2 = rng.uniform(0.1, 1.0, (n, 5))
+    for i, v in enumerate([-0.0, np.inf, np.nan, 5e-324, 1e300, -np.inf, 1.0 / 3.0][:n]):
+        draws["migration"][i, 0, 0, 0] = v
+        sigma2[n - 1 - i, i % 5] = abs(v)
+    return PosteriorSample(grid=grid, draws=draws, sigma2=sigma2, chain=np.array(chain, int),
+                           acceptance={}, config=SamplerConfig(iterations=max(n, 1), burn_in=0))
+
+
+def _table_bytes(sample):
+    """The bytes of a sample table, row by row through csv.writer: each
+    row's draw number counts the rows of its chain before it."""
+    buf = stdio.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(_header(sample.grid))
+    seen = {}
+    for c, row in zip(sample.chain.tolist(), sample.flat().tolist()):
+        seen[c] = seen.get(c, -1) + 1
+        w.writerow([c, seen[c]] + [repr(v) for v in row])
+    return buf.getvalue().encode()
+
+
+def _spy_temporary_files(monkeypatch):
+    """Record the directory of every temporary file made from here on."""
+    made, real = [], demrecon_io.tempfile.TemporaryFile
+
+    def spy(*args, **kwargs):
+        made.append(kwargs.get("dir"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(demrecon_io.tempfile, "TemporaryFile", spy)
+    return made
+
+
+@pytest.mark.parametrize("case", list(_WRITE_CASES))
+def test_write_samples_in_blocks_gives_the_bytes_of_one_block(tmp_path, desk_grid, monkeypatch,
+                                                              case):
+    """A table written in 1, 2 or 3 blocks has the bytes of a row-by-row
+    write, each block but the first from a temporary file in the output
+    directory that is gone afterwards, and no process is left running."""
+    sample = _special_sample(desk_grid, _WRITE_CASES[case])
+    p = tmp_path / "samples.csv"
+    made = _spy_temporary_files(monkeypatch)
+    for blocks in (1, 2, 3):
+        made.clear()
+        _set_blocks(monkeypatch, blocks)
+        write_samples(p, sample)
+        assert p.read_bytes() == _table_bytes(sample), blocks
+        assert made == [str(tmp_path)] * (blocks - 1 if sample.n_draws else 0), blocks
+        assert os.listdir(tmp_path) == ["samples.csv"]
+        assert multiprocessing.active_children() == []
+
+
+def test_write_samples_in_blocks_reads_back_in_blocks(tmp_path, desk_grid, monkeypatch):
+    """A table written in 3 blocks and read in 3 blocks gives the draws
+    bit for bit, in (chain, draw) order."""
+    chain = np.random.default_rng(9).integers(0, 3, 40)
+    sample = _special_sample(desk_grid, chain.tolist())
+    p = tmp_path / "samples.csv"
+    _set_blocks(monkeypatch, 3)
+    write_samples(p, sample)
+    assert len(demrecon_io._block_cuts(p)) == 4
+    back = read_samples(p, desk_grid)
+    order = np.argsort(chain, kind="stable")
+    assert back.flat().tobytes() == sample.flat()[order].tobytes()
+    assert back.chain.tolist() == chain[order].tolist()
+
+
+@pytest.mark.parametrize("case", ["no fork", "second fork refused", "worker dies"])
+def test_write_samples_in_one_block_when_a_block_fails(tmp_path, desk_grid, monkeypatch, case):
+    """A fork the system refuses, the first or one after a worker has
+    started, or a worker that dies in its block, sends the whole table to
+    one block in this process: the file holds every row, not a subset,
+    and no process or temporary file is left."""
+    sample = _special_sample(desk_grid, _WRITE_CASES["interleaved_chains"])
+    p = tmp_path / "samples.csv"
+    _set_blocks(monkeypatch, 3 if case == "second fork refused" else 2)
+    parent, write, rows = os.getpid(), demrecon_io._write_rows, []
+    if case != "worker dies":
+        _refuse_forks(monkeypatch, 1 if case == "second fork refused" else 0)
+    else:
+        def dies_in_workers(fh, keys, flat):
+            if os.getpid() != parent:
+                os._exit(1)
+            rows.append(len(keys))
+            return write(fh, keys, flat)
+
+        monkeypatch.setattr(demrecon_io, "_write_rows", dies_in_workers)
+    write_samples(p, sample)
+    assert p.read_bytes() == _table_bytes(sample)
+    if case == "worker dies":
+        assert rows == [3, 7]  # the first block, then the whole table
+    assert os.listdir(tmp_path) == ["samples.csv"]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("case", ["one cpu", "small table", "other thread"])
+def test_write_samples_in_one_block_starts_no_process(tmp_path, desk_grid, monkeypatch, case):
+    """One usable CPU, a table whose text bound is under BLOCK_BYTES, or
+    another thread in this process write the table here, with no process
+    and no temporary file; two CPUs and small blocks would make both."""
+    def refuse(what):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"write_samples {what}")
+        return refused
+
+    sample = _special_sample(desk_grid, _WRITE_CASES["cut_inside_a_chain"])
+    p = tmp_path / "samples.csv"
+    monkeypatch.setattr(sampler, "ProcessPoolExecutor", refuse("started a process pool"))
+    _set_blocks(monkeypatch, 2)
+    write_rows = demrecon_io._write_rows
+    monkeypatch.setattr(demrecon_io, "_write_rows", refuse("wrote a block"))
+    with pytest.raises(AssertionError, match="started a process pool"):
+        write_samples(p, sample)
+    monkeypatch.setattr(demrecon_io, "_write_rows", write_rows)
+    monkeypatch.setattr(demrecon_io.tempfile, "TemporaryFile", refuse("made a temporary file"))
+    with pytest.raises(AssertionError, match="made a temporary file"):
+        write_samples(p, sample)
+    if case == "one cpu":
+        _set_blocks(monkeypatch, 1)
+    elif case == "small table":
+        est = sample.n_draws * len(_header(desk_grid)) * 25
+        monkeypatch.setattr(demrecon_io, "BLOCK_BYTES", est // 2 + 1)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, args=(30.0,))
+    if case == "other thread":
+        other.start()
+    try:
+        write_samples(p, sample)
+    finally:
+        stop.set()
+        if other.is_alive():
+            other.join(timeout=30.0)
+    assert p.read_bytes() == _table_bytes(sample)
 
 
 def test_read_samples_header_only_warns_nothing(tmp_path, desk_grid):

@@ -1,6 +1,7 @@
 """Posterior summary statistics over indicator trajectories."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -82,7 +83,7 @@ def test_slope_matches_oracle_and_is_equivariant():
 
 
 def test_slope_needs_two_periods():
-    with pytest.raises(ValueError, match="trend srb needs at least two years"):
+    with pytest.raises(ValueError, match=re.escape("trend srb needs at least two years, has [1960]")):
         summary_rows(_srb_sample([[1.0]]), [], trends=["srb"])
 
 
@@ -106,8 +107,26 @@ def test_summary_rows_refuses_an_unknown_direction():
 
 def test_summary_rows_refuses_a_joint_year_off_the_series():
     """srb is a rate: its years are period starts, without the end year."""
-    with pytest.raises(ValueError, match="joint 'up': srb has no year 1970"):
+    with pytest.raises(ValueError, match=re.escape(
+            "joint 'up': srb has no year 1970; its years are [1960, 1965]")):
         summary_rows(_srb_sample([[1.0, 2.0]]), [], joints=[("up", [("srb", 1960, 1970, ">")])])
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"trends": ["srb"]},
+    {"joints": [("up", [("srb", 1960, 1965, ">")])]},
+    {"thresholds": [("srb", "!=", 1.0)]},
+    {"joints": [("none", [])]},
+])
+def test_summary_rows_refuses_what_check_statistics_refuses(kwargs):
+    """summary_rows and check_statistics, which the CLI calls before it
+    reads a sample, refuse a request with one message."""
+    sample = _srb_sample([[1.0], [2.0]])
+    with pytest.raises(ValueError) as checked:
+        summaries.check_statistics(sample.grid, **kwargs)
+    with pytest.raises(ValueError) as summarized:
+        summary_rows(sample, ["srb"], **kwargs)
+    assert str(summarized.value) == str(checked.value)
 
 
 def test_summary_rows_refuses_a_joint_without_predicates():
