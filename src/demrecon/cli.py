@@ -15,7 +15,9 @@ started but could not continue.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import os
 import sys
 import time
 from pathlib import Path
@@ -77,6 +79,9 @@ def _cmd_sample(args) -> int:
     config.check()
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)  # before sampling, so a bad path costs no run
+    for path in (out / "samples.csv", out / "manifest.json"):
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
     started = time.monotonic()
     sample = run_chain(config, grid, theta, census, hyper)

@@ -20,8 +20,8 @@ any order and skips blank lines; ``chain`` and ``draw`` are non-negative
 decimal integers, and a value is any float literal, ``inf`` and ``nan``
 included. The long format of version 0.1.0 (one chain,draw,parameter,value
 row per scalar) fails the header check and is not read. A large table is
-parsed in contiguous blocks of whole lines, one per BLOCK_BYTES and at
-most one per usable CPU: the calling process parses the first, which
+parsed in contiguous blocks of whole lines, one per BLOCK_BYTES as far
+as ``_n_parts`` allows: the calling process parses the first, which
 holds the header, and forked workers the others, each into its own slice
 of one shared mapping. The result, and every error message, is that of
 parsing the whole file in one call. A large table is written the same
@@ -66,8 +66,8 @@ import yaml
 from . import __version__
 from .grid import PARAM_CLASSES, SEX_LABELS, STEP, CensusData, Elicitation, ModelGrid, ThetaVector
 from .projection import Trajectory
-from .sampler import (SAMPLER_SETTINGS, PosteriorSample, SamplerConfig, _can_fork, _fork_map,
-                      _usable_cpus, parameter_names)
+from .sampler import (SAMPLER_SETTINGS, PosteriorSample, SamplerConfig, _fork_map, _n_parts,
+                      parameter_names)
 
 
 class ParseError(ValueError):
@@ -347,7 +347,7 @@ def write_trajectory(path, trajectory: Trajectory):
 
 
 # A sample table is written and parsed in one block per BLOCK_BYTES, on up
-# to the usable CPUs: on a 2-CPU VM a forked worker costs about 6 ms,
+# to ``_n_parts`` processes: on a 2-CPU VM a forked worker costs about 6 ms,
 # loadtxt parses 4 MB from _lines in about 60 ms, and _write_rows writes
 # 4 MB of rows in about 135 ms.
 BLOCK_BYTES = 4 << 20
@@ -358,17 +358,16 @@ def write_samples(path, sample: PosteriorSample):
     header needs csv quoting; a float's repr never does. The rows are
     written in contiguous blocks by ``_write_blocks``, one per BLOCK_BYTES
     of an upper bound of the text (a repr takes at most 24 characters,
-    plus a delimiter), up to one per usable CPU, and a single block where
-    workers cannot be forked. A block that cannot start, or whose worker
-    dies, sends the whole table to a single block, so the file never
-    holds a subset of the rows."""
+    plus a delimiter), as far as ``_n_parts`` allows. A block that cannot
+    start, or whose worker dies, sends the whole table to a single block,
+    so the file never holds a subset of the rows."""
     header = ["chain", "draw"] + parameter_names(sample.grid)
     seen, keys = {}, []  # each row's "chain,draw,"; draws count a chain over the whole table
     for c in sample.chain.tolist():
         seen[c] = seen.get(c, -1) + 1
         keys.append(f"{c},{seen[c]},")
     est = len(keys) * len(header) * 25
-    n = max(1, min(_usable_cpus(), est // BLOCK_BYTES)) if _can_fork() else 1
+    n = _n_parts(est // BLOCK_BYTES)
     flat = sample.flat()
     try:
         _write_blocks(path, header, keys, flat, [k * len(keys) // n for k in range(n + 1)])
@@ -470,13 +469,13 @@ def _loadtxt(fh, row) -> np.ndarray:
 
 def _block_cuts(path) -> list:
     """Byte offsets [0, ..., size] that cut a sample table into blocks: one
-    block per BLOCK_BYTES, up to one per usable CPU, and a single block
-    where workers cannot be forked. Each inner cut is the start of the
-    first line at or after its even share of the file, so the header,
-    far shorter than a block, stays in the first block."""
+    block per BLOCK_BYTES as far as ``_n_parts`` allows. Each inner cut
+    is the start of the first line at or after its even share of the
+    file, so the header, far shorter than a block, stays in the first
+    block."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        n = max(1, min(_usable_cpus(), size // BLOCK_BYTES)) if _can_fork() else 1
+        n = _n_parts(size // BLOCK_BYTES)
         cuts = [0]
         for k in range(1, n):
             fh.seek(k * size // n - 1)

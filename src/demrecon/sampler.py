@@ -50,14 +50,14 @@ expression over the stacked log observations of those years.
 
 Chains share only their inputs, and each has its own RNG stream spawned
 from the seed. ``run_chain`` therefore splits them into contiguous
-groups, one per usable CPU, and ``_fork_map`` runs them: the calling
-process runs the first group, forked workers run the others, and the
-groups' draws are joined in chain order, equal bit for bit to running
-every chain in one process. The calling process keeps a group so that a
-profiler or wrapper installed in it still sees the work of that group's
-chains, and forked rather than spawned workers need not import the
-package again. ``io.read_samples`` parses the blocks of a large sample
-table the same way, and ``io.write_samples`` writes them.
+groups, as many as ``_n_parts`` allows, and ``_fork_map`` runs them:
+the calling process runs the first group, forked workers run the
+others, and the groups' draws are joined in chain order, equal bit for
+bit to running every chain in one process. The calling process keeps a
+group so that a profiler or wrapper installed in it still sees the work
+of that group's chains, and forked rather than spawned workers need not
+import the package again. ``io.read_samples`` parses the blocks of a
+large sample table the same way, and ``io.write_samples`` writes them.
 """
 
 from __future__ import annotations
@@ -494,19 +494,15 @@ class ChainState:
         return ThetaVector.from_classes(self.nat)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _can_fork() -> bool:
-    """Whether work may go to forked workers: the fork start method exists
-    and this process runs no other thread, since forking a process that
-    runs other threads can copy a lock one of them holds."""
-    return ("fork" in multiprocessing.get_all_start_methods()
-            and threading.active_count() == 1)
+def _n_parts(n: int) -> int:
+    """How many processes n parts of work may run on: one per part, at most
+    the CPUs this process may run on, and 1 where workers cannot be forked:
+    no fork start method, or another thread running here, since forking a
+    process that runs other threads can copy a lock one of them holds."""
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(n, cpus or 1))
 
 
 _forked_fn = None  # in a worker of _fork_map, the function it runs
@@ -529,14 +525,14 @@ def _call_forked_fn(*args):
 def _fork_map(fn, items: list) -> list:
     """[fn(*item) for item in items], in order. The first item runs in
     this process and each other one in a forked worker of its own, so
-    callers give at most ``_usable_cpus()`` items, and more than one only
-    where ``_can_fork()``. One item starts no process. fn reaches the
-    workers through the fork, not by pickling, so it may close over what
-    cannot be pickled, such as a shared mapping; items and results are
-    pickled. A worker's exception is raised here; a worker that dies
-    raises BrokenProcessPool, a RuntimeError. A fork the system refuses
-    raises its OSError here, after the workers already forked are ended:
-    left waiting for work, they would also hold this process at exit."""
+    callers give at most ``_n_parts(...)`` items. One item starts no
+    process. fn reaches the workers through the fork, not by pickling, so
+    it may close over what cannot be pickled, such as a shared mapping;
+    items and results are pickled. A worker's exception is raised here; a
+    worker that dies raises BrokenProcessPool, a RuntimeError. A fork the
+    system refuses raises its OSError here, after the workers already
+    forked are ended: left waiting for work, they would also hold this
+    process at exit."""
     if len(items) == 1:
         return [fn(*items[0])]
     before = set(multiprocessing.active_children())
@@ -616,14 +612,11 @@ def run_chain(config: SamplerConfig, grid: ModelGrid, initial: ThetaVector,
     SamplingError if the starting point has zero posterior density, and
     MemoryError before any chain runs if no array could hold the draws.
 
-    The chains are split into as many contiguous groups as there are
-    usable CPUs (at most one group per chain). The calling process runs
-    the first group and forked worker processes run the others, so the
-    draws equal those of running every chain here, bit for bit. One
-    chain, one CPU, another thread running in this process or no
-    ``fork`` start method make one group, which starts no process.
-    The groups' draws are joined into one draw matrix, which the
-    sample's draws and sigma2 view.
+    The chains are split into ``_n_parts(chains)`` contiguous groups.
+    The calling process runs the first group and forked worker processes
+    run the others, so the draws equal those of running every chain here,
+    bit for bit; one group starts no process. The groups' draws are
+    joined into one draw matrix, which the sample's draws and sigma2 view.
     """
     config.check()
     per_chain = (config.iterations - config.burn_in) // config.thin
@@ -631,8 +624,8 @@ def run_chain(config: SamplerConfig, grid: ModelGrid, initial: ThetaVector,
     if math.prod(shape) * 8 > np.iinfo(np.intp).max:  # numpy refuses it with a ValueError
         raise MemoryError(f"Unable to allocate a {shape[0]} x {shape[1]} float64 draw matrix:"
                           " it exceeds the largest array size")
-    n_groups = min(config.chains, _usable_cpus()) if _can_fork() else 1
-    groups = [(g.tolist(),) for g in np.array_split(np.arange(config.chains), n_groups)]
+    chains = np.array_split(np.arange(config.chains), _n_parts(config.chains))
+    groups = [(g.tolist(),) for g in chains]
     parts = _fork_map(lambda chain_ids: _run_chains(chain_ids, config, grid, initial,
                                                     census, hyper), groups)
     rows, acc = parts[0] if len(parts) == 1 else (np.concatenate(j) for j in zip(*parts))

@@ -18,7 +18,7 @@ from demrecon import (CensusData, ChainState, Elicitation, ModelGrid,
                       simulate_dataset, summary_rows, total_births, transform,
                       variance_posterior)
 from demrecon.priors import draw_invgamma
-from demrecon.sampler import _can_fork, _usable_cpus
+from demrecon.sampler import _n_parts
 from conftest import make_theta, flat_elicitation, sample_from_thetas
 from oracles import (FEMALE, MALE, invgamma_cdf_oracle, project_oracle,
                      t_quantile_oracle)
@@ -242,13 +242,13 @@ def _short_fit_draws(rep):
 
 def _map_replicates(fn, reps, workers):
     """fn of each replicate, in order. Up to workers forked processes run
-    them where ``_can_fork``, the rule of ``run_chain``'s chain groups;
-    otherwise they run here one after another. A replicate is a seeded
-    fit that shares nothing with the others, so either way gives the
-    same results."""
+    them, where workers is ``_n_parts(...)``, the rule of ``run_chain``'s
+    chain groups; one worker runs them here one after another. A
+    replicate is a seeded fit that shares nothing with the others, so
+    either way gives the same results."""
     reps = list(reps)
     workers = min(workers, len(reps))
-    if workers < 2 or not _can_fork():
+    if workers < 2:
         return [fn(rep) for rep in reps]
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         return list(pool.map(fn, reps))
@@ -278,11 +278,10 @@ def test_criterion_08_desk_scale_calibration():
     chains do cover once long enough, so the shorter-tailed setting tests
     the same calibration property at a minutes-scale runtime.
 
-    The replicates run in forked workers, one per usable CPU, where
-    ``_map_replicates`` can fork.
+    The replicates run in as many forked workers as ``_n_parts`` allows.
     """
     n_rep = 20
-    hits = _map_replicates(_calibration_hits, range(n_rep), workers=_usable_cpus())
+    hits = _map_replicates(_calibration_hits, range(n_rep), workers=_n_parts(n_rep))
     srb_hits, tfr_hits = (sum(h) for h in zip(*hits))
     assert srb_hits >= 17, f"SRB intervals covered truth in {srb_hits}/20"
     assert tfr_hits >= 17, f"TFR intervals covered truth in {tfr_hits}/20"

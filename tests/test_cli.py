@@ -19,9 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demrecon import (FEMALE, PARAM_CLASSES, CensusData, ModelGrid, beta_from_elicitation,
-                      gelman_rubin, load_census, load_elicitation, load_grid,
-                      make_manifest, parameter_names, project_full, write_census,
-                      write_samples, write_theta)
+                      gelman_rubin, load_census, load_elicitation, load_grid, load_theta,
+                      make_manifest, parameter_names, project_full, read_samples,
+                      write_census, write_samples, write_theta)
 from demrecon import cli, sampler, simulate
 from demrecon.cli import main
 from conftest import make_theta, sample_from_thetas
@@ -166,6 +166,37 @@ def test_full_pipeline(tmp_path):
     # 40 retained draws cannot meet the run-length minimum; the note says so
     assert all(r["note"] for r in drows)
     assert all(r["gelman_rubin"] for r in drows)
+
+
+@pytest.fixture(scope="module")
+def demo_run(tmp_path_factory):
+    """(draws by class read back from samples.csv, the initial estimates by
+    class) of a few sweeps of ``demrecon sample`` on the demo inputs, its
+    census simulated from them."""
+    tmp = tmp_path_factory.mktemp("demo_run")
+    demo = ["--grid", str(DEMO / "grid.yaml"), "--initial-estimates-dir", str(DEMO / "initial"),
+            "--elicitation", str(DEMO / "elicitation.yaml")]
+    assert main(["simulate", *demo, "--seed", "1", "--out-dir", str(tmp / "sim")]) == 0
+    assert main(["sample", *demo, "--census", str(tmp / "sim" / "census"),
+                 "--iterations", "6", "--burn-in", "2", "--chains", "1", "--seed", "0",
+                 "--out-dir", str(tmp / "run")]) == 0
+    grid = load_grid(DEMO / "grid.yaml")
+    sample = read_samples(tmp / "run" / "samples.csv", grid)
+    return sample.draws, load_theta(DEMO / "initial", grid).by_class()
+
+
+@pytest.mark.parametrize("cls", ["counts", "survival", "migration", "srb"])
+def test_demo_sample_draws_leave_the_initial_estimates(demo_run, cls):
+    draws, initial = demo_run
+    assert np.any(draws[cls] != initial[cls])
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: io._read_matrix returns fertility Fortran-ordered, so"
+    " ChainState's flat fertility is a copy and every proposal to it is lost"))
+def test_demo_sample_fertility_draws_leave_the_initial_estimates(demo_run):
+    draws, initial = demo_run
+    assert np.any(draws["fertility"] != initial["fertility"])
 
 
 def test_sample_reruns_are_byte_identical(tmp_path):
@@ -354,7 +385,7 @@ def test_unrepresentable_draw_matrix_exit_3(tmp_path, capsys, monkeypatch):
     before any chain runs or any worker is forked: exit 3 and one line."""
     grid_yaml, elic_yaml, grid, _ = _desk_inputs(tmp_path)
     _write_census(tmp_path, grid)
-    monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
     def no_fork(fn, items):
         raise AssertionError("the draw matrix was not refused before the chains ran")
@@ -419,6 +450,22 @@ def test_simulate_variances_past_float_range_exit_3(tmp_path, capsys, monkeypatc
     assert capsys.readouterr().err.splitlines() == [
         "error: no positive prior draw in 1000 consecutive tries"]
     assert not (tmp_path / "out").exists()
+
+
+def test_simulate_zero_true_count_at_census_year_exit_3(tmp_path, capsys, monkeypatch):
+    """A true trajectory with a zero count at a census year, which has no
+    log for the census noise, ends simulate with exit 3 and one error line."""
+    draw_joint = simulate.draw_joint
+
+    def zero_baseline(*args):
+        v, theta = draw_joint(*args)
+        return v, theta.replace(baseline=np.zeros_like(theta.baseline))
+
+    monkeypatch.setattr(simulate, "draw_joint", zero_baseline)
+    grid_yaml, elic_yaml, _, _ = _desk_inputs(tmp_path)
+    assert main(_command(tmp_path, grid_yaml, elic_yaml, "simulate")) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: true trajectory has a nonpositive count at census year 1965"]
 
 
 def test_invalid_initial_estimates_exit_2(tmp_path):
@@ -592,7 +639,7 @@ def test_failed_fork_in_sample_exit_3(tmp_path, capsys, monkeypatch):
     process running; two usable CPUs send the chains to a forked worker."""
     grid_yaml, elic_yaml, grid, _ = _desk_inputs(tmp_path)
     _write_census(tmp_path, grid)
-    monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
     def refused():
         raise BlockingIOError(11, "Resource temporarily unavailable")
@@ -603,6 +650,23 @@ def test_failed_fork_in_sample_exit_3(tmp_path, capsys, monkeypatch):
     assert err.startswith("error:") and "Resource temporarily unavailable" in err
     assert err.count("\n") == 1, err
     assert not (tmp_path / "out" / "samples.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["samples.csv", "manifest.json"])
+def test_sample_output_path_that_is_a_directory_exit_2_before_sampling(
+        tmp_path, capsys, monkeypatch, name):
+    """An output file of sample that is a directory is refused before any
+    chain runs, so the run it would lose is never started."""
+    grid_yaml, elic_yaml, grid, _ = _desk_inputs(tmp_path)
+    _write_census(tmp_path, grid)
+
+    def no_run(*args):
+        raise AssertionError("run_chain was called")
+
+    monkeypatch.setattr(cli, "run_chain", no_run)
+    (tmp_path / "out" / name).mkdir(parents=True)
+    assert main(_command(tmp_path, grid_yaml, elic_yaml, "sample")) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'out' / name}: Is a directory\n"
 
 
 @pytest.mark.parametrize("command", ["project", "sample", "simulate"])

@@ -25,6 +25,8 @@ def test_grid_derived_quantities():
     assert list(g.period_years) == [1960, 1965, 1970, 1975]
     assert list(g.stock_years) == [1960, 1965, 1970, 1975, 1980]
     assert g.year_index(1970) == 2
+    with pytest.raises(ValueError, match="year 1972 is not on the 5-year grid from 1960"):
+        g.year_index(1972)
 
 
 def test_fertile_index_points_into_age_axis(desk_grid):

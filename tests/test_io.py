@@ -555,7 +555,7 @@ def _set_blocks(monkeypatch, n):
     """Make read_samples cut a file of n bytes or more, and write_samples a
     table of n values or more, into up to n blocks."""
     monkeypatch.setattr(demrecon_io, "BLOCK_BYTES", 1)
-    monkeypatch.setattr(demrecon_io, "_usable_cpus", lambda: n)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
@@ -879,6 +879,22 @@ def test_write_samples_in_one_block_starts_no_process(tmp_path, desk_grid, monke
         if other.is_alive():
             other.join(timeout=30.0)
     assert p.read_bytes() == _table_bytes(sample)
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_write_samples_to_a_directory_raises(tmp_path, desk_grid, monkeypatch, blocks):
+    """A path that is a directory raises IsADirectoryError, at one block as
+    at two, whose one-block retry fails the same way, and leaves no
+    temporary file and no process."""
+    sample = _special_sample(desk_grid, _WRITE_CASES["interleaved_chains"])
+    p = tmp_path / "samples.csv"
+    p.mkdir()
+    _set_blocks(monkeypatch, blocks)
+    with pytest.raises(IsADirectoryError):
+        write_samples(p, sample)
+    assert os.listdir(tmp_path) == ["samples.csv"]
+    assert os.listdir(p) == []
+    assert multiprocessing.active_children() == []
 
 
 def test_read_samples_header_only_warns_nothing(tmp_path, desk_grid):

@@ -722,6 +722,25 @@ def test_one_group_starts_no_process(desk_grid, desk_hyper, monkeypatch, case):
     assert np.unique(sample.chain).tolist() == list(range(chains))
 
 
+@pytest.mark.parametrize("count", [1, None])
+def test_cpu_count_rules_without_sched_getaffinity(desk_grid, desk_hyper, monkeypatch, count):
+    """Where os.sched_getaffinity does not exist, os.cpu_count gives the
+    CPUs, and one CPU or an unknown count runs both chains here."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("run_chain started a process pool")
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(sampler, "ProcessPoolExecutor", no_pool)
+    if "fork" in multiprocessing.get_all_start_methods():
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert sampler._n_parts(2) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    initial = make_theta(desk_grid, seed=1)
+    config = SamplerConfig(iterations=4, burn_in=2, chains=2)
+    sample = run_chain(config, desk_grid, initial, _census_from(initial, desk_grid), desk_hyper)
+    assert sample.chain.tolist() == [0, 0, 1, 1]
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_draws_and_sigma2_are_views_of_one_draw_matrix(desk_grid, desk_hyper, monkeypatch,
                                                        cpus):
